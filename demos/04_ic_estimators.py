@@ -25,7 +25,7 @@ model = MeasurementModel(A, d=rng.uniform(0.3, 2.0, n), sigma2=0.4)
 y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
 mu_mmse, _ = mmse_estimate(model, y)
 
-pre = precompute_ic(model, y, mode="dense")
+pre = precompute_ic(model, y)
 
 # the vectorized kernel reproduces the dense block-inversion projection
 lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)

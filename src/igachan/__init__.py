@@ -29,7 +29,6 @@ from .iga import (
     SplitScheme,
     build_rank1_split,
     project_all,
-    project_auxiliary,
     run_iga,
     update_points,
 )
@@ -51,13 +50,10 @@ from .bscm import (
     OfdmConfig,
     PilotPlan,
     ScenarioConfig,
-    apply_A_adjoint_fast,
-    apply_A_fast,
     assemble_dense_A,
     build_P_matrix,
     build_steering,
     geometry_from_config,
-    gram_diag_fast,
     load_scenario_config,
     parse_scenario_config,
     zc_pilot,

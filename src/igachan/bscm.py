@@ -45,9 +45,6 @@ __all__ = [
     "zc_pilot",
     "build_P_matrix",
     "assemble_dense_A",
-    "apply_A_fast",
-    "apply_A_adjoint_fast",
-    "gram_diag_fast",
     "parse_scenario_config",
     "load_scenario_config",
     "geometry_from_config",
@@ -385,18 +382,6 @@ class BscmScenario:
         pad = np.zeros((self.array.M_r, o.N_p), dtype=np.complex128)
         pad[:, : o.N_f] = X
         return np.fft.fft(pad, axis=1)[:, : o.M_p]
-
-
-def apply_A_fast(scenario: BscmScenario, s) -> np.ndarray:
-    return scenario.matvec(s)
-
-
-def apply_A_adjoint_fast(scenario: BscmScenario, b) -> np.ndarray:
-    return scenario.rmatvec(b)
-
-
-def gram_diag_fast(scenario: BscmScenario) -> np.ndarray:
-    return scenario.gram_diag()
 
 
 def assemble_dense_A(array: ArrayConfig, ofdm: OfdmConfig, plan: PilotPlan,

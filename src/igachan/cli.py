@@ -13,16 +13,9 @@ import sys
 
 import numpy as np
 
-from . import harness, ic, iga, scenario
-from .bscm import (
-    BscmScenario,
-    ScenarioConfig,
-    assemble_dense_A,
-    geometry_from_config,
-    load_scenario_config,
-)
+from . import harness, scenario
+from .bscm import ScenarioConfig, geometry_from_config, load_scenario_config
 from .errors import ConfigError, DivergenceError, DomainError
-from .estimators import MeasurementModel, mmse_estimate, modified_mmse_estimate
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILURE = 1
@@ -66,20 +59,6 @@ def _load_config(args) -> ScenarioConfig:
     return cfg
 
 
-def _build_trial(cfg: ScenarioConfig, snr_db: float, trial: int = 0):
-    """One reproducible scenario draw: (scn, d, y, channels, sigma2)."""
-    array, ofdm, plan = geometry_from_config(cfg)
-    sigma2 = 10.0 ** (-snr_db / 10.0)
-    stream = (0, trial)
-    powers = scenario.gen_power_matrices(cfg, cfg.seed, stream=stream)
-    extraction = scenario.extraction_from_powers(powers, array, ofdm, plan)
-    d = scenario.build_prior(powers, extraction, array, ofdm, plan)
-    scn = BscmScenario(array, ofdm, plan, extraction)
-    channels = scenario.sample_channels(powers, cfg.seed, stream=stream)
-    y = scenario.synthesize_rx(scn, channels, sigma2, cfg.seed, stream=stream)
-    return scn, d, y, channels, sigma2
-
-
 def _cmd_generate(args) -> int:
     cfg = _load_config(args)
     array, ofdm, plan = geometry_from_config(cfg)
@@ -109,57 +88,31 @@ def _cmd_estimate(args) -> int:
     if len(algs) != 1:
         raise ConfigError("estimate takes exactly one --alg value")
     alg = algs[0]
-    scn, d, y, channels, sigma2 = _build_trial(cfg, snr_list[0])
+    if args.max_iter < 0:
+        raise ConfigError("--max-iter must be >= 0")
+    trial = harness.build_trial(geometry_from_config(cfg), cfg, cfg.seed, snr_list[0],
+                                stream=(0, 0))
     alpha = args.alpha if args.alpha is not None else harness.DEFAULT_ALPHAS.get(alg, 1.0)
-
-    if alg == "ic_siga":
-        model = MeasurementModel(scn, d, sigma2)
-        pre = ic.precompute_ic(model, y, mode="operator")
-        rep = ic.run_estimator("ic_siga", pre, alpha=alpha, t_max=args.max_iter,
-                               tol=args.tol)
-    else:
-        A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
-        model = MeasurementModel(A, d, sigma2)
-        if alg == "mmse":
-            mu, _ = mmse_estimate(model, y)
-            rep = None
-        elif alg == "modified_mmse":
-            mu = modified_mmse_estimate(model, y)
-            rep = None
-        elif alg == "iga":
-            scheme = iga.build_rank1_split(model, y)
-            rep = iga.run_iga(scheme, alpha=alpha, t_max=args.max_iter, tol=args.tol)
-        else:  # ic_iga
-            pre = ic.precompute_ic(model, y, mode="dense")
-            rep = ic.run_estimator("ic_iga", pre, alpha=alpha, t_max=args.max_iter,
-                                   tol=args.tol)
-    mu = rep.mu if rep is not None else mu
-    est = harness.reconstruct_G(mu, scn.extraction, scn)
-    truth = [scn.beam_to_space_freq(ch.H) for ch in channels]
-    trial_nmse = harness.nmse(est, truth)
+    rep = harness.ESTIMATORS[alg](trial, alpha, args.max_iter, args.tol)
+    trial_nmse = float(np.mean(trial.score(rep.mu)))
 
     summary = {
         "algorithm": alg,
         "snr_db": snr_list[0],
         "nmse": trial_nmse,
         "nmse_db": 10.0 * np.log10(trial_nmse) if trial_nmse > 0 else None,
-        "iterations": rep.iterations if rep is not None else 0,
-        "converged": rep.converged if rep is not None else True,
-        "n": int(scn.extraction.n),
-        "m": int(scn.shape[0]),
+        "iterations": rep.iterations,
+        "converged": rep.converged,
+        "n": int(trial.scn.extraction.n),
+        "m": int(trial.scn.shape[0]),
         "seed": cfg.seed,
         "rng": scenario.RNG_FAMILY,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     if args.out:
-        if rep is not None:
-            rep.nmse = trial_nmse
-            rep.seed = cfg.seed
-            payload = rep.to_dict()
-        else:
-            payload = dict(summary)
-            payload["mu_re"] = np.real(mu).tolist()
-            payload["mu_im"] = np.imag(mu).tolist()
+        rep.nmse = trial_nmse
+        rep.seed = cfg.seed
+        payload = rep.to_dict()
         payload["rng"] = scenario.RNG_FAMILY
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

@@ -36,6 +36,7 @@ from .bscm import (
 )
 from .errors import ConfigError, DivergenceError, DomainError
 from .estimators import MeasurementModel, mmse_estimate, modified_mmse_estimate
+from .report import EstimateReport
 from .scenario import (
     build_prior,
     extraction_from_powers,
@@ -44,8 +45,11 @@ from .scenario import (
     synthesize_rx,
 )
 
+# build_trial stays out of __all__: outside-in tracers start a trial at a
+# gen_power_matrices call made outside every public function
 __all__ = [
     "ALGORITHMS",
+    "ESTIMATORS",
     "DEFAULT_ALPHAS",
     "CSV_HEADER",
     "BenchmarkSpec",
@@ -57,8 +61,7 @@ __all__ = [
     "validate_suite",
 ]
 
-ALGORITHMS = ("mmse", "modified_mmse", "iga", "ic_iga", "ic_siga")
-DEFAULT_ALPHAS = {"iga": 0.05, "ic_iga": 0.45, "ic_siga": 0.25}
+DEFAULT_ALPHAS = {"iga": _iga.DEFAULT_ALPHA, **_ic.DEFAULT_ALPHA}
 CSV_HEADER = "snr_db,algorithm,nmse,nmse_db,mean_iterations,converged_fraction,wall_time_ms,seed"
 
 
@@ -101,6 +104,108 @@ def nmse(estimates, truths) -> float:
             raise DomainError("truth matrix has zero norm")
         total += np.linalg.norm(gbar - g) ** 2 / denom
     return total / len(truths)
+
+
+@dataclass
+class Trial:
+    """One generated scenario draw: what every estimator reads and the truths
+    it is scored against."""
+
+    scn: BscmScenario
+    d: np.ndarray
+    y: np.ndarray
+    sigma2: float
+    truths: list
+    _dense: MeasurementModel | None = field(default=None, init=False, repr=False)
+
+    @property
+    def dense_model(self) -> MeasurementModel:
+        """The model with A assembled densely, on first use only.
+
+        Unlocked on purpose: a trial is built and run on one thread, and
+        functools.cached_property (Python < 3.12) would serialize every
+        trial's assembly behind one class-wide lock.
+        """
+        if self._dense is None:
+            s = self.scn
+            A = assemble_dense_A(s.array, s.ofdm, s.plan, s.extraction)
+            self._dense = MeasurementModel(A, self.d, self.sigma2)
+        return self._dense
+
+    def score(self, mu) -> list:
+        """Per-user ||Gbar_k - G_k||_F^2 / ||G_k||_F^2 of an estimate."""
+        est = reconstruct_G(mu, self.scn.extraction, self.scn)
+        return [float(np.linalg.norm(gb - g) ** 2 / np.linalg.norm(g) ** 2)
+                for gb, g in zip(est, self.truths)]
+
+
+def build_trial(geometry, cfg: ScenarioConfig, seed: int, snr_db: float,
+                stream: tuple) -> Trial:
+    """Draw powers, channels and noise for one trial from substream ``stream``."""
+    array, ofdm, plan = geometry
+    sigma2 = 10.0 ** (-snr_db / 10.0)  # SNR = 1 / sigma2
+    powers = gen_power_matrices(cfg, seed, stream=stream)
+    extraction = extraction_from_powers(powers, array, ofdm, plan)
+    d = build_prior(powers, extraction, array, ofdm, plan)
+    scn = BscmScenario(array, ofdm, plan, extraction)
+    channels = sample_channels(powers, seed, stream=stream)
+    y = synthesize_rx(scn, channels, sigma2, seed, stream=stream)
+    truths = [scn.beam_to_space_freq(ch.H) for ch in channels]
+    return Trial(scn, d, y, sigma2, truths)
+
+
+# -- estimator registry: name -> fn(trial, alpha, t_max, tol) -> EstimateReport.
+# Entries call library functions through module globals at call time, so a
+# patched or traced function is the one that runs.
+
+def _solved(trial: Trial, mu, algorithm: str, t_start: float) -> EstimateReport:
+    """Report of a direct solve: no iterations, converged, and the relative
+    normal-equation residual of its mean (computed without copying A)."""
+    A, y, s2 = trial.dense_model.A, trial.y, trial.sigma2
+    theta = (y.conj() @ A).conj() / s2
+    lhs = ((A @ mu).conj() @ A).conj() / s2 + mu / trial.d
+    residual = float(np.linalg.norm(lhs - theta)) / (float(np.linalg.norm(theta)) or 1.0)
+    return EstimateReport(mu=mu, variances=None, residual_trace=[residual], iterations=0,
+                          converged=True, wall_time=time.perf_counter() - t_start,
+                          config={"algorithm": algorithm})
+
+
+def _run_mmse(trial, alpha, t_max, tol):
+    t0 = time.perf_counter()
+    mu, _ = mmse_estimate(trial.dense_model, trial.y)
+    return _solved(trial, mu, "mmse", t0)
+
+
+def _run_modified_mmse(trial, alpha, t_max, tol):
+    t0 = time.perf_counter()
+    return _solved(trial, modified_mmse_estimate(trial.dense_model, trial.y),
+                   "modified_mmse", t0)
+
+
+def _run_iga(trial, alpha, t_max, tol):
+    scheme = _iga.build_rank1_split(trial.dense_model, trial.y)
+    return _iga.run_iga(scheme, alpha=alpha, t_max=t_max, tol=tol)
+
+
+def _run_ic_iga(trial, alpha, t_max, tol):
+    pre = _ic.precompute_ic(trial.dense_model, trial.y)
+    return _ic.run_estimator("ic_iga", pre, alpha=alpha, t_max=t_max, tol=tol)
+
+
+def _run_ic_siga(trial, alpha, t_max, tol):
+    # the matrix-free FFT path: no dense A
+    pre = _ic.precompute_ic(MeasurementModel(trial.scn, trial.d, trial.sigma2), trial.y)
+    return _ic.run_estimator("ic_siga", pre, alpha=alpha, t_max=t_max, tol=tol)
+
+
+ESTIMATORS = {
+    "mmse": _run_mmse,
+    "modified_mmse": _run_modified_mmse,
+    "iga": _run_iga,
+    "ic_iga": _run_ic_iga,
+    "ic_siga": _run_ic_siga,
+}
+ALGORITHMS = tuple(ESTIMATORS)
 
 
 @dataclass(frozen=True)
@@ -151,62 +256,21 @@ def _worker_count(n_tasks: int) -> int:
 
 def _run_trial(spec: BenchmarkSpec, geometry, snr_index: int, trial: int):
     """All algorithms on one generated scenario; returns per-algorithm stats."""
-    array, ofdm, plan = geometry
-    snr_db = spec.snr_list_db[snr_index]
-    sigma2 = 10.0 ** (-snr_db / 10.0)  # SNR = 1 / sigma2
-    stream = (snr_index, trial)
-    powers = gen_power_matrices(spec.scenario, spec.seed, stream=stream)
-    extraction = extraction_from_powers(powers, array, ofdm, plan)
-    d = build_prior(powers, extraction, array, ofdm, plan)
-    scn = BscmScenario(array, ofdm, plan, extraction)
-    channels = sample_channels(powers, spec.seed, stream=stream)
-    y = synthesize_rx(scn, channels, sigma2, spec.seed, stream=stream)
-    truths = [scn.beam_to_space_freq(ch.H) for ch in channels]
-
-    need_dense = any(a != "ic_siga" for a in spec.algorithms)
-    model_dense = None
-    if need_dense:
-        A = assemble_dense_A(array, ofdm, plan, extraction)
-        model_dense = MeasurementModel(A, d, sigma2)
-    model_op = MeasurementModel(scn, d, sigma2)
-
+    tr = build_trial(geometry, spec.scenario, spec.seed, spec.snr_list_db[snr_index],
+                     stream=(snr_index, trial))
     results = {}
     for alg in spec.algorithms:
         t0 = time.perf_counter()
-        iterations = 0
-        converged = True
         try:
-            if alg == "mmse":
-                mu, _ = mmse_estimate(model_dense, y)
-            elif alg == "modified_mmse":
-                mu = modified_mmse_estimate(model_dense, y)
-            elif alg == "iga":
-                scheme = _iga.build_rank1_split(model_dense, y)
-                rep = _iga.run_iga(scheme, alpha=spec.alpha_for("iga"),
-                                   t_max=spec.t_max, tol=spec.tol)
-                mu, iterations, converged = rep.mu, rep.iterations, rep.converged
-            elif alg == "ic_iga":
-                pre = _ic.precompute_ic(model_dense, y, mode="dense")
-                rep = _ic.run_estimator("ic_iga", pre, alpha=spec.alpha_for("ic_iga"),
-                                        t_max=spec.t_max, tol=spec.tol)
-                mu, iterations, converged = rep.mu, rep.iterations, rep.converged
-            else:  # ic_siga on the fast operator path
-                pre = _ic.precompute_ic(model_op, y, mode="operator")
-                rep = _ic.run_estimator("ic_siga", pre, alpha=spec.alpha_for("ic_siga"),
-                                        t_max=spec.t_max, tol=spec.tol)
-                mu, iterations, converged = rep.mu, rep.iterations, rep.converged
+            rep = ESTIMATORS[alg](tr, spec.alpha_for(alg), spec.t_max, spec.tol)
+            mu, iterations, converged = rep.mu, rep.iterations, rep.converged
         except DivergenceError:
             # a diverged trial is a result, not a crash
-            mu = np.zeros(extraction.n, dtype=np.complex128)
+            mu = np.zeros(tr.scn.extraction.n, dtype=np.complex128)
             iterations = spec.t_max
             converged = False
         wall = time.perf_counter() - t0
-        est = reconstruct_G(mu, extraction, scn)
-        ratios = [
-            float(np.linalg.norm(gb - g) ** 2 / np.linalg.norm(g) ** 2)
-            for gb, g in zip(est, truths)
-        ]
-        results[alg] = (ratios, iterations, converged, wall)
+        results[alg] = (tr.score(mu), iterations, converged, wall)
     return results
 
 
@@ -414,8 +478,9 @@ def _check_iga_framework():
     # rank-1 fast projection against the dense gaussian-module path
     state = _iga.initial_state(scheme)
     worst_proj = 0.0
+    xi_all, Xi_all = _iga.project_all(scheme, state)
     for q in range(0, scheme.q_count, 5):
-        xi, Xi = _iga.project_auxiliary(scheme, state, q)
+        xi, Xi = xi_all[q], Xi_all[q]
         g = scheme.factors[q]
         P = np.outer(g, g.conj()) + np.diag((state.Lam_q[q] + scheme.lambda_c).astype(complex))
         proj = m_project_to_diag(GaussianNatural(state.lam_q[q] + scheme.b[q], -P))

@@ -25,8 +25,6 @@ owning coordinate; the vectorized kernels are tested against it.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +32,7 @@ import numpy as np
 from .errors import DivergenceError, DomainError
 from .estimators import MeasurementModel
 from .gaussian import GaussianNatural, m_project_to_diag
-from .report import EstimateReport
+from .report import EstimateReport, iterate
 
 __all__ = [
     "IcPrecomp",
@@ -50,26 +48,14 @@ __all__ = [
 
 DEFAULT_ALPHA = {"ic_iga": 0.45, "ic_siga": 0.25}
 
-# test hook: drop the diagonal-exclusion term of e_n to prove the oracle
-# comparison is sensitive to it
-_MUTATIONS = {"drop_e_diagonal_subtraction": False}
-
-
-@contextmanager
-def _corrupt_e_diagonal():
-    _MUTATIONS["drop_e_diagonal_subtraction"] = True
-    try:
-        yield
-    finally:
-        _MUTATIONS["drop_e_diagonal_subtraction"] = False
-
 
 @dataclass(frozen=True)
 class IcPrecomp:
     """Iteration-invariant products for the IC estimators.
 
     Dense mode materializes the Gram matrix and L = |A^H A|.^2; operator
-    mode keeps only the O(N) vectors plus a handle computing A^H (A x).
+    mode keeps only the O(N) vectors plus a handle computing A^H (A x), and
+    has no L.
     """
 
     ahy: np.ndarray  # A^H y
@@ -79,11 +65,14 @@ class IcPrecomp:
     sigma2: float
     gram: object  # callable x -> A^H (A x)
     L: np.ndarray | None
-    mode: str
 
     @property
     def n(self) -> int:
         return self.ahy.size
+
+    @property
+    def mode(self) -> str:
+        return "operator" if self.L is None else "dense"
 
 
 @dataclass(frozen=True)
@@ -121,17 +110,16 @@ def initial_ic_state(n: int) -> IcState:
     )
 
 
-def precompute_ic(model: MeasurementModel, y, mode: str = "dense") -> IcPrecomp:
+def precompute_ic(model: MeasurementModel, y) -> IcPrecomp:
     """Assemble the iteration-invariant products.
 
-    ``mode="dense"`` needs a dense A and stores A^H A and L; ``mode="operator"``
-    works from the matrix-free handles of the measurement operator and skips L.
+    A dense model gives a dense-mode precomputation, which stores A^H A and
+    L; a matrix-free model gives operator mode, which works from the
+    operator's handles and skips L.
     """
-    if mode not in ("dense", "operator"):
-        raise DomainError(f"unknown mode {mode!r}")
-    if mode == "dense":
-        A = model._require_dense("precompute_ic(mode='dense')")
-        y = model.check_y(y)
+    y = model.check_y(y)
+    if model.is_dense:
+        A = model.A
         aha = A.conj().T @ A
         ahy = A.conj().T @ y
         aha_diag = np.real(np.diag(aha)).copy()
@@ -139,7 +127,6 @@ def precompute_ic(model: MeasurementModel, y, mode: str = "dense") -> IcPrecomp:
         gram = lambda x, _aha=aha: _aha @ x  # noqa: E731
     else:
         op = model.A
-        y = model.check_y(y)
         ahy = op.rmatvec(y)
         aha_diag = np.asarray(op.gram_diag(), dtype=np.float64)
         L = None
@@ -148,7 +135,7 @@ def precompute_ic(model: MeasurementModel, y, mode: str = "dense") -> IcPrecomp:
     if not np.all(c > 0):
         raise DomainError("c must be strictly positive (check A columns and d)")
     return IcPrecomp(ahy=ahy, aha_diag=aha_diag, c=c, d=model.d,
-                     sigma2=model.sigma2, gram=gram, L=L, mode=mode)
+                     sigma2=model.sigma2, gram=gram, L=L)
 
 
 def _interference_energy(pre: IcPrecomp, v: np.ndarray) -> np.ndarray:
@@ -170,8 +157,7 @@ def _interference_energy(pre: IcPrecomp, v: np.ndarray) -> np.ndarray:
             col = pre.gram(eye_col)
             eye_col[j] = 0.0
             lv[j] = float(np.real(np.sum(np.abs(col) ** 2 * v)))
-    if not _MUTATIONS["drop_e_diagonal_subtraction"]:
-        lv = lv - pre.aha_diag**2 * v
+    lv = lv - pre.aha_diag**2 * v
     return lv / (s2 * pre.c)
 
 
@@ -182,6 +168,16 @@ def ic_beliefs(pre: IcPrecomp, state: IcState):
     would produce; the dense oracle :func:`mproj_belief_oracle` recomputes
     them one coordinate at a time.
     """
+    return _beliefs(pre, state, pre.gram(state.mu))
+
+
+def _mean_update(pre: IcPrecomp, mu: np.ndarray, gram_mu: np.ndarray) -> np.ndarray:
+    """sigma2^{-1} c^{-1} (A^H y - A^H A mu + diag(A^H A) mu), given A^H A mu."""
+    return (pre.ahy - gram_mu + pre.aha_diag * mu) / (pre.sigma2 * pre.c)
+
+
+def _beliefs(pre: IcPrecomp, state: IcState, gram_mu: np.ndarray):
+    """:func:`ic_beliefs` from the Gram product A^H A mu of the state's mean."""
     e = _interference_energy(pre, state.v)
     if np.any(1.0 + e <= 0):
         raise DivergenceError(
@@ -189,9 +185,7 @@ def ic_beliefs(pre: IcPrecomp, state: IcState):
             "state is numerically corrupted"
         )
     r = pre.c / (1.0 + e)
-    mu = state.mu
-    mu_new = (pre.ahy - pre.gram(mu) + pre.aha_diag * mu) / (pre.sigma2 * pre.c)
-    return mu_new, r, e
+    return _mean_update(pre, state.mu, gram_mu), r, e
 
 
 def ic_iga_step(pre: IcPrecomp, state: IcState, alpha: float,
@@ -214,8 +208,13 @@ def ic_siga_step(pre: IcPrecomp, mu_t: np.ndarray, alpha: float) -> np.ndarray:
     mu_t = np.asarray(mu_t, dtype=np.complex128).reshape(-1)
     if mu_t.size != pre.n:
         raise DomainError(f"mu has length {mu_t.size}, expected {pre.n}")
-    mu_temp = (pre.ahy - pre.gram(mu_t) + pre.aha_diag * mu_t) / (pre.sigma2 * pre.c)
-    return alpha * mu_temp + (1 - alpha) * mu_t
+    return _siga_update(pre, mu_t, pre.gram(mu_t), alpha)
+
+
+def _siga_update(pre: IcPrecomp, mu: np.ndarray, gram_mu: np.ndarray,
+                 alpha: float) -> np.ndarray:
+    """:func:`ic_siga_step` from the Gram product A^H A mu."""
+    return alpha * _mean_update(pre, mu, gram_mu) + (1 - alpha) * mu
 
 
 def mproj_belief_oracle(model: MeasurementModel, y, state: IcState, n: int):
@@ -259,76 +258,48 @@ def run_estimator(kind: str, pre: IcPrecomp, alpha: float | None = None,
                   t_max: int = 100, tol: float = 1e-8) -> EstimateReport:
     """Run IC-IGA or IC-SIGA to (approximate) equilibrium.
 
-    Stops when the max relative change of the mean drops below ``tol`` or
-    after ``t_max`` iterations.  IC-IGA reports variances 1/r at the final
-    iterate; IC-SIGA is mean-only.  When an IC-IGA run is asked for on an
-    operator-mode precomputation (no L available), variance tracking is
-    dropped and the mean follows the IC-SIGA recursion, whose equilibrium
-    is the same.
+    Stop and divergence rules are those of :func:`igachan.report.iterate`.
+    Each iterate carries its Gram product A^H A mu, which both its residual
+    and the next step read, so an iteration applies the Gram matrix once.
+    IC-IGA reports variances 1/r at the final iterate; IC-SIGA is
+    mean-only.  When an IC-IGA run is asked for on an operator-mode
+    precomputation (no L available), variance tracking is dropped and the
+    mean follows the IC-SIGA recursion, whose equilibrium is the same.
     """
-    if kind not in ("ic_iga", "ic_siga"):
+    if kind not in DEFAULT_ALPHA:
         raise DomainError(f"unknown estimator kind {kind!r}")
     if alpha is None:
         alpha = DEFAULT_ALPHA[kind]
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
-    if t_max < 0:
-        raise DomainError("t_max must be nonnegative")
-    t_start = time.perf_counter()
     theta = pre.ahy / pre.sigma2
-    theta_norm = float(np.linalg.norm(theta))
-    if theta_norm == 0.0:
-        theta_norm = 1.0
+    theta_norm = float(np.linalg.norm(theta)) or 1.0
 
-    def residual(mu):
-        lhs = pre.gram(mu) / pre.sigma2 + mu / pre.d
-        return float(np.linalg.norm(lhs - theta)) / theta_norm
+    # an iterate is (mu, A^H A mu, IcState, r of the step that made it);
+    # the mean-only recursion carries None for the last two
+    def measure(point):
+        mu, gram_mu = point[0], point[1]
+        lhs = gram_mu / pre.sigma2 + mu / pre.d
+        return mu, float(np.linalg.norm(lhs - theta)) / theta_norm
+
+    def siga_step(point):
+        mu = _siga_update(pre, point[0], point[1], alpha)
+        return mu, pre.gram(mu), None, None
+
+    def iga_step(point):
+        _, gram_mu, state, _ = point
+        beliefs = _beliefs(pre, state, gram_mu)
+        state = ic_iga_step(pre, state, alpha, beliefs=beliefs)
+        return state.mu, pre.gram(state.mu), state, beliefs[1]
+
+    def variances(point):
+        return None if point[3] is None else 1.0 / point[3]
 
     mean_only = kind == "ic_siga" or pre.L is None
     state = None if mean_only else initial_ic_state(pre.n)
     mu = np.zeros(pre.n, dtype=np.complex128)
-    r_last = None
-    trace = [residual(mu)]
-    converged = False
-    rising = 0
-    iterations = 0
-    for _ in range(t_max):
-        try:
-            if mean_only:
-                mu_new = ic_siga_step(pre, mu, alpha)
-            else:
-                beliefs = ic_beliefs(pre, state)
-                state = ic_iga_step(pre, state, alpha, beliefs=beliefs)
-                r_last = beliefs[1]
-                mu_new = state.mu
-        except DivergenceError as exc:
-            exc.trace = trace
-            raise
-        iterations += 1
-        trace.append(residual(mu_new))
-        if trace[-1] > trace[-2]:
-            rising += 1
-            if rising >= 20:
-                raise DivergenceError(
-                    "residual increased for 20 consecutive iterations", trace=trace
-                )
-        else:
-            rising = 0
-        change = np.abs(mu_new - mu).max() / max(np.abs(mu_new).max(), 1e-300)
-        mu = mu_new
-        if change < tol:
-            converged = True
-            break
-    variances = None
-    if kind == "ic_iga" and r_last is not None:
-        variances = 1.0 / r_last
-    return EstimateReport(
-        mu=mu,
-        variances=variances,
-        residual_trace=trace,
-        iterations=iterations,
-        converged=converged,
-        wall_time=time.perf_counter() - t_start,
-        config={"algorithm": kind, "alpha": alpha, "t_max": t_max, "tol": tol,
-                "mode": pre.mode},
-    )
+    return iterate(siga_step if mean_only else iga_step, measure,
+                   (mu, pre.gram(mu), state, None), t_max, tol,
+                   config={"algorithm": kind, "alpha": alpha, "t_max": t_max,
+                           "tol": tol, "mode": pre.mode},
+                   variances=variances)

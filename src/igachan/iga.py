@@ -29,42 +29,39 @@ O(N) each through the rank-1 inverse update, never densifying C_q.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DivergenceError, DomainError
 from .estimators import MeasurementModel
-from .report import EstimateReport
+from .report import EstimateReport, iterate
 
 __all__ = [
     "SplitScheme",
     "AuxiliaryState",
     "build_rank1_split",
     "initial_state",
-    "project_auxiliary",
     "project_all",
     "update_points",
     "run_iga",
 ]
+
+DEFAULT_ALPHA = 0.05
 
 
 @dataclass(frozen=True)
 class SplitScheme:
     """Additive split of the posterior natural parameters.
 
-    ``b`` is (Q, N) with row q the mean-parameter piece b_q.  Quadratic
-    pieces are either rank-1 factors ``factors`` (Q, N) with
-    C_q = factors[q] factors[q]^H, or dense matrices ``dense_C`` (Q, N, N);
-    exactly one of the two is set.  ``lambda_c`` is the shared diagonal.
+    ``b`` is (Q, N) with row q the mean-parameter piece b_q; the quadratic
+    pieces are rank-1, C_q = factors[q] factors[q]^H with ``factors`` (Q, N).
+    ``lambda_c`` is the shared diagonal.
     """
 
     b: np.ndarray
     lambda_c: np.ndarray
     factors: np.ndarray | None = None
-    dense_C: np.ndarray | None = None
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=np.complex128)
@@ -73,20 +70,14 @@ class SplitScheme:
             raise DomainError("b must be (Q, N) matching lambda_c")
         if np.any(lc < 0):
             raise DomainError("lambda_c entries must be nonnegative")
-        if (self.factors is None) == (self.dense_C is None):
-            raise DomainError("exactly one of factors / dense_C must be given")
+        if self.factors is None:
+            raise DomainError("the rank-1 factors must be given")
+        f = np.asarray(self.factors, dtype=np.complex128)
+        if f.shape != b.shape:
+            raise DomainError("factors must have shape (Q, N)")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lambda_c", lc)
-        if self.factors is not None:
-            f = np.asarray(self.factors, dtype=np.complex128)
-            if f.shape != b.shape:
-                raise DomainError("factors must have shape (Q, N)")
-            object.__setattr__(self, "factors", f)
-        else:
-            C = np.asarray(self.dense_C, dtype=np.complex128)
-            if C.shape != (b.shape[0], lc.size, lc.size):
-                raise DomainError("dense_C must have shape (Q, N, N)")
-            object.__setattr__(self, "dense_C", C)
+        object.__setattr__(self, "factors", f)
 
     @property
     def q_count(self) -> int:
@@ -102,12 +93,8 @@ class SplitScheme:
 
     def precision_apply(self, x: np.ndarray) -> np.ndarray:
         """(sum_q C_q + diag(lambda_c)) x without densifying rank-1 pieces."""
-        if self.factors is not None:
-            gx = self.factors.conj() @ x
-            out = self.factors.T @ gx
-        else:
-            out = np.einsum("qij,j->i", self.dense_C, x)
-        return out + self.lambda_c * x
+        gx = self.factors.conj() @ x
+        return self.factors.T @ gx + self.lambda_c * x
 
 
 @dataclass(frozen=True)
@@ -158,12 +145,16 @@ def initial_state(scheme: SplitScheme) -> AuxiliaryState:
     )
 
 
-def _project_all_rank1(scheme: SplitScheme, state: AuxiliaryState):
-    """Vectorized m-projection of all Q auxiliary points (rank-1 pieces).
+def project_all(scheme: SplitScheme, state: AuxiliaryState):
+    """Beliefs (xi_q, Xi_q) of all Q auxiliary points, stacked as (Q, N) arrays.
 
-    The auxiliary precision is diag(w) + g g^H with w = Lambda_q + lambda_c,
-    so its inverse is one diagonal solve plus a rank-1 correction; means and
-    diagonal covariances of all points come out in O(Q N).
+    Point q has precision Lambda_q + C_q + lambda_c and mean parameter
+    lambda_q + b_q; it is m-projected onto the diagonal manifold and the
+    belief is the natural-parameter increment relative to (lambda_q,
+    Lambda_q).  The precision is diag(w) + g g^H with w = Lambda_q +
+    lambda_c, so its inverse is one diagonal solve plus a rank-1
+    correction; means and diagonal covariances of all points come out in
+    O(Q N).
     """
     w = state.Lam_q + scheme.lambda_c[None, :]
     if np.any(w <= 0):
@@ -180,48 +171,6 @@ def _project_all_rank1(scheme: SplitScheme, state: AuxiliaryState):
     xi = theta0 - state.lam_q
     Xi = Lam0 - state.Lam_q
     return xi, Xi
-
-
-def _project_one_dense(scheme: SplitScheme, state: AuxiliaryState, q: int):
-    w = state.Lam_q[q] + scheme.lambda_c
-    if np.any(w <= 0):
-        raise DomainError("auxiliary covariance lost positivity (Lambda_q + lambda_c <= 0)")
-    P = scheme.dense_C[q] + np.diag(w.astype(np.complex128))
-    m = state.lam_q[q] + scheme.b[q]
-    cf = scipy.linalg.cho_factor(0.5 * (P + P.conj().T))
-    mu = scipy.linalg.cho_solve(cf, m)
-    Sigma = scipy.linalg.cho_solve(cf, np.eye(scheme.dim, dtype=np.complex128))
-    var = np.real(np.diag(Sigma))
-    xi = mu / var - state.lam_q[q]
-    Xi = (1.0 / var - scheme.lambda_c) - state.Lam_q[q]
-    return xi, Xi
-
-
-def project_auxiliary(scheme: SplitScheme, state: AuxiliaryState, q: int):
-    """Belief (xi_q, Xi_q) of auxiliary point q after m-projection.
-
-    Projects the point with precision Lambda_q + C_q + lambda_c and mean
-    parameter lambda_q + b_q onto the diagonal manifold and returns the
-    natural-parameter increments relative to (lambda_q, Lambda_q).
-    """
-    if not (0 <= q < scheme.q_count):
-        raise DomainError(f"auxiliary index {q} out of range")
-    if scheme.factors is not None:
-        xi, Xi = _project_all_rank1(scheme, state)
-        return xi[q], Xi[q]
-    return _project_one_dense(scheme, state, q)
-
-
-def project_all(scheme: SplitScheme, state: AuxiliaryState):
-    """Beliefs of all Q auxiliary points, stacked as (Q, N) arrays.
-
-    Projections for distinct q are independent; the rank-1 path computes the
-    whole batch in one vectorized pass.
-    """
-    if scheme.factors is not None:
-        return _project_all_rank1(scheme, state)
-    pairs = [_project_one_dense(scheme, state, q) for q in range(scheme.q_count)]
-    return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
 
 
 def update_points(state: AuxiliaryState, xi: np.ndarray, Xi: np.ndarray,
@@ -251,64 +200,27 @@ def update_points(state: AuxiliaryState, xi: np.ndarray, Xi: np.ndarray,
                           iteration=state.iteration + 1)
 
 
-def run_iga(scheme: SplitScheme, alpha: float = 0.05, t_max: int = 100,
+def run_iga(scheme: SplitScheme, alpha: float = DEFAULT_ALPHA, t_max: int = 100,
             tol: float = 1e-8) -> EstimateReport:
     """Iterate project/update until the target mean settles.
 
     The target mean is mu_0 = lambda_0 / (Lambda_0 + lambda_c) and the
-    reported variances are 1 / (Lambda_0 + lambda_c).  Stops when the max
-    relative change of mu_0 drops below ``tol`` or after ``t_max``
-    iterations; raises :class:`DivergenceError` when the normal-equation
-    residual grows for 20 consecutive iterations.
+    reported variances are 1 / (Lambda_0 + lambda_c).  Stop and divergence
+    rules are those of :func:`igachan.report.iterate`.
     """
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
-    t_start = time.perf_counter()
-    state = initial_state(scheme)
     theta = scheme.theta_or()
-    theta_norm = float(np.linalg.norm(theta))
-    if theta_norm == 0.0:
-        theta_norm = 1.0
+    theta_norm = float(np.linalg.norm(theta)) or 1.0
 
-    def residual(mu):
-        return float(np.linalg.norm(scheme.precision_apply(mu) - theta)) / theta_norm
+    def measure(state):
+        mu = state.lam0 / (state.Lam0 + scheme.lambda_c)
+        return mu, float(np.linalg.norm(scheme.precision_apply(mu) - theta)) / theta_norm
 
-    def target_mean(st):
-        return st.lam0 / (st.Lam0 + scheme.lambda_c)
-
-    mu = target_mean(state)
-    trace = [residual(mu)]
-    converged = False
-    rising = 0
-    for _ in range(t_max):
+    def step(state):
         xi, Xi = project_all(scheme, state)
-        try:
-            state = update_points(state, xi, Xi, alpha, lambda_c=scheme.lambda_c)
-        except DivergenceError as exc:
-            exc.trace = trace
-            raise
-        mu_new = target_mean(state)
-        trace.append(residual(mu_new))
-        if trace[-1] > trace[-2]:
-            rising += 1
-            if rising >= 20:
-                raise DivergenceError(
-                    "residual increased for 20 consecutive iterations", trace=trace
-                )
-        else:
-            rising = 0
-        change = np.abs(mu_new - mu).max() / max(np.abs(mu_new).max(), 1e-300)
-        mu = mu_new
-        if change < tol:
-            converged = True
-            break
-    variances = 1.0 / (state.Lam0 + scheme.lambda_c)
-    return EstimateReport(
-        mu=mu,
-        variances=variances,
-        residual_trace=trace,
-        iterations=state.iteration,
-        converged=converged,
-        wall_time=time.perf_counter() - t_start,
-        config={"algorithm": "iga", "alpha": alpha, "t_max": t_max, "tol": tol},
-    )
+        return update_points(state, xi, Xi, alpha, lambda_c=scheme.lambda_c)
+
+    return iterate(step, measure, initial_state(scheme), t_max, tol,
+                   config={"algorithm": "iga", "alpha": alpha, "t_max": t_max, "tol": tol},
+                   variances=lambda state: 1.0 / (state.Lam0 + scheme.lambda_c))

@@ -233,6 +233,7 @@ def synthesize_rx(scenario: BscmScenario, channels: list[BeamChannel],
 # flat binary serialization (little-endian)
 
 _MAGIC = b"IGACHAN1"
+_HEADER_BYTES = len(_MAGIC) + 16
 _KIND_POWERS = 1
 _KIND_CHANNELS = 2
 
@@ -242,12 +243,29 @@ def _write_header(fh, kind: int, count: int, rows: int, cols: int) -> None:
     fh.write(struct.pack("<IIII", kind, count, rows, cols))
 
 
-def _read_header(fh):
-    magic = fh.read(8)
-    if magic != _MAGIC:
-        raise ConfigError(f"bad magic {magic!r}; not an igachan binary file")
-    kind, count, rows, cols = struct.unpack("<IIII", fh.read(16))
-    return kind, count, rows, cols
+def _read_arrays(path, kind: int, dtype: str, what: str) -> np.ndarray:
+    """(count, rows, cols) array of a file written with ``_write_header``.
+
+    A file cut inside the header or the payload is a ConfigError naming the
+    file and the byte count its header promises.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER_BYTES)
+        # a file shorter than the magic but matching it so far was cut, not foreign
+        if head[: len(_MAGIC)] != _MAGIC[: len(head)]:
+            raise ConfigError(f"bad magic {head[:len(_MAGIC)]!r}; not an igachan binary file")
+        if len(head) < _HEADER_BYTES:
+            raise ConfigError(f"{path}: truncated header: {len(head)} bytes, "
+                              f"expected {_HEADER_BYTES}")
+        file_kind, count, rows, cols = struct.unpack("<IIII", head[len(_MAGIC):])
+        if file_kind != kind:
+            raise ConfigError(f"file holds kind {file_kind}, expected {what}")
+        size = count * rows * cols * np.dtype(dtype).itemsize
+        raw = fh.read(size)
+    if len(raw) < size:
+        raise ConfigError(f"{path}: truncated payload: {_HEADER_BYTES + len(raw)} bytes, "
+                          f"expected {_HEADER_BYTES + size}")
+    return np.frombuffer(raw, dtype=dtype).reshape(count, rows, cols)
 
 
 def save_power_matrices(path, powers: list[PowerMatrix]) -> None:
@@ -262,13 +280,8 @@ def save_power_matrices(path, powers: list[PowerMatrix]) -> None:
 
 
 def load_power_matrices(path) -> list[PowerMatrix]:
-    with open(path, "rb") as fh:
-        kind, count, rows, cols = _read_header(fh)
-        if kind != _KIND_POWERS:
-            raise ConfigError(f"file holds kind {kind}, expected power maps")
-        raw = fh.read(count * rows * cols * 8)
-    data = np.frombuffer(raw, dtype="<f8").reshape(count, rows, cols)
-    return [PowerMatrix(data[i].astype(np.float64)) for i in range(count)]
+    data = _read_arrays(path, _KIND_POWERS, "<f8", "power maps")
+    return [PowerMatrix(m.astype(np.float64)) for m in data]
 
 
 def save_channels(path, channels: list[BeamChannel]) -> None:
@@ -283,10 +296,5 @@ def save_channels(path, channels: list[BeamChannel]) -> None:
 
 
 def load_channels(path) -> list[BeamChannel]:
-    with open(path, "rb") as fh:
-        kind, count, rows, cols = _read_header(fh)
-        if kind != _KIND_CHANNELS:
-            raise ConfigError(f"file holds kind {kind}, expected beam channels")
-        raw = fh.read(count * rows * cols * 16)
-    data = np.frombuffer(raw, dtype="<c16").reshape(count, rows, cols)
-    return [BeamChannel(data[i].astype(np.complex128)) for i in range(count)]
+    data = _read_arrays(path, _KIND_CHANNELS, "<c16", "beam channels")
+    return [BeamChannel(m.astype(np.complex128)) for m in data]

@@ -33,6 +33,16 @@ def random_spd_natural(rng, n, shift=None):
 
 
 @pytest.fixture
+def corrupt_e_diagonal(monkeypatch):
+    """Drop the diagonal-exclusion term of e_n (dense precomputations), to
+    show that the belief-oracle comparison is sensitive to it."""
+    from igachan import ic
+
+    monkeypatch.setattr(ic, "_interference_energy",
+                        lambda pre, v: (pre.L @ v) / (pre.sigma2**2 * pre.c))
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
 

@@ -255,8 +255,7 @@ def _dense_step_timer(n, rng):
     kd = np.real(np.diag(K)).copy()
     pre = ic.IcPrecomp(ahy=random_y(rng, n), aha_diag=kd, c=kd + 1.0,
                        d=np.ones(n), sigma2=1.0,
-                       gram=lambda x, _K=K: _K @ x, L=np.abs(K) ** 2,
-                       mode="dense")
+                       gram=lambda x, _K=K: _K @ x, L=np.abs(K) ** 2)
     state = [ic.initial_ic_state(n)]
 
     def step():
@@ -272,7 +271,7 @@ def _fast_step_timer(f_z, rng):
     scn = BscmScenario(array, ofdm, plan, full_extraction(array, ofdm, plan))
     model = MeasurementModel(scn, np.ones(scn.shape[1]), 1.0)
     y = random_y(rng, scn.shape[0])
-    pre = ic.precompute_ic(model, y, mode="operator")
+    pre = ic.precompute_ic(model, y)
     mu = random_y(rng, scn.shape[1])
     return lambda: ic.ic_siga_step(pre, mu, 0.25), scn.shape[1]
 

@@ -10,13 +10,10 @@ from igachan.bscm import (
     PilotPlan,
     ScenarioConfig,
     assemble_dense_A,
-    apply_A_adjoint_fast,
-    apply_A_fast,
     build_P_matrix,
     build_steering,
     full_extraction,
     geometry_from_config,
-    gram_diag_fast,
     largest_prime_below,
     parse_scenario_config,
     sampled_cosines,
@@ -167,22 +164,22 @@ class TestDenseAssembly:
 class TestFastOperators:
     def test_zero_maps_to_zero(self, tiny_scenario):
         m, n = tiny_scenario.shape
-        assert np.all(apply_A_fast(tiny_scenario, np.zeros(n)) == 0)
-        assert np.all(apply_A_adjoint_fast(tiny_scenario, np.zeros(m)) == 0)
+        assert np.all(tiny_scenario.matvec(np.zeros(n)) == 0)
+        assert np.all(tiny_scenario.rmatvec(np.zeros(m)) == 0)
 
     def test_forward_matches_dense(self, tiny_scenario, rng):
         scn = tiny_scenario
         A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
         s = rng.standard_normal(A.shape[1]) + 1j * rng.standard_normal(A.shape[1])
         ref = A @ s
-        assert np.linalg.norm(apply_A_fast(scn, s) - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.linalg.norm(scn.matvec(s) - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_adjoint_matches_dense(self, tiny_scenario, rng):
         scn = tiny_scenario
         A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
         b = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
         ref = A.conj().T @ b
-        assert np.linalg.norm(apply_A_adjoint_fast(scn, b) - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.linalg.norm(scn.rmatvec(b) - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_unit_vector_column_probe(self, tiny_scenario, rng):
         scn = tiny_scenario
@@ -190,7 +187,7 @@ class TestFastOperators:
         for idx in rng.choice(A.shape[1], size=5, replace=False):
             e = np.zeros(A.shape[1], dtype=complex)
             e[idx] = 1.0
-            col = apply_A_fast(scn, e)
+            col = scn.matvec(e)
             assert np.abs(col - A[:, idx]).max() <= 1e-10 * np.abs(A[:, idx]).max()
 
     def test_adjoint_inner_product_identity(self, tiny_scenario, rng):
@@ -198,8 +195,8 @@ class TestFastOperators:
         m, n = scn.shape
         s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        lhs = np.vdot(b, apply_A_fast(scn, s))
-        rhs = np.vdot(apply_A_adjoint_fast(scn, b), s)
+        lhs = np.vdot(b, scn.matvec(s))
+        rhs = np.vdot(scn.rmatvec(b), s)
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
     def test_partial_extraction(self, tiny_parts, rng):
@@ -220,7 +217,7 @@ class TestFastOperators:
         target = float(scn.array.M_r * scn.ofdm.M_p)
         A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
         dense_diag = np.real(np.einsum("ij,ij->j", A.conj(), A))
-        got = gram_diag_fast(scn)
+        got = scn.gram_diag()
         assert np.abs(got - target).max() == 0
         assert np.abs(dense_diag - got).max() <= 1e-12 * target
 
@@ -234,9 +231,9 @@ class TestFastOperators:
 
     def test_dimension_mismatch(self, tiny_scenario):
         with pytest.raises(DomainError):
-            apply_A_fast(tiny_scenario, np.zeros(3))
+            tiny_scenario.matvec(np.zeros(3))
         with pytest.raises(DomainError):
-            apply_A_adjoint_fast(tiny_scenario, np.zeros(3))
+            tiny_scenario.rmatvec(np.zeros(3))
 
     def test_shift_layout_round_trip(self, tiny_scenario):
         # a single beam coefficient round-trips to a gram column whose peak

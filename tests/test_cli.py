@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from igachan.bscm import parse_scenario_config
 from igachan.cli import main
+from igachan.harness import ALGORITHMS, BenchmarkSpec, run_benchmark
 from igachan.scenario import load_channels, load_power_matrices
 
 TINY = "\n".join([
@@ -44,11 +46,25 @@ def test_estimate_reports_json(tiny_config, tmp_path, capsys):
     assert len(payload["residual_trace"]) == payload["iterations"] + 1
 
 
-def test_estimate_mmse_has_no_iterations(tiny_config, capsys):
+def test_estimate_mmse_has_no_iterations(tiny_config, tmp_path, capsys):
+    report = tmp_path / "mmse.json"
     assert main(["estimate", "--config", str(tiny_config), "--snr", "0",
-                 "--alg", "mmse"]) == 0
+                 "--alg", "mmse", "--out", str(report)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["iterations"] == 0 and summary["converged"]
+    payload = json.loads(report.read_text())
+    assert payload["iterations"] == 0 and payload["converged"]
+    assert payload["nmse"] == summary["nmse"]
+    assert len(payload["mu_re"]) == len(payload["mu_im"]) == summary["n"]
+    assert len(payload["residual_trace"]) == 1
+    assert payload["final_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_estimate_negative_max_iter_exits_2(tiny_config, capsys, alg):
+    assert main(["estimate", "--config", str(tiny_config), "--snr", "0",
+                 "--alg", alg, "--max-iter", "-1"]) == 2
+    assert "--max-iter" in capsys.readouterr().err
 
 
 def test_benchmark_deterministic_bytes(tiny_config, tmp_path):
@@ -70,21 +86,26 @@ def test_validate_quick_exits_zero(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_validate_failure_exits_one(capsys):
-    from igachan import ic
-
-    with ic._corrupt_e_diagonal():
-        code = main(["validate", "--level", "quick"])
+def test_validate_failure_exits_one(capsys, corrupt_e_diagonal):
+    code = main(["validate", "--level", "quick"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("alg", ["modified_mmse", "iga", "ic_siga"])
+@pytest.mark.parametrize("alg", ALGORITHMS)
 def test_estimate_covers_every_algorithm(tiny_config, capsys, alg):
     assert main(["estimate", "--config", str(tiny_config), "--snr", "5",
                  "--alg", alg, "--max-iter", "400"]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["algorithm"] == alg and summary["nmse"] >= 0
+    # estimate and a one-SNR, one-trial benchmark draw the same data and
+    # run the same estimator, so they score the same NMSE bit for bit
+    cfg = parse_scenario_config(TINY)
+    rows = run_benchmark(BenchmarkSpec(snr_list_db=(5.0,), algorithms=(alg,), n_sam=1,
+                                       scenario=cfg, seed=cfg.seed, t_max=400))
+    assert len(rows) == 1
+    assert summary["nmse"] == rows[0]["nmse"]
+    assert summary["iterations"] == rows[0]["mean_iterations"]
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):

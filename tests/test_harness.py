@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from igachan import ic
 from igachan.bscm import ScenarioConfig, build_steering
 from igachan.errors import ConfigError, DomainError
 from igachan.harness import (
@@ -189,9 +188,8 @@ class TestValidateSuite:
         for line in out.splitlines()[:-1]:
             assert "tol" in line or "sigma" in line
 
-    def test_corrupting_e_diagonal_fails_belief_check(self, capsys):
-        with ic._corrupt_e_diagonal():
-            results = validate_suite("quick")
+    def test_corrupting_e_diagonal_fails_belief_check(self, capsys, corrupt_e_diagonal):
+        results = validate_suite("quick")
         capsys.readouterr()
         ok, _ = results["per_coefficient_belief_oracle"]
         assert not ok

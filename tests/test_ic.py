@@ -48,14 +48,8 @@ class TestPrecompute:
     def test_operator_mode_skips_L(self, tiny_scenario, rng):
         d = rng.uniform(0.5, 2.0, tiny_scenario.shape[1])
         model = MeasurementModel(tiny_scenario, d, 1.0)
-        pre = precompute_ic(model, random_y(rng, tiny_scenario.shape[0]),
-                            mode="operator")
+        pre = precompute_ic(model, random_y(rng, tiny_scenario.shape[0]))
         assert pre.L is None and pre.mode == "operator"
-
-    def test_unknown_mode(self, rng):
-        model = random_model(rng, 4, 3)
-        with pytest.raises(DomainError):
-            precompute_ic(model, random_y(rng, 4), mode="sparse")
 
 
 class TestIcIgaStep:
@@ -128,8 +122,8 @@ class TestIcIgaStep:
         y = random_y(rng, A.shape[0])
         model_dense = MeasurementModel(A, d, 0.8)
         model_op = MeasurementModel(scn, d, 0.8)
-        pre_d = precompute_ic(model_dense, y, mode="dense")
-        pre_o = precompute_ic(model_op, y, mode="operator")
+        pre_d = precompute_ic(model_dense, y)
+        pre_o = precompute_ic(model_op, y)
         state = random_state(rng, A.shape[1])
         s_d = ic_iga_step(pre_d, state, alpha=0.6)
         s_o = ic_iga_step(pre_o, state, alpha=0.6)
@@ -256,10 +250,38 @@ class TestRunEstimator:
         scn = BscmScenario(array, ofdm, plan, extraction)
         model = MeasurementModel(scn, d, 1.0)
         y = random_y(rng, scn.shape[0])
-        pre = precompute_ic(model, y, mode="operator")
+        pre = precompute_ic(model, y)
         rep = run_estimator("ic_iga", pre, t_max=1000, tol=1e-10)
         assert rep.variances is None  # variance tracking needs the dense L
         assert rep.residual_trace[-1] <= 1e-8
+
+    def test_one_gram_apply_per_iteration(self, tiny_scenario, rng, monkeypatch):
+        # the operator path applies A once for the starting residual and once
+        # per iteration, and matches a hand loop of the public step bit for bit
+        scn = tiny_scenario
+        model = MeasurementModel(scn, rng.uniform(0.5, 2.0, scn.shape[1]), 0.8)
+        pre = precompute_ic(model, random_y(rng, scn.shape[0]))
+        calls = []
+        matvec = scn.matvec
+        monkeypatch.setattr(scn, "matvec", lambda s: calls.append(1) or matvec(s))
+        t_max = 12
+        rep = run_estimator("ic_siga", pre, alpha=0.25, t_max=t_max, tol=0.0)
+        assert rep.iterations == t_max
+        assert len(calls) == t_max + 1
+
+        theta = pre.ahy / pre.sigma2
+
+        def residual(mu):
+            lhs = pre.gram(mu) / pre.sigma2 + mu / pre.d
+            return float(np.linalg.norm(lhs - theta)) / float(np.linalg.norm(theta))
+
+        mu = np.zeros(pre.n, dtype=complex)
+        trace = [residual(mu)]
+        for _ in range(t_max):
+            mu = ic_siga_step(pre, mu, 0.25)
+            trace.append(residual(mu))
+        assert np.array_equal(rep.mu, mu)
+        assert rep.residual_trace == trace
 
     def test_divergence_detected(self):
         A = np.ones((4, 3), dtype=complex)

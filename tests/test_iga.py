@@ -10,7 +10,6 @@ from igachan.iga import (
     build_rank1_split,
     initial_state,
     project_all,
-    project_auxiliary,
     run_iga,
     update_points,
 )
@@ -66,7 +65,7 @@ class TestProjection:
             lam_q=(rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))),
             Lam_q=rng.uniform(0.5, 2.0, (1, n)),
             lam0=np.zeros(n), Lam0=np.zeros(n))
-        xi, Xi = project_auxiliary(scheme, state, 0)
+        xi, Xi = project_all(scheme, state)
         assert np.abs(xi).max() <= 1e-13
         assert np.abs(Xi).max() <= 1e-13
 
@@ -79,8 +78,9 @@ class TestProjection:
             lam_q=0.1 * (rng.standard_normal((12, n)) + 1j * rng.standard_normal((12, n))),
             Lam_q=rng.uniform(0.1, 1.0, (12, n)),
             lam0=np.zeros(n), Lam0=np.zeros(n))
+        xi_all, Xi_all = project_all(scheme, state)
         for q in (0, 5, 11):
-            xi, Xi = project_auxiliary(scheme, state, q)
+            xi, Xi = xi_all[q], Xi_all[q]
             g = scheme.factors[q]
             P = np.outer(g, g.conj()) + np.diag(
                 (state.Lam_q[q] + scheme.lambda_c).astype(complex))
@@ -88,23 +88,12 @@ class TestProjection:
             assert np.abs((proj.lam - state.lam_q[q]) - xi).max() <= 1e-10
             assert np.abs((proj.Lam - scheme.lambda_c - state.Lam_q[q]) - Xi).max() <= 1e-10
 
-    def test_diagonal_dense_piece_is_exact(self, rng):
-        n = 4
-        c = rng.uniform(0.5, 2.0, n)
-        b = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
-        scheme = SplitScheme(b=b, lambda_c=np.ones(n),
-                             dense_C=np.diag(c)[None, :, :].astype(complex))
-        state = initial_state(scheme)
-        xi, Xi = project_auxiliary(scheme, state, 0)
-        assert np.abs(Xi - c).max() <= 1e-13
-        assert np.abs(xi - b[0]).max() <= 1e-13
-
     def test_positivity_guard(self):
         scheme = SplitScheme(b=np.zeros((1, 2)), lambda_c=np.zeros(2),
                              factors=np.zeros((1, 2)))
         state = initial_state(scheme)
         with pytest.raises(DomainError):
-            project_auxiliary(scheme, state, 0)
+            project_all(scheme, state)
 
 
 class TestUpdate:

@@ -268,3 +268,18 @@ class TestSerialization:
         save_power_matrices(path, powers)
         with pytest.raises(ConfigError, match="kind"):
             load_channels(path)
+
+    @pytest.mark.parametrize("cut", [4, 13, 24 + 8, -1])
+    def test_truncated_file(self, cfg, tmp_path, cut):
+        # cuts inside the magic, the header fields and the payload
+        powers = gen_power_matrices(cfg, seed=15)
+        for save, load, data in ((save_power_matrices, load_power_matrices, powers),
+                                 (save_channels, load_channels,
+                                  sample_channels(powers, seed=15))):
+            path = tmp_path / "cut.bin"
+            save(path, data)
+            full = path.read_bytes()
+            path.write_bytes(full[:cut])
+            expected = 24 if len(full[:cut]) < 24 else len(full)
+            with pytest.raises(ConfigError, match=rf"cut\.bin.*expected {expected}\b"):
+                load(path)
