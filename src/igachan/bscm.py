@@ -50,7 +50,7 @@ __all__ = [
     "geometry_from_config",
 ]
 
-DENSE_ENTRY_CAP = 10_000_000  # dense assembly exists only as an oracle
+DENSE_ENTRY_CAP = 10_000_000  # complex entries of the largest dense A or A^H A formed
 
 
 def largest_prime_below(n: int) -> int:
@@ -272,8 +272,8 @@ def build_P_matrix(plan: PilotPlan, ofdm: OfdmConfig) -> np.ndarray:
 class BscmScenario:
     """Immutable handle bundling geometry, pilots and the extraction map.
 
-    Provides the matrix-free interface (``shape``, ``matvec``, ``rmatvec``,
-    ``gram_diag``) expected by :class:`igachan.estimators.MeasurementModel`.
+    Provides the interface (``shape``, ``matvec``, ``rmatvec``, ``gram_diag``,
+    ``gram``) expected by :class:`igachan.estimators.MeasurementModel`.
     """
 
     def __init__(self, array: ArrayConfig, ofdm: OfdmConfig, plan: PilotPlan,
@@ -369,6 +369,27 @@ class BscmScenario:
         """diag(A^H A): every column has unit-modulus entries, so M_r M_p."""
         return np.full(self.extraction.n, float(self.array.M_r * self.ofdm.M_p))
 
+    def gram(self) -> np.ndarray:
+        """A^H A over the extracted columns, in closed form without forming A.
+
+        Column e of A is PT[:, q N_p + r] kron V_z[:, i_z] kron V_x[:, i_x],
+        and each factor's Gram matrix is circulant, so G[e, e'] =
+        Kp[q, q'][(r' - r) mod N_p] Dz[(i_z - i_z') mod N_z] Dx[(i_x - i_x') mod N_x]
+        with Kp[q, q'] = FFT_{N_p}(conj(zc_q) zc_q') and Dz[k] = V_z[:, k]^H V_z[:, 0].
+        Costs O(n^2 + Q^2 N_p log N_p); refuses above ``DENSE_ENTRY_CAP`` entries.
+        """
+        a, o = self.array, self.ofdm
+        _refuse_above_cap("Gram matrix", self.extraction.n, self.extraction.n)
+        col_j, col_i = np.divmod(self.extraction.indices, a.N_r)
+        q, r = np.divmod(col_j, o.N_p)
+        iz, ix = np.divmod(col_i, a.N_x)
+        kp = np.fft.fft(self.xt.conj()[:, None, :] * self.xt[None, :, :], n=o.N_p)
+        vz, vx = _steering_axis(a.M_z, a.N_z), _steering_axis(a.M_x, a.N_x)
+        dz, dx = vz.conj().T @ vz[:, 0], vx.conj().T @ vx[:, 0]
+        return (kp[q[:, None], q[None, :], (r[None, :] - r[:, None]) % o.N_p]
+                * dz[(iz[:, None] - iz[None, :]) % a.N_z]
+                * dx[(ix[:, None] - ix[None, :]) % a.N_x])
+
     def beam_to_space_freq(self, H_k: np.ndarray) -> np.ndarray:
         """V @ H_k @ U^T for one user's beam matrix (N_r, N_f) -> (M_r, M_p)."""
         o = self.ofdm
@@ -384,6 +405,14 @@ class BscmScenario:
         return np.fft.fft(pad, axis=1)[:, : o.M_p]
 
 
+def _refuse_above_cap(what: str, rows: int, cols: int) -> None:
+    if rows * cols > DENSE_ENTRY_CAP:
+        raise DomainError(
+            f"{what} of {rows} x {cols} = {rows * cols} complex entries exceeds the "
+            f"desk-scale cap of {DENSE_ENTRY_CAP}; use the fast operators"
+        )
+
+
 def assemble_dense_A(array: ArrayConfig, ofdm: OfdmConfig, plan: PilotPlan,
                      extraction: ExtractionMap) -> np.ndarray:
     """Extracted columns of P_mat^T kron V, assembled column by column.
@@ -393,11 +422,7 @@ def assemble_dense_A(array: ArrayConfig, ofdm: OfdmConfig, plan: PilotPlan,
     """
     m = array.M_r * ofdm.M_p
     n = extraction.n
-    if m * n > DENSE_ENTRY_CAP:
-        raise DomainError(
-            f"dense assembly of {m} x {n} = {m * n} complex entries exceeds the "
-            f"desk-scale cap of {DENSE_ENTRY_CAP}; use the fast operators"
-        )
+    _refuse_above_cap("dense assembly", m, n)
     PT = build_P_matrix(plan, ofdm).T  # (M_p, Q N_p)
     _, _, V, _ = build_steering(array, ofdm)
     n_r = array.N_r

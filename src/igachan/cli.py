@@ -32,21 +32,18 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
-def _parse_snr_list(text: str) -> list[float]:
+def _run_spec(args, cfg: ScenarioConfig, n_sam: int,
+              measure_time: bool = False) -> harness.BenchmarkSpec:
+    """The run flags of `estimate` and `benchmark`, validated by BenchmarkSpec."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        snrs = tuple(float(tok) for tok in args.snr.split(",") if tok.strip() != "")
     except ValueError:
-        raise ConfigError(f"cannot parse SNR list {text!r}") from None
-
-
-def _parse_alg_list(text: str) -> list[str]:
-    algs = [tok.strip() for tok in text.split(",") if tok.strip() != ""]
-    for a in algs:
-        if a not in harness.ALGORITHMS:
-            raise ConfigError(
-                f"unknown algorithm {a!r}; choose from {', '.join(harness.ALGORITHMS)}"
-            )
-    return algs
+        raise ConfigError(f"cannot parse SNR list {args.snr!r}") from None
+    algs = tuple(tok.strip() for tok in args.alg.split(",") if tok.strip() != "")
+    return harness.BenchmarkSpec(
+        snr_list_db=snrs, algorithms=algs, n_sam=n_sam, scenario=cfg, seed=cfg.seed,
+        alphas={} if args.alpha is None else dict.fromkeys(algs, args.alpha),
+        t_max=args.max_iter, tol=args.tol, measure_time=measure_time)
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -81,30 +78,26 @@ def _cmd_generate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cfg = _load_config(args)
-    snr_list = _parse_snr_list(args.snr)
-    if len(snr_list) != 1:
+    spec = _run_spec(args, cfg, n_sam=1)
+    if len(spec.snr_list_db) != 1:
         raise ConfigError("estimate takes exactly one --snr value")
-    algs = _parse_alg_list(args.alg)
-    if len(algs) != 1:
+    if len(spec.algorithms) != 1:
         raise ConfigError("estimate takes exactly one --alg value")
-    alg = algs[0]
-    if args.max_iter < 0:
-        raise ConfigError("--max-iter must be >= 0")
-    trial = harness.build_trial(geometry_from_config(cfg), cfg, cfg.seed, snr_list[0],
+    (snr_db,), (alg,) = spec.snr_list_db, spec.algorithms
+    trial = harness.build_trial(geometry_from_config(cfg), cfg, cfg.seed, snr_db,
                                 stream=(0, 0))
-    alpha = args.alpha if args.alpha is not None else harness.DEFAULT_ALPHAS.get(alg, 1.0)
-    rep = harness.ESTIMATORS[alg](trial, alpha, args.max_iter, args.tol)
+    rep = harness.ESTIMATORS[alg](trial, spec.alpha_for(alg), spec.t_max, spec.tol)
     trial_nmse = float(np.mean(trial.score(rep.mu)))
 
     summary = {
         "algorithm": alg,
-        "snr_db": snr_list[0],
+        "snr_db": snr_db,
         "nmse": trial_nmse,
         "nmse_db": 10.0 * np.log10(trial_nmse) if trial_nmse > 0 else None,
         "iterations": rep.iterations,
         "converged": rep.converged,
-        "n": int(trial.scn.extraction.n),
-        "m": int(trial.scn.shape[0]),
+        "n": trial.model.n,
+        "m": trial.model.m,
         "seed": cfg.seed,
         "rng": scenario.RNG_FAMILY,
     }
@@ -122,20 +115,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     cfg = _load_config(args)
-    alphas = {}
-    if args.alpha is not None:
-        alphas = {alg: args.alpha for alg in ("iga", "ic_iga", "ic_siga")}
-    spec = harness.BenchmarkSpec(
-        snr_list_db=tuple(_parse_snr_list(args.snr)),
-        algorithms=tuple(_parse_alg_list(args.alg)),
-        n_sam=args.trials,
-        scenario=cfg,
-        seed=cfg.seed,
-        alphas=alphas,
-        t_max=args.max_iter,
-        tol=args.tol,
-        measure_time=args.timing,
-    )
+    spec = _run_spec(args, cfg, n_sam=args.trials, measure_time=args.timing)
     rows = harness.run_benchmark(spec)
     harness.write_benchmark_csv(rows, args.out)
     print(f"wrote {args.out} ({len(rows)} rows, rng={scenario.RNG_FAMILY}, "

@@ -39,9 +39,9 @@ class MeasurementModel:
     """The triple (A, D, sigma2) of the linear-Gaussian measurement model.
 
     ``A`` is either a dense (M, N) complex matrix or a matrix-free operator
-    exposing ``shape``, ``matvec``, ``rmatvec`` and ``gram_diag`` (see
-    :class:`igachan.bscm.BscmScenario`).  ``d`` holds the diagonal of the
-    prior covariance D.
+    exposing ``shape``, ``matvec``, ``rmatvec``, ``gram_diag`` and ``gram``
+    (see :class:`igachan.bscm.BscmScenario`); the exact estimators read it
+    through :meth:`gram` and :meth:`rmatvec`.  ``d`` is the diagonal of D.
     """
 
     A: object
@@ -86,6 +86,14 @@ class MeasurementModel:
             raise DomainError(f"{op} requires a dense measurement matrix")
         return self.A
 
+    def gram(self) -> np.ndarray:
+        """A^H A as a dense (N, N) matrix; an operator builds it in closed form."""
+        return self.A.conj().T @ self.A if self.is_dense else self.A.gram()
+
+    def rmatvec(self, b) -> np.ndarray:
+        """A^H b."""
+        return self.A.conj().T @ b if self.is_dense else self.A.rmatvec(b)
+
     def check_y(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=np.complex128).reshape(-1)
         if y.size != self.m:
@@ -128,11 +136,10 @@ def mmse_estimate(model: MeasurementModel, y) -> tuple[np.ndarray, np.ndarray]:
     the covariance is the inverse of the same matrix, obtained from the
     factorization rather than by explicit inversion and multiplication.
     """
-    A = model._require_dense("mmse_estimate")
     y = model.check_y(y)
     s = 1.0 / model.sigma2
-    B = s * (A.conj().T @ A) + np.diag(1.0 / model.d)
-    rhs = s * (A.conj().T @ y)
+    B = s * model.gram() + np.diag(1.0 / model.d)
+    rhs = s * model.rmatvec(y)
     try:
         cf = scipy.linalg.cho_factor(B)
     except scipy.linalg.LinAlgError:
@@ -154,9 +161,8 @@ def build_modified_form(model: MeasurementModel, y=None) -> ModifiedForm:
     modified right-hand side sigma2^{-1} A^H y + T Upsilon sigma2^{-1} A^H y
     is included.
     """
-    A = model._require_dense("build_modified_form")
     s = 1.0 / model.sigma2
-    K = s * (A.conj().T @ A)
+    K = s * model.gram()
     kdiag = np.real(np.diag(K)).copy()
     T = K - np.diag(kdiag.astype(np.complex128))
     np.fill_diagonal(T, 0.0)  # exact zeros on the diagonal
@@ -166,7 +172,7 @@ def build_modified_form(model: MeasurementModel, y=None) -> ModifiedForm:
     theta_mod = None
     if y is not None:
         y = model.check_y(y)
-        theta = s * (A.conj().T @ y)
+        theta = s * model.rmatvec(y)
         theta_mod = theta + T @ (upsilon * theta)
     return ModifiedForm(T=T, Upsilon=upsilon, theta_mod=theta_mod, terms=terms)
 

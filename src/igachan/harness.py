@@ -16,6 +16,7 @@ reproducibility).
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -106,35 +107,18 @@ def nmse(estimates, truths) -> float:
     return total / len(truths)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trial:
     """One generated scenario draw: what every estimator reads and the truths
-    it is scored against."""
+    it is scored against.  ``model.A`` is the trial's :class:`BscmScenario`."""
 
-    scn: BscmScenario
-    d: np.ndarray
+    model: MeasurementModel
     y: np.ndarray
-    sigma2: float
     truths: list
-    _dense: MeasurementModel | None = field(default=None, init=False, repr=False)
-
-    @property
-    def dense_model(self) -> MeasurementModel:
-        """The model with A assembled densely, on first use only.
-
-        Unlocked on purpose: a trial is built and run on one thread, and
-        functools.cached_property (Python < 3.12) would serialize every
-        trial's assembly behind one class-wide lock.
-        """
-        if self._dense is None:
-            s = self.scn
-            A = assemble_dense_A(s.array, s.ofdm, s.plan, s.extraction)
-            self._dense = MeasurementModel(A, self.d, self.sigma2)
-        return self._dense
 
     def score(self, mu) -> list:
         """Per-user ||Gbar_k - G_k||_F^2 / ||G_k||_F^2 of an estimate."""
-        est = reconstruct_G(mu, self.scn.extraction, self.scn)
+        est = reconstruct_G(mu, self.model.A.extraction, self.model.A)
         return [float(np.linalg.norm(gb - g) ** 2 / np.linalg.norm(g) ** 2)
                 for gb, g in zip(est, self.truths)]
 
@@ -151,7 +135,7 @@ def build_trial(geometry, cfg: ScenarioConfig, seed: int, snr_db: float,
     channels = sample_channels(powers, seed, stream=stream)
     y = synthesize_rx(scn, channels, sigma2, seed, stream=stream)
     truths = [scn.beam_to_space_freq(ch.H) for ch in channels]
-    return Trial(scn, d, y, sigma2, truths)
+    return Trial(MeasurementModel(scn, d, sigma2), y, truths)
 
 
 # -- estimator registry: name -> fn(trial, alpha, t_max, tol) -> EstimateReport.
@@ -160,10 +144,10 @@ def build_trial(geometry, cfg: ScenarioConfig, seed: int, snr_db: float,
 
 def _solved(trial: Trial, mu, algorithm: str, t_start: float) -> EstimateReport:
     """Report of a direct solve: no iterations, converged, and the relative
-    normal-equation residual of its mean (computed without copying A)."""
-    A, y, s2 = trial.dense_model.A, trial.y, trial.sigma2
-    theta = (y.conj() @ A).conj() / s2
-    lhs = ((A @ mu).conj() @ A).conj() / s2 + mu / trial.d
+    normal-equation residual of its mean."""
+    model = trial.model
+    theta = model.rmatvec(trial.y) / model.sigma2
+    lhs = model.gram() @ mu / model.sigma2 + mu / model.d
     residual = float(np.linalg.norm(lhs - theta)) / (float(np.linalg.norm(theta)) or 1.0)
     return EstimateReport(mu=mu, variances=None, residual_trace=[residual], iterations=0,
                           converged=True, wall_time=time.perf_counter() - t_start,
@@ -172,38 +156,35 @@ def _solved(trial: Trial, mu, algorithm: str, t_start: float) -> EstimateReport:
 
 def _run_mmse(trial, alpha, t_max, tol):
     t0 = time.perf_counter()
-    mu, _ = mmse_estimate(trial.dense_model, trial.y)
+    mu, _ = mmse_estimate(trial.model, trial.y)
     return _solved(trial, mu, "mmse", t0)
 
 
 def _run_modified_mmse(trial, alpha, t_max, tol):
     t0 = time.perf_counter()
-    return _solved(trial, modified_mmse_estimate(trial.dense_model, trial.y),
+    return _solved(trial, modified_mmse_estimate(trial.model, trial.y),
                    "modified_mmse", t0)
 
 
 def _run_iga(trial, alpha, t_max, tol):
-    scheme = _iga.build_rank1_split(trial.dense_model, trial.y)
+    # the rank-1 split needs the rows of A, so IGA alone assembles it
+    model, scn = trial.model, trial.model.A
+    A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
+    scheme = _iga.build_rank1_split(MeasurementModel(A, model.d, model.sigma2), trial.y)
     return _iga.run_iga(scheme, alpha=alpha, t_max=t_max, tol=tol)
 
 
-def _run_ic_iga(trial, alpha, t_max, tol):
-    pre = _ic.precompute_ic(trial.dense_model, trial.y)
-    return _ic.run_estimator("ic_iga", pre, alpha=alpha, t_max=t_max, tol=tol)
-
-
-def _run_ic_siga(trial, alpha, t_max, tol):
-    # the matrix-free FFT path: no dense A
-    pre = _ic.precompute_ic(MeasurementModel(trial.scn, trial.d, trial.sigma2), trial.y)
-    return _ic.run_estimator("ic_siga", pre, alpha=alpha, t_max=t_max, tol=tol)
+def _run_ic(kind, trial, alpha, t_max, tol):
+    pre = _ic.precompute_ic(trial.model, trial.y)
+    return _ic.run_estimator(kind, pre, alpha=alpha, t_max=t_max, tol=tol)
 
 
 ESTIMATORS = {
     "mmse": _run_mmse,
     "modified_mmse": _run_modified_mmse,
     "iga": _run_iga,
-    "ic_iga": _run_ic_iga,
-    "ic_siga": _run_ic_siga,
+    "ic_iga": functools.partial(_run_ic, "ic_iga"),
+    "ic_siga": functools.partial(_run_ic, "ic_siga"),
 }
 ALGORITHMS = tuple(ESTIMATORS)
 
@@ -223,8 +204,13 @@ class BenchmarkSpec:
     measure_time: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_list_db", tuple(float(s) for s in self.snr_list_db))
+        snrs = tuple(float(s) for s in self.snr_list_db)
+        if not snrs or not all(math.isfinite(s) for s in snrs):
+            raise ConfigError(f"SNR list (--snr) must be non-empty and finite, got {snrs}")
+        object.__setattr__(self, "snr_list_db", snrs)
         algs = tuple(self.algorithms)
+        if not algs:
+            raise ConfigError("algorithm list (--alg) must be non-empty")
         for a in algs:
             if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
@@ -232,9 +218,14 @@ class BenchmarkSpec:
         if self.n_sam < 1:
             raise ConfigError("n_sam must be >= 1")
         if self.t_max < 0:
-            raise ConfigError("t_max must be >= 0")
+            raise ConfigError("t_max (--max-iter) must be >= 0")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ConfigError(f"tol (--tol) must be finite and >= 0, got {self.tol}")
         alphas = dict(DEFAULT_ALPHAS)
         alphas.update(self.alphas)
+        for alg, alpha in alphas.items():
+            if not (0 < alpha <= 1):
+                raise ConfigError(f"alpha (--alpha) for {alg} must lie in (0, 1], got {alpha}")
         object.__setattr__(self, "alphas", alphas)
 
     def alpha_for(self, algorithm: str) -> float:
@@ -266,7 +257,7 @@ def _run_trial(spec: BenchmarkSpec, geometry, snr_index: int, trial: int):
             mu, iterations, converged = rep.mu, rep.iterations, rep.converged
         except DivergenceError:
             # a diverged trial is a result, not a crash
-            mu = np.zeros(tr.scn.extraction.n, dtype=np.complex128)
+            mu = np.zeros(tr.model.n, dtype=np.complex128)
             iterations = spec.t_max
             converged = False
         wall = time.perf_counter() - t0
@@ -507,6 +498,21 @@ def _check_operator_equivalence():
     return ok, f"forward {fwd:.3e}, adjoint {adj:.3e}, inner product {ip_rel:.3e} (tol 1e-10)"
 
 
+def _check_closed_form_gram():
+    from .bscm import full_extraction
+
+    # the tiny scenario, and two roots with unit fine factors
+    unit = ScenarioConfig(M_z=3, M_x=2, F_z=1, F_x=1, N_c=64, M_p=8, M_g=8, F_p=1, K=3, P=2)
+    worst = 0.0
+    for geometry in (_tiny_scenario()[1:4], geometry_from_config(unit)):
+        extraction = full_extraction(*geometry)
+        A = assemble_dense_A(*geometry, extraction)
+        G = A.conj().T @ A
+        G_closed = BscmScenario(*geometry, extraction).gram()
+        worst = max(worst, float(np.abs(G_closed - G).max() / np.abs(G).max()))
+    return worst <= 1e-12, f"max rel err vs dense A^H A {worst:.3e} (tol 1e-12)"
+
+
 def _check_split_identities():
     from .estimators import build_modified_form
 
@@ -515,7 +521,8 @@ def _check_split_identities():
     y = _rand_y(rng, 10)
     s = 1.0 / model.sigma2
     theta = s * (model.A.conj().T @ y)
-    prec = s * (model.A.conj().T @ model.A) + np.diag(1.0 / model.d)
+    K = s * (model.A.conj().T @ model.A)
+    prec = K + np.diag(1.0 / model.d)
     scheme = _iga.build_rank1_split(model, y)
     e1 = np.abs(scheme.b.sum(0) - theta).max() / np.abs(theta).max()
     gram = scheme.factors.T @ scheme.factors.conj() + np.diag(scheme.lambda_c)
@@ -524,9 +531,7 @@ def _check_split_identities():
     form = build_modified_form(model, y)
     Bsum = np.zeros((model.n, model.n), dtype=complex)
     bsum = np.zeros(model.n, dtype=complex)
-    state = _ic.initial_ic_state(model.n)
     for j in range(model.n):
-        K = s * (model.A.conj().T @ model.A)
         c_j = float(np.real(K[j, j])) + 1.0 / model.d[j]
         kbar = K[:, j].copy()
         kbar[j] = 0.0
@@ -652,6 +657,7 @@ _QUICK_CHECKS = [
     ("ic_equilibria_match_mmse", _check_ic_equilibria),
     ("iga_framework", _check_iga_framework),
     ("fast_operator_equivalence", _check_operator_equivalence),
+    ("closed_form_gram", _check_closed_form_gram),
     ("split_identities", _check_split_identities),
 ]
 

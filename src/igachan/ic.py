@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bscm
 from .errors import DivergenceError, DomainError
 from .estimators import MeasurementModel
 from .gaussian import GaussianNatural, m_project_to_diag
@@ -54,8 +55,8 @@ class IcPrecomp:
     """Iteration-invariant products for the IC estimators.
 
     Dense mode materializes the Gram matrix and L = |A^H A|.^2; operator
-    mode keeps only the O(N) vectors plus a handle computing A^H (A x), and
-    has no L.
+    mode, used only above ``DENSE_ENTRY_CAP``, keeps the O(N) vectors plus a
+    handle computing A^H (A x) through the FFT operators, and has no L.
     """
 
     ahy: np.ndarray  # A^H y
@@ -113,21 +114,21 @@ def initial_ic_state(n: int) -> IcState:
 def precompute_ic(model: MeasurementModel, y) -> IcPrecomp:
     """Assemble the iteration-invariant products.
 
-    A dense model gives a dense-mode precomputation, which stores A^H A and
-    L; a matrix-free model gives operator mode, which works from the
-    operator's handles and skips L.
+    Size decides the mode: whenever N^2 <= ``DENSE_ENTRY_CAP`` it stores the
+    model's A^H A and L (dense mode); above the cap it applies A^H A through
+    a matrix-free operator's handles and skips L (operator mode).
     """
     y = model.check_y(y)
-    if model.is_dense:
-        A = model.A
-        aha = A.conj().T @ A
-        ahy = A.conj().T @ y
+    ahy = model.rmatvec(y)
+    if model.n ** 2 <= bscm.DENSE_ENTRY_CAP:
+        aha = model.gram()
         aha_diag = np.real(np.diag(aha)).copy()
         L = np.abs(aha) ** 2
         gram = lambda x, _aha=aha: _aha @ x  # noqa: E731
+    elif model.is_dense:
+        raise DomainError("N^2 exceeds DENSE_ENTRY_CAP: pass a matrix-free operator, not a dense A")
     else:
         op = model.A
-        ahy = op.rmatvec(y)
         aha_diag = np.asarray(op.gram_diag(), dtype=np.float64)
         L = None
         gram = lambda x, _op=op: _op.rmatvec(_op.matvec(x))  # noqa: E731
@@ -139,26 +140,11 @@ def precompute_ic(model: MeasurementModel, y) -> IcPrecomp:
 
 
 def _interference_energy(pre: IcPrecomp, v: np.ndarray) -> np.ndarray:
-    """e_n = sigma2^{-2} c_n^{-1} sum_{j != n} |[A^H A]_nj|^2 v_j.
-
-    Dense mode uses one L @ v product; operator mode rebuilds each Gram
-    column through the handle (oracle-grade, O(N) products) so both modes
-    agree exactly.
-    """
-    s2 = pre.sigma2**2
-    if pre.L is not None:
-        lv = pre.L @ v
-    else:
-        n = pre.n
-        lv = np.empty(n, dtype=np.float64)
-        eye_col = np.zeros(n, dtype=np.complex128)
-        for j in range(n):
-            eye_col[j] = 1.0
-            col = pre.gram(eye_col)
-            eye_col[j] = 0.0
-            lv[j] = float(np.real(np.sum(np.abs(col) ** 2 * v)))
-    lv = lv - pre.aha_diag**2 * v
-    return lv / (s2 * pre.c)
+    """e_n = sigma2^{-2} c_n^{-1} sum_{j != n} |[A^H A]_nj|^2 v_j, from L."""
+    if pre.L is None:
+        raise DomainError("IC-IGA needs L = |A^H A|.^2, not stored above DENSE_ENTRY_CAP")
+    lv = pre.L @ v - pre.aha_diag**2 * v
+    return lv / (pre.sigma2**2 * pre.c)
 
 
 def ic_beliefs(pre: IcPrecomp, state: IcState):
@@ -228,14 +214,13 @@ def mproj_belief_oracle(model: MeasurementModel, y, state: IcState, n: int):
     (mu_n, r_n, xi_n, Xi_n), where the belief vectors must vanish at every
     coordinate except ``n``.
     """
-    A = model._require_dense("mproj_belief_oracle")
     y = model.check_y(y)
     if not (0 <= n < model.n):
         raise DomainError(f"coordinate {n} out of range")
     s = 1.0 / model.sigma2
-    K = s * (A.conj().T @ A)
+    K = s * model.gram()
     c_n = float(np.real(K[n, n])) + 1.0 / model.d[n]
-    ahy_n = s * np.vdot(A[:, n], y)
+    ahy_n = s * model.rmatvec(y)[n]
     kbar = K[:, n].copy()
     kbar[n] = 0.0
     w = kbar / np.sqrt(c_n)
@@ -261,10 +246,8 @@ def run_estimator(kind: str, pre: IcPrecomp, alpha: float | None = None,
     Stop and divergence rules are those of :func:`igachan.report.iterate`.
     Each iterate carries its Gram product A^H A mu, which both its residual
     and the next step read, so an iteration applies the Gram matrix once.
-    IC-IGA reports variances 1/r at the final iterate; IC-SIGA is
-    mean-only.  When an IC-IGA run is asked for on an operator-mode
-    precomputation (no L available), variance tracking is dropped and the
-    mean follows the IC-SIGA recursion, whose equilibrium is the same.
+    IC-IGA reports variances 1/r at the final iterate and needs a
+    dense-mode precomputation; IC-SIGA is mean-only and runs in either mode.
     """
     if kind not in DEFAULT_ALPHA:
         raise DomainError(f"unknown estimator kind {kind!r}")
@@ -295,7 +278,7 @@ def run_estimator(kind: str, pre: IcPrecomp, alpha: float | None = None,
     def variances(point):
         return None if point[3] is None else 1.0 / point[3]
 
-    mean_only = kind == "ic_siga" or pre.L is None
+    mean_only = kind == "ic_siga"
     state = None if mean_only else initial_ic_state(pre.n)
     mu = np.zeros(pre.n, dtype=np.complex128)
     return iterate(siga_step if mean_only else iga_step, measure,

@@ -67,6 +67,27 @@ def test_estimate_negative_max_iter_exits_2(tiny_config, capsys, alg):
     assert "--max-iter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["benchmark", "--snr", "nan"],
+    ["benchmark", "--snr", ","],
+    ["benchmark", "--alg", ","],
+    ["benchmark", "--snr", "0", "--alpha", "0"],
+    ["benchmark", "--snr", "0", "--alpha", "1.5"],
+    ["benchmark", "--snr", "0", "--tol", "nan"],
+    ["estimate", "--snr", "inf", "--alg", "mmse"],
+    ["estimate", "--snr", "0", "--alg", "mmse", "--alpha", "0"],
+    ["estimate", "--snr", "0", "--alg", "ic_iga", "--alpha", "0"],
+    ["estimate", "--snr", "0", "--alg", "ic_siga", "--alpha", "1.5"],
+    ["estimate", "--snr", "0", "--alg", "ic_iga", "--tol", "nan"],
+    ["estimate", "--snr", "0", "--alg", "ic_iga", "--tol", "-1"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_numeric_flags_exit_2(tiny_config, tmp_path, capsys, argv):
+    out = ["--out", str(tmp_path / "out.csv")] if argv[0] == "benchmark" else []
+    assert main(argv + ["--config", str(tiny_config)] + out) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_benchmark_deterministic_bytes(tiny_config, tmp_path):
     args = ["benchmark", "--config", str(tiny_config), "--snr", "0,10",
             "--alg", "mmse,ic_siga", "--trials", "3", "--max-iter", "200",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from igachan.bscm import assemble_dense_A
 from igachan.errors import DomainError
 from igachan.estimators import (
     MeasurementModel,
@@ -61,13 +62,27 @@ class TestMmse:
         with pytest.raises(DomainError):
             MeasurementModel(np.eye(2), np.ones(3), 1.0)
 
-    def test_exact_estimators_require_dense_matrix(self, tiny_scenario, rng):
-        model = MeasurementModel(tiny_scenario, np.ones(tiny_scenario.shape[1]), 1.0)
-        y = np.zeros(tiny_scenario.shape[0])
-        with pytest.raises(DomainError, match="dense"):
-            mmse_estimate(model, y)
-        with pytest.raises(DomainError, match="dense"):
-            build_modified_form(model)
+    def test_exact_estimators_match_on_scenario_model(self, tiny_scenario, rng):
+        # the scenario model supplies the closed-form Gram matrix and FFT A^H y;
+        # both estimators must agree with the assembled dense A
+        scn = tiny_scenario
+        A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
+        d = rng.uniform(0.5, 2.0, A.shape[1])
+        y = random_y(rng, A.shape[0])
+        dense, op = MeasurementModel(A, d, 0.7), MeasurementModel(scn, d, 0.7)
+
+        def rel(a, b):
+            return np.abs(a - b).max() / np.abs(b).max()
+
+        mu_d, Sigma_d = mmse_estimate(dense, y)
+        mu_o, Sigma_o = mmse_estimate(op, y)
+        assert rel(mu_o, mu_d) <= 1e-12 and rel(Sigma_o, Sigma_d) <= 1e-12
+        form_d, form_o = build_modified_form(dense, y), build_modified_form(op, y)
+        assert rel(form_o.T, form_d.T) <= 1e-12
+        assert rel(form_o.Upsilon, form_d.Upsilon) <= 1e-12
+        assert rel(form_o.theta_mod, form_d.theta_mod) <= 1e-12
+        for t_o, t_d in zip(form_o.terms, form_d.terms):
+            assert rel(t_o, t_d) <= 1e-12
 
 
 class TestModifiedForm:

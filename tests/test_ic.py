@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from igachan import bscm
+from igachan.bscm import assemble_dense_A
 from igachan.errors import DivergenceError, DomainError
 from igachan.estimators import MeasurementModel, mmse_estimate
 from igachan.ic import (
@@ -45,11 +49,22 @@ class TestPrecompute:
                 expect = abs(aha[i, j]) ** 2
                 assert abs(pre.L[i, j] - expect) <= 1e-13 * max(expect, 1.0)
 
-    def test_operator_mode_skips_L(self, tiny_scenario, rng):
-        d = rng.uniform(0.5, 2.0, tiny_scenario.shape[1])
-        model = MeasurementModel(tiny_scenario, d, 1.0)
-        pre = precompute_ic(model, random_y(rng, tiny_scenario.shape[0]))
+    def test_scenario_model_stores_L_below_cap(self, tiny_scenario, rng, monkeypatch):
+        scn = tiny_scenario
+        d = rng.uniform(0.5, 2.0, scn.shape[1])
+        model = MeasurementModel(scn, d, 1.0)
+        y = random_y(rng, scn.shape[0])
+        pre = precompute_ic(model, y)
+        A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
+        L = np.abs(A.conj().T @ A) ** 2
+        assert pre.mode == "dense"
+        assert np.abs(pre.L - L).max() <= 1e-12 * L.max()
+        # above the cap only the FFT operators run, and L is not stored
+        monkeypatch.setattr(bscm, "DENSE_ENTRY_CAP", scn.shape[1] ** 2 - 1)
+        pre = precompute_ic(model, y)
         assert pre.L is None and pre.mode == "operator"
+        with pytest.raises(DomainError, match="DENSE_ENTRY_CAP"):
+            precompute_ic(MeasurementModel(A, d, 1.0), y)
 
 
 class TestIcIgaStep:
@@ -114,8 +129,6 @@ class TestIcIgaStep:
             assert abs(r_n - c_n) <= 1e-12 * c_n
 
     def test_dense_and_operator_steps_agree(self, tiny_scenario, rng):
-        from igachan.bscm import assemble_dense_A
-
         scn = tiny_scenario
         A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
         d = rng.uniform(0.5, 2.0, A.shape[1])
@@ -234,7 +247,7 @@ class TestRunEstimator:
             stepped = ic_iga_step(pre, state, alpha=alpha)
             assert np.abs(stepped.mu - state.mu).max() <= 1e-9 * np.abs(state.mu).max()
 
-    def test_operator_mode_run_is_mean_only(self, rng):
+    def test_scenario_model_run_reports_dense_variances(self, rng, monkeypatch):
         # sparse power-based extraction keeps the system Jacobi-friendly
         from igachan.bscm import BscmScenario, ScenarioConfig, geometry_from_config
         from igachan.scenario import (
@@ -250,38 +263,51 @@ class TestRunEstimator:
         scn = BscmScenario(array, ofdm, plan, extraction)
         model = MeasurementModel(scn, d, 1.0)
         y = random_y(rng, scn.shape[0])
-        pre = precompute_ic(model, y)
-        rep = run_estimator("ic_iga", pre, t_max=1000, tol=1e-10)
-        assert rep.variances is None  # variance tracking needs the dense L
+        rep = run_estimator("ic_iga", precompute_ic(model, y), t_max=1000, tol=1e-10)
         assert rep.residual_trace[-1] <= 1e-8
+        A = assemble_dense_A(array, ofdm, plan, extraction)
+        ref = run_estimator("ic_iga", precompute_ic(MeasurementModel(A, d, 1.0), y),
+                            t_max=1000, tol=1e-10)
+        assert rep.variances is not None
+        assert np.abs(rep.variances - ref.variances).max() <= 1e-10 * ref.variances.max()
+        # above the cap there is no L, and IC-IGA refuses instead of dropping
+        # its variances
+        monkeypatch.setattr(bscm, "DENSE_ENTRY_CAP", extraction.n ** 2 - 1)
+        pre = precompute_ic(model, y)
+        with pytest.raises(DomainError, match="DENSE_ENTRY_CAP"):
+            run_estimator("ic_iga", pre, t_max=1000, tol=1e-10)
 
     def test_one_gram_apply_per_iteration(self, tiny_scenario, rng, monkeypatch):
-        # the operator path applies A once for the starting residual and once
-        # per iteration, and matches a hand loop of the public step bit for bit
+        # both modes apply the Gram matrix once for the starting residual and
+        # once per iteration, and match a hand loop of the public step bit for bit
         scn = tiny_scenario
         model = MeasurementModel(scn, rng.uniform(0.5, 2.0, scn.shape[1]), 0.8)
-        pre = precompute_ic(model, random_y(rng, scn.shape[0]))
-        calls = []
-        matvec = scn.matvec
-        monkeypatch.setattr(scn, "matvec", lambda s: calls.append(1) or matvec(s))
+        y = random_y(rng, scn.shape[0])
         t_max = 12
-        rep = run_estimator("ic_siga", pre, alpha=0.25, t_max=t_max, tol=0.0)
-        assert rep.iterations == t_max
-        assert len(calls) == t_max + 1
+        for mode, cap in (("dense", bscm.DENSE_ENTRY_CAP), ("operator", scn.shape[1] ** 2 - 1)):
+            monkeypatch.setattr(bscm, "DENSE_ENTRY_CAP", cap)
+            pre = precompute_ic(model, y)
+            assert pre.mode == mode
+            calls = []
+            counted = dataclasses.replace(
+                pre, gram=lambda x, _g=pre.gram: calls.append(1) or _g(x))
+            rep = run_estimator("ic_siga", counted, alpha=0.25, t_max=t_max, tol=0.0)
+            assert rep.iterations == t_max
+            assert len(calls) == t_max + 1
 
-        theta = pre.ahy / pre.sigma2
+            theta = pre.ahy / pre.sigma2
 
-        def residual(mu):
-            lhs = pre.gram(mu) / pre.sigma2 + mu / pre.d
-            return float(np.linalg.norm(lhs - theta)) / float(np.linalg.norm(theta))
+            def residual(mu):
+                lhs = pre.gram(mu) / pre.sigma2 + mu / pre.d
+                return float(np.linalg.norm(lhs - theta)) / float(np.linalg.norm(theta))
 
-        mu = np.zeros(pre.n, dtype=complex)
-        trace = [residual(mu)]
-        for _ in range(t_max):
-            mu = ic_siga_step(pre, mu, 0.25)
-            trace.append(residual(mu))
-        assert np.array_equal(rep.mu, mu)
-        assert rep.residual_trace == trace
+            mu = np.zeros(pre.n, dtype=complex)
+            trace = [residual(mu)]
+            for _ in range(t_max):
+                mu = ic_siga_step(pre, mu, 0.25)
+                trace.append(residual(mu))
+            assert np.array_equal(rep.mu, mu)
+            assert rep.residual_trace == trace
 
     def test_divergence_detected(self):
         A = np.ones((4, 3), dtype=complex)
