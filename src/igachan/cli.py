@@ -102,6 +102,9 @@ def _cmd_estimate(args) -> int:
         "rng": scenario.RNG_FAMILY,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
+    if not rep.converged:
+        print(f"warning: {alg} at {snr_db:g} dB did not converge within --max-iter "
+              f"{spec.t_max} (final residual {rep.residual_trace[-1]:.3e})", file=sys.stderr)
     if args.out:
         rep.nmse = trial_nmse
         rep.seed = cfg.seed
@@ -118,6 +121,11 @@ def _cmd_benchmark(args) -> int:
     spec = _run_spec(args, cfg, n_sam=args.trials, measure_time=args.timing)
     rows = harness.run_benchmark(spec)
     harness.write_benchmark_csv(rows, args.out)
+    for row in rows:
+        if row["converged_fraction"] < 1:
+            print(f"warning: {row['algorithm']} at {row['snr_db']:g} dB converged in "
+                  f"{row['converged_fraction']:.3g} of trials within --max-iter {spec.t_max}",
+                  file=sys.stderr)
     print(f"wrote {args.out} ({len(rows)} rows, rng={scenario.RNG_FAMILY}, "
           f"seed={cfg.seed})")
     return EXIT_OK

@@ -25,11 +25,17 @@ MMSE normal equations.
 The classic per-observation instantiation uses rank-1 pieces
 C_q = g_q g_q^H with g_q a scaled conjugate row of A; projections then cost
 O(N) each through the rank-1 inverse update, never densifying C_q.
+
+The projected precisions depend on g_q only through |g_q|^2.  When every
+row of |A|^2 is the same (every entry of the beam-domain A has modulus 1),
+the precisions Lambda_q start equal and stay equal, so they are stored as
+one shared (1, N) row and broadcast against the (Q, N) means; otherwise
+they are a full (Q, N) array.  Both shapes run the same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,12 +62,15 @@ class SplitScheme:
 
     ``b`` is (Q, N) with row q the mean-parameter piece b_q; the quadratic
     pieces are rank-1, C_q = factors[q] factors[q]^H with ``factors`` (Q, N).
-    ``lambda_c`` is the shared diagonal.
+    ``lambda_c`` is the shared diagonal.  ``abs2`` is |factors|^2, derived
+    once: a single (1, N) row when every row equals row 0 to within 1e-12
+    relative, else (Q, N).  The auxiliary precisions take its shape.
     """
 
     b: np.ndarray
     lambda_c: np.ndarray
     factors: np.ndarray | None = None
+    abs2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=np.complex128)
@@ -78,6 +87,10 @@ class SplitScheme:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lambda_c", lc)
         object.__setattr__(self, "factors", f)
+        abs2 = (f.conj() * f).real
+        if np.allclose(abs2, abs2[:1], rtol=1e-12, atol=0.0):
+            abs2 = abs2[:1].copy()
+        object.__setattr__(self, "abs2", abs2)
 
     @property
     def q_count(self) -> int:
@@ -91,18 +104,21 @@ class SplitScheme:
         """sum_q b_q, the mean natural parameter being split."""
         return self.b.sum(axis=0)
 
-    def precision_apply(self, x: np.ndarray) -> np.ndarray:
-        """(sum_q C_q + diag(lambda_c)) x without densifying rank-1 pieces."""
-        gx = self.factors.conj() @ x
-        return self.factors.T @ gx + self.lambda_c * x
+    def precision(self) -> np.ndarray:
+        """sum_q C_q + diag(lambda_c), the (N, N) precision being split."""
+        return self.factors.T @ self.factors.conj() + np.diag(self.lambda_c)
 
 
 @dataclass(frozen=True)
 class AuxiliaryState:
-    """Diagonal natural parameters of the Q auxiliary points and the target."""
+    """Diagonal natural parameters of the Q auxiliary points and the target.
+
+    ``Lam_q`` is (P, N) with P in {1, Q}: one row shared by every point, or
+    one row per point.
+    """
 
     lam_q: np.ndarray  # (Q, N) complex
-    Lam_q: np.ndarray  # (Q, N) real
+    Lam_q: np.ndarray  # (P, N) real
     lam0: np.ndarray  # (N,) complex
     Lam0: np.ndarray  # (N,) real
     iteration: int = 0
@@ -111,7 +127,8 @@ class AuxiliaryState:
         """Max absolute violation of sum_q (.) + (1 - Q) (.)_0 = 0."""
         q = self.lam_q.shape[0]
         r1 = np.abs(self.lam_q.sum(axis=0) + (1 - q) * self.lam0).max()
-        r2 = np.abs(self.Lam_q.sum(axis=0) + (1 - q) * self.Lam0).max()
+        r2 = np.abs(self.Lam_q.sum(axis=0) * (q / self.Lam_q.shape[0])
+                    + (1 - q) * self.Lam0).max()
         return float(max(r1, r2))
 
 
@@ -134,11 +151,11 @@ def build_rank1_split(model: MeasurementModel, y) -> SplitScheme:
 
 def initial_state(scheme: SplitScheme) -> AuxiliaryState:
     """All-zero start: lambda_c alone carries the covariance, and the
-    e-condition holds trivially."""
+    e-condition holds trivially.  ``Lam_q`` takes the shape of ``abs2``."""
     q, n = scheme.q_count, scheme.dim
     return AuxiliaryState(
         lam_q=np.zeros((q, n), dtype=np.complex128),
-        Lam_q=np.zeros((q, n), dtype=np.float64),
+        Lam_q=np.zeros(scheme.abs2.shape, dtype=np.float64),
         lam0=np.zeros(n, dtype=np.complex128),
         Lam0=np.zeros(n, dtype=np.float64),
         iteration=0,
@@ -146,30 +163,38 @@ def initial_state(scheme: SplitScheme) -> AuxiliaryState:
 
 
 def project_all(scheme: SplitScheme, state: AuxiliaryState):
-    """Beliefs (xi_q, Xi_q) of all Q auxiliary points, stacked as (Q, N) arrays.
+    """Beliefs (xi_q, Xi_q) of all Q auxiliary points: xi is (Q, N), Xi has
+    the shape of the precisions, (1, N) when shared.
 
     Point q has precision Lambda_q + C_q + lambda_c and mean parameter
     lambda_q + b_q; it is m-projected onto the diagonal manifold and the
     belief is the natural-parameter increment relative to (lambda_q,
     Lambda_q).  The precision is diag(w) + g g^H with w = Lambda_q +
     lambda_c, so its inverse is one diagonal solve plus a rank-1
-    correction; means and diagonal covariances of all points come out in
-    O(Q N).
+    correction: with denom = 1 + sum |g|^2 / w, the projected variance is
+    var = (1 - |g|^2 / (w denom)) / w.  With r = 1 / (w var) the projected
+    natural parameters are theta = r (m - g (g^H (m / w)) / denom) and
+    1 / var = w + (r / denom) |g|^2, all in O(Q N).
     """
-    w = state.Lam_q + scheme.lambda_c[None, :]
+    w = state.Lam_q + scheme.lambda_c
     if np.any(w <= 0):
         raise DomainError("auxiliary covariance lost positivity (Lambda_q + lambda_c <= 0)")
     g = scheme.factors
     m = state.lam_q + scheme.b
-    g_over_w = g / w
-    denom = 1.0 + np.sum((g.conj() * g).real / w, axis=1)  # (Q,)
-    gHm = np.sum(g.conj() * m / w, axis=1)  # (Q,)
-    mu = m / w - g_over_w * (gHm / denom)[:, None]
-    var = 1.0 / w - (np.abs(g) ** 2 / w**2) / denom[:, None]
-    theta0 = mu / var
-    Lam0 = 1.0 / var - scheme.lambda_c[None, :]
-    xi = theta0 - state.lam_q
-    Xi = Lam0 - state.Lam_q
+    inv_w = 1.0 / w
+    denom = 1.0 + np.sum(scheme.abs2 * inv_w, axis=1, keepdims=True)
+    r_over_denom = w / (w * denom - scheme.abs2)
+    # the (Q, N) steps reuse one buffer: at the default scenario each
+    # (Q, N) temporary would be a fresh 35 MB allocation
+    xi = np.conjugate(g)
+    xi *= m
+    xi *= inv_w
+    gHm_over_denom = xi.sum(axis=1, keepdims=True) / denom
+    np.multiply(g, gHm_over_denom, out=xi)
+    np.subtract(m, xi, out=xi)
+    xi *= r_over_denom * denom
+    xi -= state.lam_q
+    Xi = r_over_denom * scheme.abs2
     return xi, Xi
 
 
@@ -180,18 +205,19 @@ def update_points(state: AuxiliaryState, xi: np.ndarray, Xi: np.ndarray,
     Undamped: lambda_0 <- sum_q xi_q, Lambda_0 <- sum_q Xi_q, and
     lambda_q <- lambda_0 - xi_q (likewise for precisions).  With damping
     alpha each parameter moves only a fraction alpha of the way; since both
-    endpoints satisfy the e-condition, so does the combination.
+    endpoints satisfy the e-condition, so does the combination.  A shared
+    (1, N) ``Xi`` stands for Q equal rows, so its sum is scaled by Q.
     """
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
     lam0_new = xi.sum(axis=0)
-    Lam0_new = Xi.sum(axis=0)
-    lam_q_new = lam0_new[None, :] - xi
-    Lam_q_new = Lam0_new[None, :] - Xi
+    Lam0_new = Xi.sum(axis=0) * (xi.shape[0] / Xi.shape[0])
     lam0 = alpha * lam0_new + (1 - alpha) * state.lam0
     Lam0 = alpha * Lam0_new + (1 - alpha) * state.Lam0
-    lam_q = alpha * lam_q_new + (1 - alpha) * state.lam_q
-    Lam_q = alpha * Lam_q_new + (1 - alpha) * state.Lam_q
+    lam_q = np.subtract(lam0_new, xi)  # updated in place, as xi in project_all
+    lam_q *= alpha
+    lam_q += (1 - alpha) * state.lam_q
+    Lam_q = alpha * (Lam0_new - Xi) + (1 - alpha) * state.Lam_q
     if lambda_c is not None and np.any(Lam0 + lambda_c <= 0):
         raise DivergenceError(
             "target precision lost positivity; reduce the damping coefficient alpha"
@@ -212,10 +238,11 @@ def run_iga(scheme: SplitScheme, alpha: float = DEFAULT_ALPHA, t_max: int = 100,
         raise DomainError("alpha must lie in (0, 1]")
     theta = scheme.theta_or()
     theta_norm = float(np.linalg.norm(theta)) or 1.0
+    precision = scheme.precision()  # (N, N): no product with a (Q, N) array per step
 
     def measure(state):
         mu = state.lam0 / (state.Lam0 + scheme.lambda_c)
-        return mu, float(np.linalg.norm(scheme.precision_apply(mu) - theta)) / theta_norm
+        return mu, float(np.linalg.norm(precision @ mu - theta)) / theta_norm
 
     def step(state):
         xi, Xi = project_all(scheme, state)

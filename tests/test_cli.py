@@ -6,7 +6,7 @@ import pytest
 
 from igachan.bscm import parse_scenario_config
 from igachan.cli import main
-from igachan.harness import ALGORITHMS, BenchmarkSpec, run_benchmark
+from igachan.harness import ALGORITHMS, BenchmarkSpec, benchmark_csv_text, run_benchmark
 from igachan.scenario import load_channels, load_power_matrices
 
 TINY = "\n".join([
@@ -100,6 +100,32 @@ def test_benchmark_deterministic_bytes(tiny_config, tmp_path):
     header = out1.read_text().splitlines()[0]
     assert header == ("snr_db,algorithm,nmse,nmse_db,mean_iterations,"
                       "converged_fraction,wall_time_ms,seed")
+
+
+def test_unconverged_cells_warn_on_stderr(tiny_config, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["benchmark", "--config", str(tiny_config), "--snr", "0,10",
+                 "--alg", "mmse,ic_siga", "--trials", "2", "--max-iter", "3",
+                 "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"warning: ic_siga at {snr} dB converged in 0 of trials within --max-iter 3"
+                   for snr in (0, 10)]
+    # the warnings leave the CSV as run_benchmark renders it
+    cfg = parse_scenario_config(TINY)
+    rows = run_benchmark(BenchmarkSpec(snr_list_db=(0.0, 10.0), algorithms=("mmse", "ic_siga"),
+                                       n_sam=2, scenario=cfg, seed=cfg.seed, t_max=3))
+    assert out.read_bytes() == benchmark_csv_text(rows).encode("utf-8")
+
+    assert main(["estimate", "--config", str(tiny_config), "--snr", "10",
+                 "--alg", "ic_siga", "--max-iter", "3"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["converged"] is False
+    (line,) = captured.err.splitlines()
+    assert line.startswith("warning: ic_siga at 10 dB did not converge within --max-iter 3 ")
+
+    assert main(["estimate", "--config", str(tiny_config), "--snr", "10",
+                 "--alg", "mmse"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_validate_quick_exits_zero(capsys):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from igachan.bscm import assemble_dense_A
 from igachan.errors import DivergenceError, DomainError
 from igachan.estimators import MeasurementModel, mmse_estimate
 from igachan.gaussian import GaussianNatural, m_project_to_diag
+from igachan.harness import build_trial
 from igachan.iga import (
     AuxiliaryState,
     SplitScheme,
@@ -27,6 +29,63 @@ def orthogonal_disjoint_model(rng, blocks=8, sigma2=0.8):
     return MeasurementModel(A, rng.uniform(0.5, 2.0, n), sigma2)
 
 
+def unit_modulus_model(rng, m, n, sigma2=2.0):
+    """Random phases of modulus 1: every row of |A|^2 is the same."""
+    A = np.exp(2j * np.pi * rng.random((m, n)))
+    return MeasurementModel(A, rng.uniform(0.2, 3.0, n), sigma2)
+
+
+@pytest.fixture(scope="module")
+def desk_case(desk_config, desk_geometry):
+    """The dense beam-domain model and receive vector of one desk trial."""
+    trial = build_trial(desk_geometry, desk_config, desk_config.seed, 0.0, stream=(0, 0))
+    model, scn = trial.model, trial.model.A
+    A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
+    return MeasurementModel(A, model.d, model.sigma2), trial.y
+
+
+@pytest.fixture(params=["gaussian", "unit_modulus", "bscm"])
+def split_case(request, rng, desk_case):
+    """(model, y, shared): a rank-1 split whose precision row is shared or not."""
+    if request.param == "gaussian":
+        return random_model(rng, 12, 8), random_y(rng, 12), False
+    if request.param == "unit_modulus":
+        return unit_modulus_model(rng, 12, 8), random_y(rng, 12), True
+    return (*desk_case, True)
+
+
+def parent_run_iga(scheme, alpha, t_max, tol):
+    """Reference loop: one precision row per piece, |g|^2 recomputed in every
+    projection, and the residual applied through the (Q, N) factors."""
+    g, lc = scheme.factors, scheme.lambda_c
+    q, n = g.shape
+    lam_q, Lam_q = np.zeros((q, n), complex), np.zeros((q, n))
+    lam0, Lam0 = np.zeros(n, complex), np.zeros(n)
+    theta = scheme.b.sum(axis=0)
+    mu = lam0 / (Lam0 + lc)
+    for t in range(1, t_max + 1):
+        w = Lam_q + lc[None, :]
+        m = lam_q + scheme.b
+        denom = 1.0 + np.sum((g.conj() * g).real / w, axis=1)
+        gHm = np.sum(g.conj() * m / w, axis=1)
+        mu_q = m / w - (g / w) * (gHm / denom)[:, None]
+        var = 1.0 / w - (np.abs(g) ** 2 / w**2) / denom[:, None]
+        xi = mu_q / var - lam_q
+        Xi = 1.0 / var - lc[None, :] - Lam_q
+        lam0_new, Lam0_new = xi.sum(axis=0), Xi.sum(axis=0)
+        lam0 = alpha * lam0_new + (1 - alpha) * lam0
+        Lam0 = alpha * Lam0_new + (1 - alpha) * Lam0
+        lam_q = alpha * (lam0_new[None, :] - xi) + (1 - alpha) * lam_q
+        Lam_q = alpha * (Lam0_new[None, :] - Xi) + (1 - alpha) * Lam_q
+        mu_new = lam0 / (Lam0 + lc)
+        change = np.abs(mu_new - mu).max() / max(np.abs(mu_new).max(), 1e-300)
+        mu = mu_new
+        if change < tol:
+            break
+    residual = g.T @ (g.conj() @ mu) + lc * mu - theta
+    return mu, t, float(np.linalg.norm(residual) / np.linalg.norm(theta))
+
+
 class TestSplit:
     def test_identity_columns(self):
         model = MeasurementModel(np.eye(2, dtype=complex), np.full(2, 0.5), 1.0)
@@ -47,9 +106,18 @@ class TestSplit:
     def test_precision_split_identity(self, rng):
         model = random_model(rng, 10, 6)
         scheme = build_rank1_split(model, random_y(rng, 10))
-        dense = scheme.factors.T @ scheme.factors.conj() + np.diag(scheme.lambda_c)
+        dense = scheme.precision()
         target = (model.A.conj().T @ model.A) / model.sigma2 + np.diag(1.0 / model.d)
         assert np.abs(dense - target).max() <= 1e-12 * np.abs(target).max()
+
+    def test_precision_pattern_shape(self, split_case):
+        model, y, shared = split_case
+        scheme = build_rank1_split(model, y)
+        q, n = model.m, model.n
+        assert scheme.abs2.shape == ((1, n) if shared else (q, n))
+        assert initial_state(scheme).Lam_q.shape == scheme.abs2.shape
+        full = np.abs(scheme.factors) ** 2
+        assert np.abs(np.broadcast_to(scheme.abs2, (q, n)) - full).max() <= 1e-12 * full.max()
 
     def test_requires_exactly_one_quadratic_form(self):
         with pytest.raises(DomainError):
@@ -69,24 +137,34 @@ class TestProjection:
         assert np.abs(xi).max() <= 1e-13
         assert np.abs(Xi).max() <= 1e-13
 
-    def test_rank1_matches_dense_gaussian_projection(self, rng):
-        n = 8
-        model = random_model(rng, 12, n)
-        y = random_y(rng, 12)
-        scheme = build_rank1_split(model, y)
+    @staticmethod
+    def check_against_dense_projection(rng, scheme):
+        """Per-piece beliefs at a random state against the dense m-projection."""
+        q_count, n = scheme.q_count, scheme.dim
         state = AuxiliaryState(
-            lam_q=0.1 * (rng.standard_normal((12, n)) + 1j * rng.standard_normal((12, n))),
-            Lam_q=rng.uniform(0.1, 1.0, (12, n)),
+            lam_q=0.1 * (rng.standard_normal((q_count, n)) + 1j * rng.standard_normal((q_count, n))),
+            Lam_q=rng.uniform(0.1, 1.0, scheme.abs2.shape),
             lam0=np.zeros(n), Lam0=np.zeros(n))
         xi_all, Xi_all = project_all(scheme, state)
-        for q in (0, 5, 11):
-            xi, Xi = xi_all[q], Xi_all[q]
+        assert Xi_all.shape == scheme.abs2.shape
+        Lam_q = np.broadcast_to(state.Lam_q, (q_count, n))
+        Xi_all = np.broadcast_to(Xi_all, (q_count, n))
+        for q in (0, 5, q_count - 1):
             g = scheme.factors[q]
-            P = np.outer(g, g.conj()) + np.diag(
-                (state.Lam_q[q] + scheme.lambda_c).astype(complex))
+            P = np.outer(g, g.conj()) + np.diag((Lam_q[q] + scheme.lambda_c).astype(complex))
             proj = m_project_to_diag(GaussianNatural(state.lam_q[q] + scheme.b[q], -P))
-            assert np.abs((proj.lam - state.lam_q[q]) - xi).max() <= 1e-10
-            assert np.abs((proj.Lam - scheme.lambda_c - state.Lam_q[q]) - Xi).max() <= 1e-10
+            assert np.abs((proj.lam - state.lam_q[q]) - xi_all[q]).max() <= 1e-10
+            assert np.abs((proj.Lam - scheme.lambda_c - Lam_q[q]) - Xi_all[q]).max() <= 1e-10
+
+    def test_rank1_matches_dense_gaussian_projection(self, rng):
+        scheme = build_rank1_split(random_model(rng, 12, 8), random_y(rng, 12))
+        assert scheme.abs2.shape == (12, 8)
+        self.check_against_dense_projection(rng, scheme)
+
+    @pytest.mark.parametrize("split_case", ["unit_modulus", "bscm"], indirect=True)
+    def test_shared_row_matches_dense_gaussian_projection(self, rng, split_case):
+        model, y, _ = split_case
+        self.check_against_dense_projection(rng, build_rank1_split(model, y))
 
     def test_positivity_guard(self):
         scheme = SplitScheme(b=np.zeros((1, 2)), lambda_c=np.zeros(2),
@@ -109,12 +187,20 @@ class TestUpdate:
 
     @pytest.mark.parametrize("alpha,tol", [(1.0, 1e-12), (0.5, 1e-10)])
     def test_e_condition_preserved(self, rng, alpha, tol):
-        model = random_model(rng, 10, 6)
-        scheme = build_rank1_split(model, random_y(rng, 10))
+        self.check_e_condition(rng, random_model(rng, 10, 6), alpha, tol)
+
+    @pytest.mark.parametrize("alpha,tol", [(1.0, 1e-12), (0.5, 1e-10)])
+    def test_e_condition_preserved_on_shared_row(self, rng, alpha, tol):
+        self.check_e_condition(rng, unit_modulus_model(rng, 10, 6), alpha, tol)
+
+    @staticmethod
+    def check_e_condition(rng, model, alpha, tol):
+        scheme = build_rank1_split(model, random_y(rng, model.m))
         state = initial_state(scheme)
         for _ in range(5):
             xi, Xi = project_all(scheme, state)
             state = update_points(state, xi, Xi, alpha, lambda_c=scheme.lambda_c)
+            assert state.Lam_q.shape == scheme.abs2.shape
             assert state.e_condition_residual() <= tol
 
     def test_alpha_out_of_range(self):
@@ -176,6 +262,16 @@ class TestRun:
             np.abs(Xi - (state.Lam0[None, :] - state.Lam_q)).max(),
         )
         assert m_cond <= 10 * tol * max(1.0, np.abs(state.lam0).max())
+
+    @pytest.mark.parametrize("alpha,t_max,tol", [(0.5, 1000, 1e-8), (0.05, 500, 1e-10)])
+    def test_desk_trial_matches_reference_loop(self, desk_case, alpha, t_max, tol):
+        scheme = build_rank1_split(*desk_case)
+        assert scheme.abs2.shape == (1, scheme.dim)
+        rep = run_iga(scheme, alpha=alpha, t_max=t_max, tol=tol)
+        mu_ref, iterations, residual = parent_run_iga(scheme, alpha, t_max, tol)
+        assert rep.iterations == iterations
+        assert np.linalg.norm(rep.mu - mu_ref) <= 1e-12 * np.linalg.norm(mu_ref)
+        assert rep.residual_trace[-1] == pytest.approx(residual, rel=1e-9)
 
     def test_t_max_zero_returns_initialization(self, rng):
         model = random_model(rng, 6, 4)
