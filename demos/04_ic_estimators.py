@@ -30,7 +30,7 @@ pre = precompute_ic(model, y)
 # the vectorized kernel reproduces the dense block-inversion projection
 lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 Lam = rng.uniform(0.5, 2.0, n)
-state = IcState(lam=lam, Lam=Lam, v=1 / Lam, mu=lam / Lam, t=0)
+state = IcState(lam=lam, Lam=Lam)
 mu_vec, r_vec, e = ic_beliefs(pre, state)
 mu_0, r_0, xi, Xi = mproj_belief_oracle(model, y, state, n=0)
 print("coordinate 0: vectorized mean %.6f%+.6fj vs oracle %.6f%+.6fj"

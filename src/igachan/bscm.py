@@ -169,6 +169,12 @@ class PilotPlan:
             raise DomainError(f"user index {k} out of range 1..{self.K}")
         return (k - 1) // self.P + 1, (k - 1) % self.P + 1
 
+    def user_columns(self, k: int) -> slice:
+        """Columns of user k's N_f beam block in the (N_r, Q N_p) stacked grid."""
+        q, p = self.user_slot(k)
+        start = (q - 1) * self.N_p + (p - 1) * self.N_f
+        return slice(start, start + self.N_f)
+
 
 @dataclass(frozen=True)
 class ExtractionMap:
@@ -487,8 +493,12 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
 
 
 def load_scenario_config(path) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_scenario_config(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+    return parse_scenario_config(text)
 
 
 def geometry_from_config(cfg: ScenarioConfig):

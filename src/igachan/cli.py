@@ -144,11 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_scenario=True):
-        if with_scenario:
-            p.add_argument("--config", metavar="PATH",
-                           help="scenario description file (key = value lines)")
-            p.add_argument("--seed", metavar="U64", help="override the scenario seed")
+    def add_common(p):
+        p.add_argument("--config", metavar="PATH",
+                       help="scenario description file (key = value lines)")
+        p.add_argument("--seed", metavar="U64", help="override the scenario seed")
 
     g = sub.add_parser("generate", help="write power maps and channel draws to files")
     add_common(g)
@@ -195,7 +194,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (DomainError, DivergenceError) as exc:

@@ -17,7 +17,6 @@ reproducibility).
 from __future__ import annotations
 
 import functools
-import io
 import math
 import os
 import time
@@ -30,7 +29,6 @@ from . import ic as _ic
 from . import iga as _iga
 from .bscm import (
     BscmScenario,
-    ExtractionMap,
     ScenarioConfig,
     assemble_dense_A,
     geometry_from_config,
@@ -66,26 +64,21 @@ DEFAULT_ALPHAS = {"iga": _iga.DEFAULT_ALPHA, **_ic.DEFAULT_ALPHA}
 CSV_HEADER = "snr_db,algorithm,nmse,nmse_db,mean_iterations,converged_fraction,wall_time_ms,seed"
 
 
-def reconstruct_G(h_est, extraction: ExtractionMap, scenario: BscmScenario):
+def reconstruct_G(h_est, scenario: BscmScenario):
     """Scatter an estimate back to per-user space-frequency matrices.
 
     Returns the list [Gbar_1, ..., Gbar_K] of (M_r, M_p) matrices obtained by
     transforming each user's beam block through the fast steering path.
     """
+    extraction, plan = scenario.extraction, scenario.plan
     h_est = np.asarray(h_est, dtype=np.complex128).reshape(-1)
     if h_est.size != extraction.n:
         raise DomainError(f"estimate has length {h_est.size}, expected {extraction.n}")
-    plan, ofdm, array = scenario.plan, scenario.ofdm, scenario.array
     ht = np.zeros(extraction.n_tilde, dtype=np.complex128)
     ht[extraction.indices] = h_est
-    grid = ht.reshape(array.N_r, plan.Q * ofdm.N_p, order="F")
-    out = []
-    for k in range(1, plan.K + 1):
-        q, p = plan.user_slot(k)
-        start = (q - 1) * ofdm.N_p + (p - 1) * ofdm.N_f
-        Hk = grid[:, start : start + ofdm.N_f]
-        out.append(scenario.beam_to_space_freq(Hk))
-    return out
+    grid = ht.reshape(scenario.array.N_r, plan.Q * scenario.ofdm.N_p, order="F")
+    return [scenario.beam_to_space_freq(grid[:, plan.user_columns(k)])
+            for k in range(1, plan.K + 1)]
 
 
 def nmse(estimates, truths) -> float:
@@ -118,7 +111,7 @@ class Trial:
 
     def score(self, mu) -> list:
         """Per-user ||Gbar_k - G_k||_F^2 / ||G_k||_F^2 of an estimate."""
-        est = reconstruct_G(mu, self.model.A.extraction, self.model.A)
+        est = reconstruct_G(mu, self.model.A)
         return [float(np.linalg.norm(gb - g) ** 2 / np.linalg.norm(g) ** 2)
                 for gb, g in zip(est, self.truths)]
 
@@ -232,19 +225,6 @@ class BenchmarkSpec:
         return float(self.alphas.get(algorithm, 1.0))
 
 
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("IGACHAN_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"IGACHAN_THREADS must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise ConfigError("IGACHAN_THREADS must be >= 0")
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
-
-
 def _run_trial(spec: BenchmarkSpec, geometry, snr_index: int, trial: int):
     """All algorithms on one generated scenario; returns per-algorithm stats."""
     tr = build_trial(geometry, spec.scenario, spec.seed, spec.snr_list_db[snr_index],
@@ -268,23 +248,16 @@ def _run_trial(spec: BenchmarkSpec, geometry, snr_index: int, trial: int):
 def run_benchmark(spec: BenchmarkSpec):
     """Sweep the spec; returns one row dict per (snr, algorithm) cell.
 
-    Trials run concurrently (worker count capped by IGACHAN_THREADS, 0 =
-    auto) on per-trial substreams; every algorithm in a cell sees the same
+    Trials run concurrently, one worker per CPU capped by the trials per
+    cell, on per-trial substreams; every algorithm in a cell sees the same
     data, and row order is deterministic.
     """
     geometry = geometry_from_config(spec.scenario)
     rows = []
     for si, snr_db in enumerate(spec.snr_list_db):
-        workers = _worker_count(spec.n_sam)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                trial_results = list(
-                    pool.map(lambda t: _run_trial(spec, geometry, si, t),
-                             range(spec.n_sam))
-                )
-        else:
-            trial_results = [_run_trial(spec, geometry, si, t)
-                             for t in range(spec.n_sam)]
+        with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, spec.n_sam)) as pool:
+            trial_results = list(pool.map(lambda t: _run_trial(spec, geometry, si, t),
+                                          range(spec.n_sam)))
         for alg in spec.algorithms:
             ratios = [r for tr in trial_results for r in tr[alg][0]]
             iters = [tr[alg][1] for tr in trial_results]
@@ -422,7 +395,7 @@ def _check_belief_oracle():
         pre = _ic.precompute_ic(model, y)
         lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         Lam = rng.uniform(0.5, 2.0, n)
-        state = _ic.IcState(lam=lam, Lam=Lam, v=1 / Lam, mu=lam / Lam, t=0)
+        state = _ic.IcState(lam=lam, Lam=Lam, t=0)
         mu_vec, r_vec, _ = _ic.ic_beliefs(pre, state)
         for j in range(n):
             mu_j, r_j, xi, Xi = _ic.mproj_belief_oracle(model, y, state, j)
@@ -682,7 +655,7 @@ _FULL_CHECKS = _QUICK_CHECKS + [
 ]
 
 
-def validate_suite(level: str = "quick", out=None) -> dict:
+def validate_suite(level: str = "quick") -> dict:
     """Run the oracle cross-checks at fixed seeds.
 
     Prints one line per check with its tolerance and outcome and returns
@@ -694,17 +667,13 @@ def validate_suite(level: str = "quick", out=None) -> dict:
         raise ConfigError(f"unknown validation level {level!r}")
     checks = _QUICK_CHECKS if level == "quick" else _FULL_CHECKS
     results = {}
-    stream = out if out is not None else io.StringIO()
     for name, fn in checks:
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results[name] = (ok, detail)
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=stream)
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", flush=True)
     n_pass = sum(1 for ok, _ in results.values() if ok)
-    print(f"{n_pass}/{len(results)} checks passed", file=stream)
-    if out is None:
-        import sys
-        sys.stdout.write(stream.getvalue())
+    print(f"{n_pass}/{len(results)} checks passed")
     return results

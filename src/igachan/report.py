@@ -46,7 +46,7 @@ class EstimateReport:
         if self.nmse is not None and self.nmse < 0:
             raise ValueError("nmse must be nonnegative")
 
-    def to_dict(self, include_vectors: bool = True) -> dict:
+    def to_dict(self) -> dict:
         """JSON-serializable view of the report."""
         out = {
             "iterations": self.iterations,
@@ -57,12 +57,11 @@ class EstimateReport:
             "config": dict(self.config),
             "final_residual": float(self.residual_trace[-1]),
             "residual_trace": [float(r) for r in self.residual_trace],
+            "mu_re": np.real(self.mu).tolist(),
+            "mu_im": np.imag(self.mu).tolist(),
         }
-        if include_vectors:
-            out["mu_re"] = np.real(self.mu).tolist()
-            out["mu_im"] = np.imag(self.mu).tolist()
-            if self.variances is not None:
-                out["variances"] = np.asarray(self.variances).tolist()
+        if self.variances is not None:
+            out["variances"] = np.asarray(self.variances).tolist()
         return out
 
 

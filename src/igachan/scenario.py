@@ -99,11 +99,11 @@ class BeamChannel:
         object.__setattr__(self, "H", H)
 
 
-def _cluster_dims(array: ArrayConfig, ofdm: OfdmConfig, clusters: int) -> tuple[int, int]:
+def _cluster_dims(array: ArrayConfig, ofdm: OfdmConfig) -> tuple[int, int]:
     # one resolution cell per cluster: F_x adjacent fine beams, and up to F_p
     # adjacent sampled delays when the delay grid has room
     h = max(1, array.F_x)
-    w = max(1, min(ofdm.F_p, ofdm.N_f // (2 * clusters)))
+    w = max(1, min(ofdm.F_p, ofdm.N_f // (2 * DEFAULT_CLUSTERS)))
     return h, w
 
 
@@ -114,11 +114,11 @@ def _lattice_anchor(rng, extent: int, size: int) -> int:
     return int(rng.integers(0, slots)) * 2 * size
 
 
-def gen_power_matrices(cfg: ScenarioConfig, seed: int, stream: tuple = (),
-                       clusters: int = DEFAULT_CLUSTERS) -> list[PowerMatrix]:
+def gen_power_matrices(cfg: ScenarioConfig, seed: int,
+                       stream: tuple = ()) -> list[PowerMatrix]:
     """Draw one power map per user.
 
-    Each map is a sum of ``clusters`` rectangles with lognormal relative
+    Each map is a sum of ``DEFAULT_CLUSTERS`` rectangles with lognormal relative
     powers spread uniformly over the rectangle, normalized to total power
     one.  Rectangles are sized like one array/delay resolution cell and
     anchored on a separated lattice, which keeps the extracted measurement
@@ -127,12 +127,12 @@ def gen_power_matrices(cfg: ScenarioConfig, seed: int, stream: tuple = (),
     """
     array, ofdm, plan = geometry_from_config(cfg)
     n_r, n_f = array.N_r, ofdm.N_f
-    h, w = _cluster_dims(array, ofdm, clusters)
+    h, w = _cluster_dims(array, ofdm)
     out = []
     for k in range(1, plan.K + 1):
         rng = substream(seed, "powers", *stream, k)
         omega = np.zeros((n_r, n_f), dtype=np.float64)
-        for _ in range(clusters):
+        for _ in range(DEFAULT_CLUSTERS):
             top = _lattice_anchor(rng, n_r, h)
             left = _lattice_anchor(rng, n_f, w)
             power = float(rng.lognormal(0.0, 1.0))
@@ -157,12 +157,6 @@ def sample_channels(powers: list[PowerMatrix], seed: int,
     return out
 
 
-def _user_columns(plan: PilotPlan, ofdm: OfdmConfig, k: int) -> slice:
-    q, p = plan.user_slot(k)
-    start = (q - 1) * ofdm.N_p + (p - 1) * ofdm.N_f
-    return slice(start, start + ofdm.N_f)
-
-
 def stack_powers(powers: list[PowerMatrix], array: ArrayConfig, ofdm: OfdmConfig,
                  plan: PilotPlan) -> np.ndarray:
     """Variances of the stacked beam vector, in stacking order (length Q N_p N_r)."""
@@ -170,7 +164,7 @@ def stack_powers(powers: list[PowerMatrix], array: ArrayConfig, ofdm: OfdmConfig
         raise DomainError(f"expected {plan.K} power maps, got {len(powers)}")
     grid = np.zeros((array.N_r, plan.Q * ofdm.N_p), dtype=np.float64)
     for k in range(1, plan.K + 1):
-        grid[:, _user_columns(plan, ofdm, k)] = powers[k - 1].omega
+        grid[:, plan.user_columns(k)] = powers[k - 1].omega
     return grid.reshape(-1, order="F")
 
 
@@ -181,21 +175,20 @@ def stack_channels(channels: list[BeamChannel], array: ArrayConfig,
         raise DomainError(f"expected {plan.K} channels, got {len(channels)}")
     grid = np.zeros((array.N_r, plan.Q * ofdm.N_p), dtype=np.complex128)
     for k in range(1, plan.K + 1):
-        grid[:, _user_columns(plan, ofdm, k)] = channels[k - 1].H
+        grid[:, plan.user_columns(k)] = channels[k - 1].H
     return grid.reshape(-1, order="F")
 
 
 def extraction_from_powers(powers: list[PowerMatrix], array: ArrayConfig,
-                           ofdm: OfdmConfig, plan: PilotPlan,
-                           rel_threshold: float = ZERO_VARIANCE_REL_THRESHOLD
-                           ) -> ExtractionMap:
-    """Keep stacked indices whose prior variance exceeds rel_threshold * max.
+                           ofdm: OfdmConfig, plan: PilotPlan) -> ExtractionMap:
+    """Keep stacked indices whose prior variance exceeds
+    ZERO_VARIANCE_REL_THRESHOLD * max.
 
     The threshold (rather than an exact-zero test) guards serialization
     round-trips of the power maps.
     """
     om = stack_powers(powers, array, ofdm, plan)
-    keep = np.flatnonzero(om > rel_threshold * om.max())
+    keep = np.flatnonzero(om > ZERO_VARIANCE_REL_THRESHOLD * om.max())
     return ExtractionMap(indices=keep, n_tilde=om.size)
 
 

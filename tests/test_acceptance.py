@@ -81,7 +81,7 @@ def test_criterion_2_belief_oracle():
         pre = ic.precompute_ic(model, y)
         lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         Lam = rng.uniform(0.3, 3.0, n)
-        state = ic.IcState(lam=lam, Lam=Lam, v=1 / Lam, mu=lam / Lam, t=0)
+        state = ic.IcState(lam=lam, Lam=Lam, t=0)
         mu_vec, r_vec, _ = ic.ic_beliefs(pre, state)
         for j in range(n):
             mu_j, r_j, xi, Xi = ic.mproj_belief_oracle(model, y, state, j)

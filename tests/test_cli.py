@@ -167,6 +167,31 @@ def test_missing_config_file_exits_2(tmp_path):
                  "--out", str(tmp_path / "g")]) == 2
 
 
+@pytest.mark.parametrize("case", ["generate_out_is_file", "benchmark_out_is_dir",
+                                  "config_is_dir", "config_is_binary"])
+def test_path_errors_exit_2_without_traceback(tiny_config, tmp_path, case):
+    existing = tmp_path / "existing.txt"
+    existing.write_text("x", encoding="utf-8")
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe\x00\x81M_z = 2\n")
+    argv = {
+        "generate_out_is_file": ["generate", "--config", str(tiny_config),
+                                 "--out", str(existing)],
+        "benchmark_out_is_dir": ["benchmark", "--config", str(tiny_config), "--snr", "0",
+                                 "--alg", "mmse", "--trials", "1", "--out", str(tmp_path)],
+        "config_is_dir": ["estimate", "--config", str(tmp_path), "--alg", "mmse"],
+        "config_is_binary": ["estimate", "--config", str(binary), "--alg", "mmse"],
+    }[case]
+    proc = subprocess.run([sys.executable, "-m", "igachan", *argv],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, proc.stderr
+    if case == "config_is_binary":
+        assert str(binary) in errors[0]
+
+
 def test_unknown_algorithm_exits_2(tiny_config):
     assert main(["benchmark", "--config", str(tiny_config), "--alg", "amp",
                  "--out", "/dev/null"]) == 2

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -68,21 +70,20 @@ class TestReconstruct:
         channels = sample_channels(powers, seed=3)
         ht = stack_channels(channels, scn.array, scn.ofdm, scn.plan)
         h = ht[scn.extraction.indices]
-        rec = reconstruct_G(h, scn.extraction, scn)
+        rec = reconstruct_G(h, scn)
         truth = [scn.beam_to_space_freq(ch.H) for ch in channels]
         for a, b in zip(rec, truth):
             assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1.0)
 
     def test_zero_estimate_gives_zero_matrices(self, tiny_scenario):
-        rec = reconstruct_G(np.zeros(tiny_scenario.extraction.n),
-                            tiny_scenario.extraction, tiny_scenario)
+        rec = reconstruct_G(np.zeros(tiny_scenario.extraction.n), tiny_scenario)
         assert all(np.all(g == 0) for g in rec)
 
     def test_fast_matches_dense_transforms(self, tiny_scenario, rng):
         scn = tiny_scenario
         _, _, V, U = build_steering(scn.array, scn.ofdm)
         h = rng.standard_normal(scn.extraction.n) + 1j * rng.standard_normal(scn.extraction.n)
-        rec = reconstruct_G(h, scn.extraction, scn)
+        rec = reconstruct_G(h, scn)
         ht = np.zeros(scn.extraction.n_tilde, dtype=complex)
         ht[scn.extraction.indices] = h
         grid = ht.reshape(scn.array.N_r, -1, order="F")
@@ -108,16 +109,11 @@ class TestBenchmark:
         assert a == b
 
     def test_thread_count_does_not_change_output(self, small_spec, monkeypatch):
-        monkeypatch.setenv("IGACHAN_THREADS", "1")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         serial = benchmark_csv_text(run_benchmark(small_spec))
-        monkeypatch.setenv("IGACHAN_THREADS", "3")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         threaded = benchmark_csv_text(run_benchmark(small_spec))
         assert serial == threaded
-
-    def test_bad_thread_env_rejected(self, small_spec, monkeypatch):
-        monkeypatch.setenv("IGACHAN_THREADS", "many")
-        with pytest.raises(ConfigError):
-            run_benchmark(small_spec)
 
     def test_mmse_is_lower_envelope(self, small_spec):
         rows = run_benchmark(small_spec)
@@ -199,7 +195,7 @@ class TestValidateSuite:
         capsys.readouterr()
         assert all(ok for ok, _ in results.values())
         assert "kl_monte_carlo" in results
-        assert len(results) > len(validate_suite("quick", out=__import__("io").StringIO()))
+        assert len(results) > len(validate_suite("quick"))
 
     def test_unknown_level(self):
         with pytest.raises(ConfigError):

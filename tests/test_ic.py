@@ -24,7 +24,7 @@ from conftest import random_model, random_y
 def random_state(rng, n):
     lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     Lam = rng.uniform(0.5, 2.0, n)
-    return IcState(lam=lam, Lam=Lam, v=1 / Lam, mu=lam / Lam, t=0)
+    return IcState(lam=lam, Lam=Lam, t=0)
 
 
 class TestPrecompute:
@@ -145,12 +145,16 @@ class TestIcIgaStep:
         assert np.abs(s_d.Lam - s_o.Lam).max() <= 1e-12 * np.abs(s_d.Lam).max()
 
     def test_state_invariants_enforced(self):
-        with pytest.raises(DomainError):
-            IcState(lam=np.zeros(2), Lam=np.array([1.0, -1.0]),
-                    v=np.array([1.0, -1.0]), mu=np.zeros(2))
-        with pytest.raises(DomainError):
-            IcState(lam=np.ones(2), Lam=np.ones(2), v=np.ones(2),
-                    mu=np.zeros(2))
+        for Lam in (np.array([1.0, -1.0]), np.array([0.0, 1.0])):
+            with pytest.raises(DomainError):
+                IcState(lam=np.zeros(2), Lam=Lam)
+
+    def test_state_derives_variances_and_mean(self, rng):
+        lam = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        Lam = rng.uniform(0.5, 2.0, 5)
+        state = IcState(lam=lam, Lam=Lam)
+        assert np.array_equal(state.v, 1.0 / Lam)
+        assert np.array_equal(state.mu, lam / Lam)
 
 
 class TestIcSigaStep:
@@ -240,9 +244,7 @@ class TestRunEstimator:
         y = random_y(rng, 24)
         pre = precompute_ic(model, y)
         rep = run_estimator("ic_iga", pre, alpha=0.45, t_max=5000, tol=1e-13)
-        state = IcState(lam=rep.mu * (1.0 / rep.variances),
-                        Lam=1.0 / rep.variances,
-                        v=rep.variances, mu=rep.mu, t=0)
+        state = IcState(lam=rep.mu * (1.0 / rep.variances), Lam=1.0 / rep.variances)
         for alpha in (1.0, 0.2):
             stepped = ic_iga_step(pre, state, alpha=alpha)
             assert np.abs(stepped.mu - state.mu).max() <= 1e-9 * np.abs(state.mu).max()
@@ -279,7 +281,8 @@ class TestRunEstimator:
 
     def test_one_gram_apply_per_iteration(self, tiny_scenario, rng, monkeypatch):
         # both modes apply the Gram matrix once for the starting residual and
-        # once per iteration, and match a hand loop of the public step bit for bit
+        # once per iteration, and match a hand loop of the public steps bit
+        # for bit; IC-IGA needs L, so in operator mode it refuses to run
         scn = tiny_scenario
         model = MeasurementModel(scn, rng.uniform(0.5, 2.0, scn.shape[1]), 0.8)
         y = random_y(rng, scn.shape[0])
@@ -307,6 +310,24 @@ class TestRunEstimator:
                 mu = ic_siga_step(pre, mu, 0.25)
                 trace.append(residual(mu))
             assert np.array_equal(rep.mu, mu)
+            assert rep.residual_trace == trace
+            if mode == "operator":
+                with pytest.raises(DomainError, match="DENSE_ENTRY_CAP"):
+                    run_estimator("ic_iga", counted, alpha=0.45, t_max=t_max, tol=0.0)
+                continue
+
+            calls.clear()
+            rep = run_estimator("ic_iga", counted, alpha=0.45, t_max=t_max, tol=0.0)
+            assert rep.iterations == t_max
+            assert len(calls) == t_max + 1
+            state = initial_ic_state(pre.n)
+            trace = [residual(state.mu)]
+            for _ in range(t_max):
+                beliefs = ic_beliefs(pre, state)
+                state = ic_iga_step(pre, state, 0.45, beliefs=beliefs)
+                trace.append(residual(state.mu))
+            assert np.array_equal(rep.mu, state.mu)
+            assert np.array_equal(rep.variances, 1.0 / beliefs[1])
             assert rep.residual_trace == trace
 
     def test_divergence_detected(self):

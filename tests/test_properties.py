@@ -82,7 +82,7 @@ def test_stack_reconstruct_round_trip(cfg, seed):
     scn = BscmScenario(*geometry, full_extraction(*geometry))
     channels = sample_channels(gen_power_matrices(cfg, seed), seed)
     stacked = stack_channels(channels, *geometry)
-    rebuilt = reconstruct_G(stacked[scn.extraction.indices], scn.extraction, scn)
+    rebuilt = reconstruct_G(stacked[scn.extraction.indices], scn)
     assert len(rebuilt) == len(channels)
     for G, ch in zip(rebuilt, channels):
         truth = scn.beam_to_space_freq(ch.H)
