@@ -18,16 +18,17 @@ rng = np.random.default_rng(2)
 
 m, n = 32, 16
 A = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2 * m)
-model = MeasurementModel(A, d=rng.uniform(0.3, 2.0, n), sigma2=0.5)
-y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-mu_mmse, _ = mmse_estimate(model, y)
+model = MeasurementModel(A, d=rng.uniform(0.3, 2.0, n), sigma2=0.5,
+                         y=rng.standard_normal(m) + 1j * rng.standard_normal(m))
+mu_mmse, _ = mmse_estimate(model)
 
-scheme = build_rank1_split(model, y)
+scheme = build_rank1_split(model)
 print(f"split: {scheme.q_count} rank-1 pieces over {scheme.dim} coefficients")
 print("precision rows (Gaussian A):", initial_state(scheme).Lam_q.shape)
-unit = MeasurementModel(np.exp(2j * np.pi * rng.random((m, n))), d=model.d, sigma2=model.sigma2)
-print("precision rows (unit-modulus A):", initial_state(build_rank1_split(unit, y)).Lam_q.shape)
-theta = (A.conj().T @ y) / model.sigma2
+unit = MeasurementModel(np.exp(2j * np.pi * rng.random((m, n))), d=model.d,
+                        sigma2=model.sigma2, y=model.y)
+print("precision rows (unit-modulus A):", initial_state(build_rank1_split(unit)).Lam_q.shape)
+theta = model.ahy / model.sigma2
 print("mean-split identity error:", np.abs(scheme.b.sum(0) - theta).max())
 
 # a few hand-driven iterations, watching both conditions

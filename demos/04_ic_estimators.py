@@ -21,18 +21,18 @@ rng = np.random.default_rng(3)
 
 m, n = 48, 24
 A = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2 * m)
-model = MeasurementModel(A, d=rng.uniform(0.3, 2.0, n), sigma2=0.4)
-y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-mu_mmse, _ = mmse_estimate(model, y)
+model = MeasurementModel(A, d=rng.uniform(0.3, 2.0, n), sigma2=0.4,
+                         y=rng.standard_normal(m) + 1j * rng.standard_normal(m))
+mu_mmse, _ = mmse_estimate(model)
 
-pre = precompute_ic(model, y)
+pre = precompute_ic(model)  # reads A^H y from the model
 
 # the vectorized kernel reproduces the dense block-inversion projection
 lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 Lam = rng.uniform(0.5, 2.0, n)
 state = IcState(lam=lam, Lam=Lam)
 mu_vec, r_vec, e = ic_beliefs(pre, state)
-mu_0, r_0, xi, Xi = mproj_belief_oracle(model, y, state, n=0)
+mu_0, r_0, xi, Xi = mproj_belief_oracle(model, state, n=0)
 print("coordinate 0: vectorized mean %.6f%+.6fj vs oracle %.6f%+.6fj"
       % (mu_vec[0].real, mu_vec[0].imag, mu_0.real, mu_0.imag))
 print("belief support (nonzero entries of xi_0):", int(np.sum(np.abs(xi) > 1e-12)))

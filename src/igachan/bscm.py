@@ -110,8 +110,8 @@ class OfdmConfig:
         for name in ("N_c", "M_p", "M_g", "F_p"):
             if int(getattr(self, name)) < 1:
                 raise DomainError(f"{name} must be >= 1")
-        if float(self.delta_f_hz) <= 0:
-            raise DomainError("delta_f_hz must be positive")
+        if not 0 < float(self.delta_f_hz) < math.inf:  # nan fails too
+            raise DomainError(f"delta_f_hz must be finite and positive, got {self.delta_f_hz}")
         if self.N_f > self.N_p:
             raise DomainError("N_f must not exceed N_p (cyclic prefix too long)")
         if self.M_p > self.N_p:

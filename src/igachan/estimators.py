@@ -13,12 +13,13 @@ hollow (zero-diagonal) Gram matrix T and the diagonal matrix Upsilon,
            (sigma2^{-1} A^H y + T Upsilon sigma2^{-1} A^H y),
 
 which has the same mean as MMSE.  Both are desk-scale oracles: every
-iterative estimator in this package is validated against them.
+iterative estimator in this package is validated against them.  Each
+takes one :class:`MeasurementModel`, which carries y and forms A^H y once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -36,17 +37,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """The triple (A, D, sigma2) of the linear-Gaussian measurement model.
+    """One draw of the linear-Gaussian measurement model: (A, D, sigma2, y).
 
     ``A`` is either a dense (M, N) complex matrix or a matrix-free operator
     exposing ``shape``, ``matvec``, ``rmatvec``, ``gram_diag`` and ``gram``
-    (see :class:`igachan.bscm.BscmScenario`); the exact estimators read it
-    through :meth:`gram` and :meth:`rmatvec`.  ``d`` is the diagonal of D.
+    (see :class:`igachan.bscm.BscmScenario`).  ``d`` is the diagonal of D.
+    ``ahy`` = A^H y is formed once here, by one dense product or one operator
+    ``rmatvec``; every estimator reads it, and A^H A from :meth:`gram`.
     """
 
     A: object
     d: np.ndarray
     sigma2: float
+    y: np.ndarray
+    ahy: np.ndarray = field(init=False)
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=np.float64).reshape(-1)
@@ -65,9 +69,14 @@ class MeasurementModel:
             raise DomainError(
                 f"inconsistent dimensions: A is {A.shape}, d has length {d.size}"
             )
+        y = np.asarray(self.y, dtype=np.complex128).reshape(-1)
+        if y.size != m:
+            raise DomainError(f"y has length {y.size}, expected {m}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "sigma2", sigma2)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "ahy", A.conj().T @ y if self.is_dense else A.rmatvec(y))
 
     @property
     def m(self) -> int:
@@ -90,16 +99,6 @@ class MeasurementModel:
         """A^H A as a dense (N, N) matrix; an operator builds it in closed form."""
         return self.A.conj().T @ self.A if self.is_dense else self.A.gram()
 
-    def rmatvec(self, b) -> np.ndarray:
-        """A^H b."""
-        return self.A.conj().T @ b if self.is_dense else self.A.rmatvec(b)
-
-    def check_y(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=np.complex128).reshape(-1)
-        if y.size != self.m:
-            raise DomainError(f"y has length {y.size}, expected {self.m}")
-        return y
-
 
 @dataclass(frozen=True)
 class ModifiedForm:
@@ -107,13 +106,12 @@ class ModifiedForm:
 
     ``terms`` holds the four matrix summands of the modified system matrix
     (Gram, prior precision, T, T Upsilon T^H) so tests can probe them
-    individually; ``theta_mod`` is the modified right-hand side and is None
-    when the form was built without a received vector.
+    individually; ``theta_mod`` is the modified right-hand side.
     """
 
     T: np.ndarray
     Upsilon: np.ndarray
-    theta_mod: np.ndarray | None
+    theta_mod: np.ndarray
     terms: tuple
 
     @property
@@ -129,17 +127,16 @@ def _cond_estimate_1norm(B: np.ndarray) -> float:
         return float("inf")
 
 
-def mmse_estimate(model: MeasurementModel, y) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and covariance of h given y.
+def mmse_estimate(model: MeasurementModel) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and covariance of h given the model's y.
 
     Solves (sigma2^{-1} A^H A + D^{-1}) mu = sigma2^{-1} A^H y by Cholesky;
     the covariance is the inverse of the same matrix, obtained from the
     factorization rather than by explicit inversion and multiplication.
     """
-    y = model.check_y(y)
     s = 1.0 / model.sigma2
     B = s * model.gram() + np.diag(1.0 / model.d)
-    rhs = s * model.rmatvec(y)
+    rhs = s * model.ahy
     try:
         cf = scipy.linalg.cho_factor(B)
     except scipy.linalg.LinAlgError:
@@ -153,13 +150,12 @@ def mmse_estimate(model: MeasurementModel, y) -> tuple[np.ndarray, np.ndarray]:
     return mu, Sigma
 
 
-def build_modified_form(model: MeasurementModel, y=None) -> ModifiedForm:
-    """Assemble T, Upsilon and the four summands of the modified system.
+def build_modified_form(model: MeasurementModel) -> ModifiedForm:
+    """Assemble T, Upsilon, the modified system's summands and right-hand side.
 
-    T is the Gram matrix sigma2^{-1} A^H A with its diagonal removed, and
-    Upsilon_n = 1 / (sigma2^{-1} a_n^H a_n + 1/d_n).  When ``y`` is given the
-    modified right-hand side sigma2^{-1} A^H y + T Upsilon sigma2^{-1} A^H y
-    is included.
+    T is the Gram matrix sigma2^{-1} A^H A with its diagonal removed,
+    Upsilon_n = 1 / (sigma2^{-1} a_n^H a_n + 1/d_n), and the right-hand side
+    is sigma2^{-1} A^H y + T Upsilon sigma2^{-1} A^H y.
     """
     s = 1.0 / model.sigma2
     K = s * model.gram()
@@ -169,15 +165,12 @@ def build_modified_form(model: MeasurementModel, y=None) -> ModifiedForm:
     upsilon = 1.0 / (kdiag + 1.0 / model.d)
     TUT = (T * upsilon[None, :]) @ T.conj().T
     terms = (K, 1.0 / model.d, T, TUT)
-    theta_mod = None
-    if y is not None:
-        y = model.check_y(y)
-        theta = s * model.rmatvec(y)
-        theta_mod = theta + T @ (upsilon * theta)
-    return ModifiedForm(T=T, Upsilon=upsilon, theta_mod=theta_mod, terms=terms)
+    theta = s * model.ahy
+    return ModifiedForm(T=T, Upsilon=upsilon, theta_mod=theta + T @ (upsilon * theta),
+                        terms=terms)
 
 
-def modified_mmse_estimate(model: MeasurementModel, y) -> np.ndarray:
+def modified_mmse_estimate(model: MeasurementModel) -> np.ndarray:
     """Evaluate the modified estimator exactly as written.
 
     The system matrix is assembled from its four summands and the right-hand
@@ -186,7 +179,7 @@ def modified_mmse_estimate(model: MeasurementModel, y) -> np.ndarray:
     The solve attempts a Hermitian positive definite factorization first and
     falls back to a pivoted LU when the definiteness check fails.
     """
-    form = build_modified_form(model, y)
+    form = build_modified_form(model)
     B = form.system_matrix
     rhs = form.theta_mod
     try:

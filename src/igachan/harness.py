@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -102,25 +103,31 @@ def nmse(estimates, truths) -> float:
 
 @dataclass(frozen=True)
 class Trial:
-    """One generated scenario draw: what every estimator reads and the truths
-    it is scored against.  ``model.A`` is the trial's :class:`BscmScenario`."""
+    """One generated scenario draw: the model every estimator reads and the
+    truths it is scored against.  ``model.A`` is a :class:`BscmScenario`."""
 
     model: MeasurementModel
-    y: np.ndarray
     truths: list
 
     def score(self, mu) -> list:
         """Per-user ||Gbar_k - G_k||_F^2 / ||G_k||_F^2 of an estimate."""
         est = reconstruct_G(mu, self.model.A)
-        return [float(np.linalg.norm(gb - g) ** 2 / np.linalg.norm(g) ** 2)
-                for gb, g in zip(est, self.truths)]
+        return [nmse([gb], [g]) for gb, g in zip(est, self.truths)]
+
+
+def sigma2_of_snr(snr_db: float) -> float:
+    """Noise variance of an SNR in dB, SNR = 1 / sigma2; inf on overflow."""
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def build_trial(geometry, cfg: ScenarioConfig, seed: int, snr_db: float,
                 stream: tuple) -> Trial:
     """Draw powers, channels and noise for one trial from substream ``stream``."""
     array, ofdm, plan = geometry
-    sigma2 = 10.0 ** (-snr_db / 10.0)  # SNR = 1 / sigma2
+    sigma2 = sigma2_of_snr(snr_db)
     powers = gen_power_matrices(cfg, seed, stream=stream)
     extraction = extraction_from_powers(powers, array, ofdm, plan)
     d = build_prior(powers, extraction, array, ofdm, plan)
@@ -128,7 +135,7 @@ def build_trial(geometry, cfg: ScenarioConfig, seed: int, snr_db: float,
     channels = sample_channels(powers, seed, stream=stream)
     y = synthesize_rx(scn, channels, sigma2, seed, stream=stream)
     truths = [scn.beam_to_space_freq(ch.H) for ch in channels]
-    return Trial(MeasurementModel(scn, d, sigma2), y, truths)
+    return Trial(MeasurementModel(scn, d, sigma2, y), truths)
 
 
 # -- estimator registry: name -> fn(trial, alpha, t_max, tol) -> EstimateReport.
@@ -139,7 +146,7 @@ def _solved(trial: Trial, mu, algorithm: str, t_start: float) -> EstimateReport:
     """Report of a direct solve: no iterations, converged, and the relative
     normal-equation residual of its mean."""
     model = trial.model
-    theta = model.rmatvec(trial.y) / model.sigma2
+    theta = model.ahy / model.sigma2
     lhs = model.gram() @ mu / model.sigma2 + mu / model.d
     residual = float(np.linalg.norm(lhs - theta)) / (float(np.linalg.norm(theta)) or 1.0)
     return EstimateReport(mu=mu, variances=None, residual_trace=[residual], iterations=0,
@@ -149,26 +156,25 @@ def _solved(trial: Trial, mu, algorithm: str, t_start: float) -> EstimateReport:
 
 def _run_mmse(trial, alpha, t_max, tol):
     t0 = time.perf_counter()
-    mu, _ = mmse_estimate(trial.model, trial.y)
+    mu, _ = mmse_estimate(trial.model)
     return _solved(trial, mu, "mmse", t0)
 
 
 def _run_modified_mmse(trial, alpha, t_max, tol):
     t0 = time.perf_counter()
-    return _solved(trial, modified_mmse_estimate(trial.model, trial.y),
-                   "modified_mmse", t0)
+    return _solved(trial, modified_mmse_estimate(trial.model), "modified_mmse", t0)
 
 
 def _run_iga(trial, alpha, t_max, tol):
     # the rank-1 split needs the rows of A, so IGA alone assembles it
     model, scn = trial.model, trial.model.A
     A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
-    scheme = _iga.build_rank1_split(MeasurementModel(A, model.d, model.sigma2), trial.y)
+    scheme = _iga.build_rank1_split(MeasurementModel(A, model.d, model.sigma2, model.y))
     return _iga.run_iga(scheme, alpha=alpha, t_max=t_max, tol=tol)
 
 
 def _run_ic(kind, trial, alpha, t_max, tol):
-    pre = _ic.precompute_ic(trial.model, trial.y)
+    pre = _ic.precompute_ic(trial.model)
     return _ic.run_estimator(kind, pre, alpha=alpha, t_max=t_max, tol=tol)
 
 
@@ -198,8 +204,13 @@ class BenchmarkSpec:
 
     def __post_init__(self):
         snrs = tuple(float(s) for s in self.snr_list_db)
-        if not snrs or not all(math.isfinite(s) for s in snrs):
-            raise ConfigError(f"SNR list (--snr) must be non-empty and finite, got {snrs}")
+        # a normal float sigma2 is finite and positive with a finite 1 / sigma2;
+        # nan and +-inf fail too
+        if not snrs or not all(sys.float_info.min <= sigma2_of_snr(s) <= sys.float_info.max
+                               for s in snrs):
+            raise ConfigError("SNR list (--snr) must be non-empty, each giving a noise variance "
+                              "10^(-SNR/10) that is finite and positive with a finite "
+                              f"reciprocal, got {snrs}")
         object.__setattr__(self, "snr_list_db", snrs)
         algs = tuple(self.algorithms)
         if not algs:
@@ -312,7 +323,7 @@ def _tiny_scenario():
 def _rand_model(rng, m, n, sigma2=0.5):
     A = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
     d = rng.uniform(0.2, 3.0, n)
-    return MeasurementModel(A, d, sigma2)
+    return MeasurementModel(A, d, sigma2, _rand_y(rng, m))
 
 
 def _rand_y(rng, m):
@@ -378,9 +389,8 @@ def _check_modified_mmse():
         m = int(rng.integers(6, 48))
         n = int(rng.integers(4, min(m, 32) + 1))
         model = _rand_model(rng, m, n)
-        y = _rand_y(rng, m)
-        mu, _ = mmse_estimate(model, y)
-        hm = modified_mmse_estimate(model, y)
+        mu, _ = mmse_estimate(model)
+        hm = modified_mmse_estimate(model)
         worst = max(worst, float(np.linalg.norm(hm - mu) / np.linalg.norm(mu)))
     return worst <= 1e-10, f"max rel err {worst:.3e} (tol 1e-10)"
 
@@ -391,14 +401,13 @@ def _check_belief_oracle():
     for _ in range(5):
         n = 8
         model = _rand_model(rng, 12, n)
-        y = _rand_y(rng, 12)
-        pre = _ic.precompute_ic(model, y)
+        pre = _ic.precompute_ic(model)
         lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         Lam = rng.uniform(0.5, 2.0, n)
         state = _ic.IcState(lam=lam, Lam=Lam, t=0)
         mu_vec, r_vec, _ = _ic.ic_beliefs(pre, state)
         for j in range(n):
-            mu_j, r_j, xi, Xi = _ic.mproj_belief_oracle(model, y, state, j)
+            mu_j, r_j, xi, Xi = _ic.mproj_belief_oracle(model, state, j)
             scale = max(abs(mu_j), abs(r_j), 1.0)
             worst = max(worst, abs(mu_j - mu_vec[j]) / scale, abs(r_j - r_vec[j]) / scale)
             off_xi = np.delete(np.abs(xi), j).max() if n > 1 else 0.0
@@ -410,9 +419,8 @@ def _check_belief_oracle():
 def _check_ic_equilibria():
     rng = np.random.default_rng(106)
     model = _rand_model(rng, 96, 48)
-    y = _rand_y(rng, 96)
-    mu_m, _ = mmse_estimate(model, y)
-    pre = _ic.precompute_ic(model, y)
+    mu_m, _ = mmse_estimate(model)
+    pre = _ic.precompute_ic(model)
     msgs = []
     ok = True
     for kind in ("ic_iga", "ic_siga"):
@@ -433,17 +441,17 @@ def _check_iga_framework():
     from .gaussian import GaussianNatural, m_project_to_diag
 
     rng = np.random.default_rng(107)
-    cases = [("gaussian A", _rand_model(rng, 24, 12), _rand_y(rng, 24))]
+    cases = [("gaussian A", _rand_model(rng, 24, 12))]
     # unit-modulus entries, as in the beam-domain A: one shared precision row.
     # At sigma2 = 0.5 this A makes IGA's residual stall near 1e-6 and rise.
     phases = np.exp(2j * np.pi * rng.random((24, 12)))
-    cases.append(("unit-modulus A", MeasurementModel(phases, rng.uniform(0.2, 3.0, 12), 2.0),
-                  _rand_y(rng, 24)))
+    cases.append(("unit-modulus A", MeasurementModel(phases, rng.uniform(0.2, 3.0, 12), 2.0,
+                                                     _rand_y(rng, 24))))
     msgs = []
     ok = True
-    for label, model, y in cases:
-        mu_m, _ = mmse_estimate(model, y)
-        scheme = _iga.build_rank1_split(model, y)
+    for label, model in cases:
+        mu_m, _ = mmse_estimate(model)
+        scheme = _iga.build_rank1_split(model)
         rep = _iga.run_iga(scheme, alpha=0.05, t_max=5000, tol=1e-11)
         err = float(np.linalg.norm(rep.mu - mu_m) / np.linalg.norm(mu_m))
         # rank-1 fast projection against the dense gaussian-module path,
@@ -505,16 +513,15 @@ def _check_split_identities():
 
     rng = np.random.default_rng(109)
     model = _rand_model(rng, 10, 6)
-    y = _rand_y(rng, 10)
     s = 1.0 / model.sigma2
-    theta = s * (model.A.conj().T @ y)
+    theta = s * model.ahy
     K = s * (model.A.conj().T @ model.A)
     prec = K + np.diag(1.0 / model.d)
-    scheme = _iga.build_rank1_split(model, y)
+    scheme = _iga.build_rank1_split(model)
     e1 = np.abs(scheme.b.sum(0) - theta).max() / np.abs(theta).max()
     e2 = np.abs(scheme.precision() - prec).max() / np.abs(prec).max()
     # per-coefficient split of the modified system
-    form = build_modified_form(model, y)
+    form = build_modified_form(model)
     Bsum = np.zeros((model.n, model.n), dtype=complex)
     bsum = np.zeros(model.n, dtype=complex)
     for j in range(model.n):
@@ -524,8 +531,8 @@ def _check_split_identities():
         w = kbar / np.sqrt(c_j)
         w[j] = np.sqrt(c_j)
         Bsum += np.outer(w, w.conj())
-        bj = (s * np.vdot(model.A[:, j], y) / c_j) * kbar
-        bj[j] = s * np.vdot(model.A[:, j], y)
+        bj = (s * np.vdot(model.A[:, j], model.y) / c_j) * kbar
+        bj[j] = s * np.vdot(model.A[:, j], model.y)
         bsum += bj
     e3 = np.abs(Bsum - form.system_matrix).max() / np.abs(form.system_matrix).max()
     e4 = np.abs(bsum - form.theta_mod).max() / np.abs(form.theta_mod).max()

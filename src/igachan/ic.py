@@ -102,15 +102,13 @@ def initial_ic_state(n: int) -> IcState:
     return IcState(lam=np.zeros(n, dtype=np.complex128), Lam=np.ones(n, dtype=np.float64))
 
 
-def precompute_ic(model: MeasurementModel, y) -> IcPrecomp:
-    """Assemble the iteration-invariant products.
+def precompute_ic(model: MeasurementModel) -> IcPrecomp:
+    """Assemble the iteration-invariant products; A^H y is the model's.
 
     Size decides the mode: whenever N^2 <= ``DENSE_ENTRY_CAP`` it stores the
     model's A^H A and L (dense mode); above the cap it applies A^H A through
     a matrix-free operator's handles and skips L (operator mode).
     """
-    y = model.check_y(y)
-    ahy = model.rmatvec(y)
     if model.n ** 2 <= bscm.DENSE_ENTRY_CAP:
         aha = model.gram()
         aha_diag = np.real(np.diag(aha)).copy()
@@ -126,7 +124,7 @@ def precompute_ic(model: MeasurementModel, y) -> IcPrecomp:
     c = aha_diag / model.sigma2 + 1.0 / model.d
     if not np.all(c > 0):
         raise DomainError("c must be strictly positive (check A columns and d)")
-    return IcPrecomp(ahy=ahy, aha_diag=aha_diag, c=c, d=model.d,
+    return IcPrecomp(ahy=model.ahy, aha_diag=aha_diag, c=c, d=model.d,
                      sigma2=model.sigma2, gram=gram, L=L)
 
 
@@ -194,24 +192,23 @@ def _siga_update(pre: IcPrecomp, mu: np.ndarray, gram_mu: np.ndarray,
     return alpha * _mean_update(pre, mu, gram_mu) + (1 - alpha) * mu
 
 
-def mproj_belief_oracle(model: MeasurementModel, y, state: IcState, n: int):
+def mproj_belief_oracle(model: MeasurementModel, state: IcState, n: int):
     """Dense block-inversion oracle for coordinate ``n``'s belief.
 
     Builds the auxiliary Gaussian literally: its quadratic piece is the
     rank-1 PSD matrix with c_n at (n, n), the hollow Gram column k_n on row
     and column n, and k_n k_n^H / c_n elsewhere; its mean-parameter piece
-    carries sigma2^{-1} a_n^H y spread the same way.  The point is inverted
-    densely and m-projected through :mod:`igachan.gaussian`.  Returns
-    (mu_n, r_n, xi_n, Xi_n), where the belief vectors must vanish at every
-    coordinate except ``n``.
+    carries entry n of the model's sigma2^{-1} A^H y spread the same way.
+    The point is inverted densely and m-projected through
+    :mod:`igachan.gaussian`.  Returns (mu_n, r_n, xi_n, Xi_n), where the
+    belief vectors must vanish at every coordinate except ``n``.
     """
-    y = model.check_y(y)
     if not (0 <= n < model.n):
         raise DomainError(f"coordinate {n} out of range")
     s = 1.0 / model.sigma2
     K = s * model.gram()
     c_n = float(np.real(K[n, n])) + 1.0 / model.d[n]
-    ahy_n = s * model.rmatvec(y)[n]
+    ahy_n = s * model.ahy[n]
     kbar = K[:, n].copy()
     kbar[n] = 0.0
     w = kbar / np.sqrt(c_n)

@@ -132,8 +132,8 @@ class AuxiliaryState:
         return float(max(r1, r2))
 
 
-def build_rank1_split(model: MeasurementModel, y) -> SplitScheme:
-    """Per-observation rank-1 split: one piece per received sample.
+def build_rank1_split(model: MeasurementModel) -> SplitScheme:
+    """Per-observation rank-1 split: one piece per sample of the model's y.
 
     With a_q the q-th column of A^H, the pieces are
     b_q = sigma2^{-1} a_q y_q and C_q = sigma2^{-1} a_q a_q^H, with
@@ -141,10 +141,9 @@ def build_rank1_split(model: MeasurementModel, y) -> SplitScheme:
     construction.  C_q is kept in factored form g_q = a_q / sigma_z.
     """
     A = model._require_dense("build_rank1_split")
-    y = model.check_y(y)
     s = 1.0 / model.sigma2
     rows_conj = A.conj()  # row q of this is a_q^T
-    b = s * rows_conj * y[:, None]
+    b = s * rows_conj * model.y[:, None]
     factors = rows_conj / np.sqrt(model.sigma2)
     return SplitScheme(b=b, lambda_c=1.0 / model.d, factors=factors)
 

@@ -14,10 +14,10 @@ from igachan.estimators import MeasurementModel
 
 
 def random_model(rng, m, n, sigma2=0.5, d_range=(0.2, 3.0)):
-    """Random dense measurement model with O(1) column norms."""
+    """Random dense measurement model with O(1) column norms; y is drawn last."""
     A = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2 * m)
     d = rng.uniform(*d_range, n)
-    return MeasurementModel(A, d, sigma2)
+    return MeasurementModel(A, d, sigma2, random_y(rng, m))
 
 
 def random_y(rng, m):

@@ -39,13 +39,13 @@ def _conditioned_model(rng, m, n, cond_gram):
     v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     s = np.logspace(0, -0.5 * np.log10(cond_gram), n)
     return MeasurementModel((u * s) @ v.conj().T, rng.uniform(0.2, 3.0, n),
-                            float(rng.uniform(0.1, 1.5)))
+                            float(rng.uniform(0.1, 1.5)), random_y(rng, m))
 
 
 def _well_conditioned_model(rng, n):
     m = 2 * n
     A = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2 * m)
-    return MeasurementModel(A, rng.uniform(0.2, 3.0, n), 0.5)
+    return MeasurementModel(A, rng.uniform(0.2, 3.0, n), 0.5, random_y(rng, m))
 
 
 def test_criterion_1_modified_mmse_equivalence():
@@ -58,9 +58,8 @@ def test_criterion_1_modified_mmse_equivalence():
         n = int(rng.integers(1, m + 1))
         cond = 10.0 ** rng.uniform(0, 6)
         model = _conditioned_model(rng, m, n, cond)
-        y = random_y(rng, m)
-        mu, _ = mmse_estimate(model, y)
-        h = modified_mmse_estimate(model, y)
+        mu, _ = mmse_estimate(model)
+        h = modified_mmse_estimate(model)
         worst = max(worst, float(np.linalg.norm(h - mu) / np.linalg.norm(mu)))
     _report("criterion-1 modified-mmse-equivalence", worst <= 1e-10,
             f"worst rel diff {worst:.3e} (tol 1e-10, 50 instances)",
@@ -76,15 +75,14 @@ def test_criterion_2_belief_oracle():
         n = int(rng.integers(4, 33))
         m = int(rng.integers(n, 2 * n + 1))
         A = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2 * m)
-        model = MeasurementModel(A, rng.uniform(0.2, 3.0, n), 0.5)
-        y = random_y(rng, m)
-        pre = ic.precompute_ic(model, y)
+        model = MeasurementModel(A, rng.uniform(0.2, 3.0, n), 0.5, random_y(rng, m))
+        pre = ic.precompute_ic(model)
         lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         Lam = rng.uniform(0.3, 3.0, n)
         state = ic.IcState(lam=lam, Lam=Lam, t=0)
         mu_vec, r_vec, _ = ic.ic_beliefs(pre, state)
         for j in range(n):
-            mu_j, r_j, xi, Xi = ic.mproj_belief_oracle(model, y, state, j)
+            mu_j, r_j, xi, Xi = ic.mproj_belief_oracle(model, state, j)
             scale = max(abs(mu_j), r_j, 1.0)
             worst = max(worst,
                         abs(mu_j - mu_vec[j]) / scale,
@@ -103,9 +101,8 @@ def test_criterion_3_ic_equilibria():
     worst_err = worst_res = 0.0
     for n in (32, 64, 128):
         model = _well_conditioned_model(rng, n)
-        y = random_y(rng, 2 * n)
-        mu_mmse, _ = mmse_estimate(model, y)
-        pre = ic.precompute_ic(model, y)
+        mu_mmse, _ = mmse_estimate(model)
+        pre = ic.precompute_ic(model)
         for kind, alpha in (("ic_iga", 0.45), ("ic_siga", 0.25)):
             rep = ic.run_estimator(kind, pre, alpha=alpha, t_max=2000, tol=1e-12)
             err = float(np.linalg.norm(rep.mu - mu_mmse) / np.linalg.norm(mu_mmse))
@@ -126,9 +123,8 @@ def test_criterion_4_framework_iga():
     worst_err = worst_econd = 0.0
     for n in (16, 64):
         model = _well_conditioned_model(rng, n)
-        y = random_y(rng, 2 * n)
-        mu_mmse, _ = mmse_estimate(model, y)
-        scheme = iga.build_rank1_split(model, y)
+        mu_mmse, _ = mmse_estimate(model)
+        scheme = iga.build_rank1_split(model)
         state = iga.initial_state(scheme)
         mu = state.lam0 / (state.Lam0 + scheme.lambda_c)
         for _ in range(20000):
@@ -209,10 +205,10 @@ def test_criterion_7_orthogonal_pilot_decoupling():
     A = assemble_dense_A(array, ofdm, plan, scn.extraction)
     gram = A.conj().T @ A
     assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-10
-    model = MeasurementModel(A, rng.uniform(0.3, 2.0, A.shape[1]), 0.5)
-    y = random_y(rng, A.shape[0])
-    mu_mmse, _ = mmse_estimate(model, y)
-    pre = ic.precompute_ic(model, y)
+    model = MeasurementModel(A, rng.uniform(0.3, 2.0, A.shape[1]), 0.5,
+                             random_y(rng, A.shape[0]))
+    mu_mmse, _ = mmse_estimate(model)
+    pre = ic.precompute_ic(model)
     state0 = ic.initial_ic_state(A.shape[1])
     assert np.linalg.norm(state0.mu - mu_mmse) > 1e-3  # not there yet
     state1 = ic.ic_iga_step(pre, state0, alpha=1.0)
@@ -269,9 +265,8 @@ def _fast_step_timer(f_z, rng):
     ofdm = OfdmConfig(N_c=2048, delta_f_hz=30e3, M_p=32, M_g=144, F_p=2)
     plan = PilotPlan(K=1, P=1, M_p=32, N_p=ofdm.N_p, N_f=ofdm.N_f)
     scn = BscmScenario(array, ofdm, plan, full_extraction(array, ofdm, plan))
-    model = MeasurementModel(scn, np.ones(scn.shape[1]), 1.0)
-    y = random_y(rng, scn.shape[0])
-    pre = ic.precompute_ic(model, y)
+    pre = ic.precompute_ic(MeasurementModel(scn, np.ones(scn.shape[1]), 1.0,
+                                            random_y(rng, scn.shape[0])))
     mu = random_y(rng, scn.shape[1])
     return lambda: ic.ic_siga_step(pre, mu, 0.25), scn.shape[1]
 

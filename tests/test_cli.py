@@ -74,7 +74,10 @@ def test_estimate_negative_max_iter_exits_2(tiny_config, capsys, alg):
     ["benchmark", "--snr", "0", "--alpha", "0"],
     ["benchmark", "--snr", "0", "--alpha", "1.5"],
     ["benchmark", "--snr", "0", "--tol", "nan"],
+    ["benchmark", "--snr=-4000"],
     ["estimate", "--snr", "inf", "--alg", "mmse"],
+    ["estimate", "--snr=4000", "--alg", "mmse"],
+    ["estimate", "--snr=3200", "--alg", "mmse"],
     ["estimate", "--snr", "0", "--alg", "mmse", "--alpha", "0"],
     ["estimate", "--snr", "0", "--alg", "ic_iga", "--alpha", "0"],
     ["estimate", "--snr", "0", "--alg", "ic_siga", "--alpha", "1.5"],
@@ -86,6 +89,16 @@ def test_bad_numeric_flags_exit_2(tiny_config, tmp_path, capsys, argv):
     assert main(argv + ["--config", str(tiny_config)] + out) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_delta_f_exits_2(tmp_path, capsys, value):
+    path = tmp_path / "bad.txt"
+    path.write_text(TINY.replace("delta_f_hz = 30000", f"delta_f_hz = {value}"),
+                    encoding="utf-8")
+    assert main(["estimate", "--config", str(path), "--alg", "mmse"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "delta_f_hz" in err[0]
 
 
 def test_benchmark_deterministic_bytes(tiny_config, tmp_path):

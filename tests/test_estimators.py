@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,52 +17,51 @@ from conftest import random_model, random_y
 
 class TestMmse:
     def test_identity_model(self):
-        model = MeasurementModel(np.eye(2, dtype=complex), np.ones(2), 1.0)
-        mu, Sigma = mmse_estimate(model, np.array([2.0, 4.0]))
+        model = MeasurementModel(np.eye(2, dtype=complex), np.ones(2), 1.0, np.array([2.0, 4.0]))
+        mu, Sigma = mmse_estimate(model)
         assert np.allclose(mu, [1.0, 2.0], atol=1e-14)
         assert np.allclose(Sigma, 0.5 * np.eye(2), atol=1e-14)
 
     def test_scalar(self):
-        model = MeasurementModel(np.array([[1.0]]), np.array([2.0]), 1.0)
-        mu, _ = mmse_estimate(model, np.array([3.0]))
+        model = MeasurementModel(np.array([[1.0]]), np.array([2.0]), 1.0, np.array([3.0]))
+        mu, _ = mmse_estimate(model)
         assert abs(mu[0] - 2.0) < 1e-14
 
     def test_normal_equation_residual(self, rng):
         model = random_model(rng, 12, 8)
-        y = random_y(rng, 12)
-        mu, _ = mmse_estimate(model, y)
+        mu, _ = mmse_estimate(model)
         s = 1.0 / model.sigma2
         B = s * (model.A.conj().T @ model.A) + np.diag(1.0 / model.d)
-        rhs = s * (model.A.conj().T @ y)
+        rhs = s * (model.A.conj().T @ model.y)
         assert np.linalg.norm(B @ mu - rhs) / np.linalg.norm(rhs) <= 1e-12
 
     def test_posterior_never_exceeds_prior_variance(self, rng):
         model = random_model(rng, 16, 10)
-        _, Sigma = mmse_estimate(model, random_y(rng, 16))
+        _, Sigma = mmse_estimate(model)
         assert np.abs(Sigma - Sigma.conj().T).max() <= 1e-14
         assert np.all(np.linalg.eigvalsh(Sigma) > 0)
         assert np.all(np.real(np.diag(Sigma)) <= model.d + 1e-12)
 
     def test_scale_covariance(self, rng):
         model = random_model(rng, 10, 6)
-        y = random_y(rng, 10)
         alpha = 0.7 - 1.3j
-        mu1, _ = mmse_estimate(model, y)
-        mu2, _ = mmse_estimate(model, alpha * y)
+        mu1, _ = mmse_estimate(model)
+        mu2, _ = mmse_estimate(dataclasses.replace(model, y=alpha * model.y))
         assert np.abs(mu2 - alpha * mu1).max() <= 1e-13 * np.abs(mu1).max()
 
     def test_dimension_mismatch(self, rng):
         model = random_model(rng, 10, 6)
+        # a wrong-length y is refused when the model is built
         with pytest.raises(DomainError):
-            mmse_estimate(model, np.zeros(7))
+            dataclasses.replace(model, y=np.zeros(7))
 
     def test_model_validation(self):
         with pytest.raises(DomainError):
-            MeasurementModel(np.eye(2), np.array([1.0, -1.0]), 1.0)
+            MeasurementModel(np.eye(2), np.array([1.0, -1.0]), 1.0, np.zeros(2))
         with pytest.raises(DomainError):
-            MeasurementModel(np.eye(2), np.ones(2), 0.0)
+            MeasurementModel(np.eye(2), np.ones(2), 0.0, np.zeros(2))
         with pytest.raises(DomainError):
-            MeasurementModel(np.eye(2), np.ones(3), 1.0)
+            MeasurementModel(np.eye(2), np.ones(3), 1.0, np.zeros(2))
 
     def test_exact_estimators_match_on_scenario_model(self, tiny_scenario, rng):
         # the scenario model supplies the closed-form Gram matrix and FFT A^H y;
@@ -69,15 +70,16 @@ class TestMmse:
         A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
         d = rng.uniform(0.5, 2.0, A.shape[1])
         y = random_y(rng, A.shape[0])
-        dense, op = MeasurementModel(A, d, 0.7), MeasurementModel(scn, d, 0.7)
+        dense, op = MeasurementModel(A, d, 0.7, y), MeasurementModel(scn, d, 0.7, y)
 
         def rel(a, b):
             return np.abs(a - b).max() / np.abs(b).max()
 
-        mu_d, Sigma_d = mmse_estimate(dense, y)
-        mu_o, Sigma_o = mmse_estimate(op, y)
+        assert rel(op.ahy, dense.ahy) <= 1e-12
+        mu_d, Sigma_d = mmse_estimate(dense)
+        mu_o, Sigma_o = mmse_estimate(op)
         assert rel(mu_o, mu_d) <= 1e-12 and rel(Sigma_o, Sigma_d) <= 1e-12
-        form_d, form_o = build_modified_form(dense, y), build_modified_form(op, y)
+        form_d, form_o = build_modified_form(dense), build_modified_form(op)
         assert rel(form_o.T, form_d.T) <= 1e-12
         assert rel(form_o.Upsilon, form_d.Upsilon) <= 1e-12
         assert rel(form_o.theta_mod, form_d.theta_mod) <= 1e-12
@@ -89,7 +91,7 @@ class TestModifiedForm:
     def test_orthogonal_columns_give_zero_T(self, rng):
         q_mat, _ = np.linalg.qr(rng.standard_normal((12, 6))
                                 + 1j * rng.standard_normal((12, 6)))
-        model = MeasurementModel(q_mat, np.ones(6), 1.0)
+        model = MeasurementModel(q_mat, np.ones(6), 1.0, np.zeros(12))
         form = build_modified_form(model)
         assert np.abs(form.T).max() <= 1e-14
         # modified system collapses to the plain normal-equation matrix
@@ -98,7 +100,7 @@ class TestModifiedForm:
         assert np.abs(B - plain).max() <= 1e-13
 
     def test_scalar_has_no_off_diagonal(self):
-        model = MeasurementModel(np.array([[2.0]]), np.array([1.0]), 1.0)
+        model = MeasurementModel(np.array([[2.0]]), np.array([1.0]), 1.0, np.ones(1))
         form = build_modified_form(model)
         assert form.T.shape == (1, 1) and form.T[0, 0] == 0
 
@@ -115,24 +117,23 @@ class TestModifiedForm:
             assert abs(form.Upsilon[i] - ups) <= 1e-14 * ups
 
     def test_theta_mod_requires_y(self, rng):
+        # the modified right-hand side is always built, from the model's y
         model = random_model(rng, 6, 4)
-        assert build_modified_form(model).theta_mod is None
-        y = random_y(rng, 6)
-        form = build_modified_form(model, y)
-        theta = (model.A.conj().T @ y) / model.sigma2
+        form = build_modified_form(model)
+        theta = (model.A.conj().T @ model.y) / model.sigma2
         expect = theta + form.T @ (form.Upsilon * theta)
         assert np.abs(form.theta_mod - expect).max() <= 1e-13
 
 
 class TestModifiedEquivalence:
     def test_identity_matches_mmse(self):
-        model = MeasurementModel(np.eye(2, dtype=complex), np.ones(2), 1.0)
-        h = modified_mmse_estimate(model, np.array([2.0, 4.0]))
+        model = MeasurementModel(np.eye(2, dtype=complex), np.ones(2), 1.0, np.array([2.0, 4.0]))
+        h = modified_mmse_estimate(model)
         assert np.allclose(h, [1.0, 2.0], atol=1e-13)
 
     def test_scalar(self):
-        model = MeasurementModel(np.array([[1.0]]), np.array([2.0]), 1.0)
-        assert abs(modified_mmse_estimate(model, np.array([3.0]))[0] - 2.0) < 1e-13
+        model = MeasurementModel(np.array([[1.0]]), np.array([2.0]), 1.0, np.array([3.0]))
+        assert abs(modified_mmse_estimate(model)[0] - 2.0) < 1e-13
 
     def test_equivalence_on_random_instances(self, rng):
         # the rewrite must reproduce the plain posterior mean
@@ -141,8 +142,7 @@ class TestModifiedEquivalence:
             m = int(rng.integers(2, 65))
             n = int(rng.integers(1, m + 1))
             model = random_model(rng, m, n, sigma2=float(rng.uniform(0.05, 2.0)))
-            y = random_y(rng, m)
-            mu, _ = mmse_estimate(model, y)
-            h = modified_mmse_estimate(model, y)
+            mu, _ = mmse_estimate(model)
+            h = modified_mmse_estimate(model)
             worst = max(worst, np.linalg.norm(h - mu) / np.linalg.norm(mu))
         assert worst <= 1e-10

@@ -3,11 +3,13 @@ import os
 import numpy as np
 import pytest
 
-from igachan.bscm import ScenarioConfig, build_steering
+from igachan.bscm import BscmScenario, ScenarioConfig, build_steering, geometry_from_config
 from igachan.errors import ConfigError, DomainError
 from igachan.harness import (
+    ALGORITHMS,
     CSV_HEADER,
     BenchmarkSpec,
+    _run_trial,
     benchmark_csv_text,
     nmse,
     reconstruct_G,
@@ -168,6 +170,48 @@ class TestBenchmark:
         assert by_alg["ic_siga"]["converged_fraction"] == 0.0
         assert by_alg["ic_siga"]["nmse"] == pytest.approx(1.0)
         assert by_alg["mmse"]["converged_fraction"] == 1.0
+
+
+# run_benchmark rows of the small_spec scenario, all five algorithms at the
+# default t_max and tol: (snr_db, algorithm, nmse, mean_iterations,
+# converged_fraction).  A refactor must leave them as they are; change them
+# only with a deliberate change of the numerics, and say so.
+GOLDEN_ROWS = [
+    (0.0, "mmse", 0.29621019082170896, 0.0, 1.0),
+    (0.0, "modified_mmse", 0.29621019082170724, 0.0, 1.0),
+    (0.0, "iga", 0.28322708274319475, 100.0, 0.0),
+    (0.0, "ic_iga", 0.29614985972605834, 100.0, 0.0),
+    (0.0, "ic_siga", 0.2956643081300802, 100.0, 0.0),
+    (10.0, "mmse", 0.023215946318230075, 0.0, 1.0),
+    (10.0, "modified_mmse", 0.023215946318233018, 0.0, 1.0),
+    (10.0, "iga", 0.029127925632043188, 100.0, 0.0),
+    (10.0, "ic_iga", 0.024852238190053638, 100.0, 0.0),
+    (10.0, "ic_siga", 0.026138255080832312, 100.0, 0.0),
+]
+
+
+def test_golden_rows(small_spec):
+    spec = BenchmarkSpec(snr_list_db=(0.0, 10.0), algorithms=ALGORITHMS, n_sam=2,
+                         scenario=small_spec.scenario, seed=77)
+    rows = run_benchmark(spec)
+    assert [(r["snr_db"], r["algorithm"]) for r in rows] == [g[:2] for g in GOLDEN_ROWS]
+    for r, (_, _, nmse_ref, iters, conv) in zip(rows, GOLDEN_ROWS):
+        assert r["nmse"] == pytest.approx(nmse_ref, rel=1e-9, abs=0.0)
+        assert r["mean_iterations"] == iters
+        assert r["converged_fraction"] == conv
+
+
+def test_one_rmatvec_per_default_trial(monkeypatch):
+    # every estimator reads A^H y from the trial's model, which forms it once
+    calls = []
+    rmatvec = BscmScenario.rmatvec
+    monkeypatch.setattr(BscmScenario, "rmatvec",
+                        lambda self, b: calls.append(1) or rmatvec(self, b))
+    spec = BenchmarkSpec(snr_list_db=(10.0,), algorithms=("mmse", "ic_iga", "ic_siga"),
+                         n_sam=1, scenario=ScenarioConfig(), seed=0)
+    results = _run_trial(spec, geometry_from_config(spec.scenario), 0, 0)
+    assert set(results) == {"mmse", "ic_iga", "ic_siga"}
+    assert len(calls) == 1
 
 
 class TestValidateSuite:

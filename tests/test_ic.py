@@ -29,20 +29,20 @@ def random_state(rng, n):
 
 class TestPrecompute:
     def test_identity(self):
-        model = MeasurementModel(np.eye(3, dtype=complex), np.ones(3), 1.0)
-        pre = precompute_ic(model, np.zeros(3))
+        model = MeasurementModel(np.eye(3, dtype=complex), np.ones(3), 1.0, np.zeros(3))
+        pre = precompute_ic(model)
         assert np.allclose(pre.c, 2.0)
         assert np.allclose(pre.L, np.eye(3))
 
     def test_scalar(self):
-        model = MeasurementModel(np.array([[2.0]]), np.array([1.0]), 1.0)
-        pre = precompute_ic(model, np.array([1.0]))
+        model = MeasurementModel(np.array([[2.0]]), np.array([1.0]), 1.0, np.array([1.0]))
+        pre = precompute_ic(model)
         assert pre.aha_diag[0] == 4.0
         assert pre.c[0] == 5.0
 
     def test_squared_gram_oracle(self, rng):
         model = random_model(rng, 12, 8)
-        pre = precompute_ic(model, random_y(rng, 12))
+        pre = precompute_ic(model)
         aha = model.A.conj().T @ model.A
         for i in range(8):
             for j in range(8):
@@ -52,25 +52,25 @@ class TestPrecompute:
     def test_scenario_model_stores_L_below_cap(self, tiny_scenario, rng, monkeypatch):
         scn = tiny_scenario
         d = rng.uniform(0.5, 2.0, scn.shape[1])
-        model = MeasurementModel(scn, d, 1.0)
         y = random_y(rng, scn.shape[0])
-        pre = precompute_ic(model, y)
+        model = MeasurementModel(scn, d, 1.0, y)
+        pre = precompute_ic(model)
         A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
         L = np.abs(A.conj().T @ A) ** 2
         assert pre.mode == "dense"
         assert np.abs(pre.L - L).max() <= 1e-12 * L.max()
         # above the cap only the FFT operators run, and L is not stored
         monkeypatch.setattr(bscm, "DENSE_ENTRY_CAP", scn.shape[1] ** 2 - 1)
-        pre = precompute_ic(model, y)
+        pre = precompute_ic(model)
         assert pre.L is None and pre.mode == "operator"
         with pytest.raises(DomainError, match="DENSE_ENTRY_CAP"):
-            precompute_ic(MeasurementModel(A, d, 1.0), y)
+            precompute_ic(MeasurementModel(A, d, 1.0, y))
 
 
 class TestIcIgaStep:
     def test_diagonal_gram_first_step(self):
-        model = MeasurementModel(np.eye(2, dtype=complex), np.ones(2), 1.0)
-        pre = precompute_ic(model, np.array([2.0, 4.0]))
+        model = MeasurementModel(np.eye(2, dtype=complex), np.ones(2), 1.0, np.array([2.0, 4.0]))
+        pre = precompute_ic(model)
         state = initial_ic_state(2)
         mu_new, r, e = ic_beliefs(pre, state)
         assert np.abs(e).max() == 0
@@ -80,10 +80,9 @@ class TestIcIgaStep:
     def test_orthogonal_columns_fixed_point_after_one_step(self, rng):
         q_mat, _ = np.linalg.qr(rng.standard_normal((24, 12))
                                 + 1j * rng.standard_normal((24, 12)))
-        model = MeasurementModel(q_mat, rng.uniform(0.5, 2.0, 12), 0.7)
-        y = random_y(rng, 24)
-        mu_mmse, _ = mmse_estimate(model, y)
-        pre = precompute_ic(model, y)
+        model = MeasurementModel(q_mat, rng.uniform(0.5, 2.0, 12), 0.7, random_y(rng, 24))
+        mu_mmse, _ = mmse_estimate(model)
+        pre = precompute_ic(model)
         s1 = ic_iga_step(pre, initial_ic_state(12), alpha=1.0)
         assert np.abs(s1.mu - mu_mmse).max() <= 1e-12 * np.abs(mu_mmse).max()
         s2 = ic_iga_step(pre, s1, alpha=1.0)
@@ -92,24 +91,22 @@ class TestIcIgaStep:
 
     def test_matches_dense_oracle(self, rng):
         model = random_model(rng, 12, 8)
-        y = random_y(rng, 12)
-        pre = precompute_ic(model, y)
+        pre = precompute_ic(model)
         state = random_state(rng, 8)
         mu_vec, r_vec, e = ic_beliefs(pre, state)
         assert np.all(e >= 0)
         assert np.all(r_vec > 0) and np.all(r_vec <= pre.c + 1e-12)
         for n in range(8):
-            mu_n, r_n, xi, Xi = mproj_belief_oracle(model, y, state, n)
+            mu_n, r_n, xi, Xi = mproj_belief_oracle(model, state, n)
             assert abs(mu_n - mu_vec[n]) <= 1e-10 * max(1.0, abs(mu_n))
             assert abs(r_n - r_vec[n]) <= 1e-10 * r_n
 
     def test_belief_support_structure(self, rng):
         # the n-th auxiliary point contributes only to coordinate n
         model = random_model(rng, 10, 6)
-        y = random_y(rng, 10)
         state = random_state(rng, 6)
         for n in (0, 3, 5):
-            _, _, xi, Xi = mproj_belief_oracle(model, y, state, n)
+            _, _, xi, Xi = mproj_belief_oracle(model, state, n)
             assert np.abs(np.delete(xi, n)).max() <= 1e-12
             assert np.abs(np.delete(Xi, n)).max() <= 1e-12
 
@@ -117,14 +114,13 @@ class TestIcIgaStep:
         # no interference: mu_n = c_n^{-1} a_n^H y / sigma2 and r_n = c_n
         q_mat, _ = np.linalg.qr(rng.standard_normal((16, 8))
                                 + 1j * rng.standard_normal((16, 8)))
-        model = MeasurementModel(q_mat, rng.uniform(0.5, 2.0, 8), 0.6)
-        y = random_y(rng, 16)
+        model = MeasurementModel(q_mat, rng.uniform(0.5, 2.0, 8), 0.6, random_y(rng, 16))
         state = random_state(rng, 8)
         s = 1.0 / model.sigma2
         for n in (0, 4, 7):
-            mu_n, r_n, _, _ = mproj_belief_oracle(model, y, state, n)
+            mu_n, r_n, _, _ = mproj_belief_oracle(model, state, n)
             c_n = s * np.real(np.vdot(model.A[:, n], model.A[:, n])) + 1 / model.d[n]
-            expect_mu = s * np.vdot(model.A[:, n], y) / c_n
+            expect_mu = s * np.vdot(model.A[:, n], model.y) / c_n
             assert abs(mu_n - expect_mu) <= 1e-12 * abs(expect_mu)
             assert abs(r_n - c_n) <= 1e-12 * c_n
 
@@ -133,10 +129,8 @@ class TestIcIgaStep:
         A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
         d = rng.uniform(0.5, 2.0, A.shape[1])
         y = random_y(rng, A.shape[0])
-        model_dense = MeasurementModel(A, d, 0.8)
-        model_op = MeasurementModel(scn, d, 0.8)
-        pre_d = precompute_ic(model_dense, y)
-        pre_o = precompute_ic(model_op, y)
+        pre_d = precompute_ic(MeasurementModel(A, d, 0.8, y))
+        pre_o = precompute_ic(MeasurementModel(scn, d, 0.8, y))
         state = random_state(rng, A.shape[1])
         s_d = ic_iga_step(pre_d, state, alpha=0.6)
         s_o = ic_iga_step(pre_o, state, alpha=0.6)
@@ -159,8 +153,8 @@ class TestIcIgaStep:
 
 class TestIcSigaStep:
     def test_identity_fixed_point(self):
-        model = MeasurementModel(np.eye(2, dtype=complex), np.ones(2), 1.0)
-        pre = precompute_ic(model, np.array([2.0, 4.0]))
+        model = MeasurementModel(np.eye(2, dtype=complex), np.ones(2), 1.0, np.array([2.0, 4.0]))
+        pre = precompute_ic(model)
         mu1 = ic_siga_step(pre, np.zeros(2, dtype=complex), alpha=1.0)
         assert np.allclose(mu1, [1.0, 2.0])
         mu2 = ic_siga_step(pre, mu1, alpha=1.0)
@@ -168,23 +162,21 @@ class TestIcSigaStep:
 
     def test_mmse_mean_is_fixed_point(self, rng):
         model = random_model(rng, 20, 10)
-        y = random_y(rng, 20)
-        mu_mmse, _ = mmse_estimate(model, y)
-        pre = precompute_ic(model, y)
+        mu_mmse, _ = mmse_estimate(model)
+        pre = precompute_ic(model)
         stepped = ic_siga_step(pre, mu_mmse, alpha=1.0)
         assert np.linalg.norm(stepped - mu_mmse) / np.linalg.norm(mu_mmse) <= 1e-10
 
     def test_equals_damped_jacobi(self, rng):
         # independent Jacobi-splitting computation of the same update
         model = random_model(rng, 14, 9)
-        y = random_y(rng, 14)
-        pre = precompute_ic(model, y)
+        pre = precompute_ic(model)
         mu_t = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         alpha = 0.3
         got = ic_siga_step(pre, mu_t, alpha)
         s = 1.0 / model.sigma2
         B = s * (model.A.conj().T @ model.A) + np.diag(1.0 / model.d)
-        rhs = s * (model.A.conj().T @ y)
+        rhs = s * (model.A.conj().T @ model.y)
         Dc = np.real(np.diag(B))
         jacobi = (rhs - (B - np.diag(Dc)) @ mu_t) / Dc
         expect = alpha * jacobi + (1 - alpha) * mu_t
@@ -193,8 +185,7 @@ class TestIcSigaStep:
 
 class TestRunEstimator:
     def test_t_max_zero(self, rng):
-        model = random_model(rng, 8, 5)
-        pre = precompute_ic(model, random_y(rng, 8))
+        pre = precompute_ic(random_model(rng, 8, 5))
         rep = run_estimator("ic_iga", pre, t_max=0)
         assert rep.iterations == 0 and not rep.converged
         assert np.all(rep.mu == 0)
@@ -215,20 +206,18 @@ class TestRunEstimator:
         scn = BscmScenario(array, ofdm, plan, full_extraction(array, ofdm, plan))
         A = assemble_dense_A(array, ofdm, plan, scn.extraction)
         d = rng.uniform(0.5, 2.0, A.shape[1])
-        y = random_y(rng, A.shape[0])
-        model = MeasurementModel(A, d, 1.0)
-        pre = precompute_ic(model, y)
+        model = MeasurementModel(A, d, 1.0, random_y(rng, A.shape[0]))
+        pre = precompute_ic(model)
         rep = run_estimator("ic_iga", pre, alpha=0.45, t_max=40, tol=1e-14)
         assert rep.residual_trace[35] <= 1e-8
-        mu_mmse, _ = mmse_estimate(model, y)
+        mu_mmse, _ = mmse_estimate(model)
         assert np.linalg.norm(rep.mu - mu_mmse) / np.linalg.norm(mu_mmse) <= 1e-8
 
     @pytest.mark.parametrize("kind,alpha", [("ic_iga", 0.45), ("ic_siga", 0.25)])
     def test_reaches_mmse_on_random_instances(self, rng, kind, alpha):
         model = random_model(rng, 32, 16)
-        y = random_y(rng, 32)
-        mu_mmse, _ = mmse_estimate(model, y)
-        pre = precompute_ic(model, y)
+        mu_mmse, _ = mmse_estimate(model)
+        pre = precompute_ic(model)
         rep = run_estimator(kind, pre, alpha=alpha, t_max=2000, tol=1e-10)
         assert rep.converged
         assert np.linalg.norm(rep.mu - mu_mmse) / np.linalg.norm(mu_mmse) <= 1e-6
@@ -240,9 +229,7 @@ class TestRunEstimator:
 
     def test_equilibrium_is_damping_invariant(self, rng):
         # a fixed point for one damping stays fixed for any other
-        model = random_model(rng, 24, 12)
-        y = random_y(rng, 24)
-        pre = precompute_ic(model, y)
+        pre = precompute_ic(random_model(rng, 24, 12))
         rep = run_estimator("ic_iga", pre, alpha=0.45, t_max=5000, tol=1e-13)
         state = IcState(lam=rep.mu * (1.0 / rep.variances), Lam=1.0 / rep.variances)
         for alpha in (1.0, 0.2):
@@ -263,19 +250,19 @@ class TestRunEstimator:
         extraction = extraction_from_powers(powers, array, ofdm, plan)
         d = build_prior(powers, extraction, array, ofdm, plan)
         scn = BscmScenario(array, ofdm, plan, extraction)
-        model = MeasurementModel(scn, d, 1.0)
         y = random_y(rng, scn.shape[0])
-        rep = run_estimator("ic_iga", precompute_ic(model, y), t_max=1000, tol=1e-10)
+        model = MeasurementModel(scn, d, 1.0, y)
+        rep = run_estimator("ic_iga", precompute_ic(model), t_max=1000, tol=1e-10)
         assert rep.residual_trace[-1] <= 1e-8
         A = assemble_dense_A(array, ofdm, plan, extraction)
-        ref = run_estimator("ic_iga", precompute_ic(MeasurementModel(A, d, 1.0), y),
+        ref = run_estimator("ic_iga", precompute_ic(MeasurementModel(A, d, 1.0, y)),
                             t_max=1000, tol=1e-10)
         assert rep.variances is not None
         assert np.abs(rep.variances - ref.variances).max() <= 1e-10 * ref.variances.max()
         # above the cap there is no L, and IC-IGA refuses instead of dropping
         # its variances
         monkeypatch.setattr(bscm, "DENSE_ENTRY_CAP", extraction.n ** 2 - 1)
-        pre = precompute_ic(model, y)
+        pre = precompute_ic(model)
         with pytest.raises(DomainError, match="DENSE_ENTRY_CAP"):
             run_estimator("ic_iga", pre, t_max=1000, tol=1e-10)
 
@@ -284,12 +271,12 @@ class TestRunEstimator:
         # once per iteration, and match a hand loop of the public steps bit
         # for bit; IC-IGA needs L, so in operator mode it refuses to run
         scn = tiny_scenario
-        model = MeasurementModel(scn, rng.uniform(0.5, 2.0, scn.shape[1]), 0.8)
-        y = random_y(rng, scn.shape[0])
+        model = MeasurementModel(scn, rng.uniform(0.5, 2.0, scn.shape[1]), 0.8,
+                                 random_y(rng, scn.shape[0]))
         t_max = 12
         for mode, cap in (("dense", bscm.DENSE_ENTRY_CAP), ("operator", scn.shape[1] ** 2 - 1)):
             monkeypatch.setattr(bscm, "DENSE_ENTRY_CAP", cap)
-            pre = precompute_ic(model, y)
+            pre = precompute_ic(model)
             assert pre.mode == mode
             calls = []
             counted = dataclasses.replace(
@@ -332,14 +319,13 @@ class TestRunEstimator:
 
     def test_divergence_detected(self):
         A = np.ones((4, 3), dtype=complex)
-        model = MeasurementModel(A, np.full(3, 100.0), 0.01)
-        pre = precompute_ic(model, np.ones(4, dtype=complex))
+        model = MeasurementModel(A, np.full(3, 100.0), 0.01, np.ones(4, dtype=complex))
+        pre = precompute_ic(model)
         with pytest.raises(DivergenceError) as info:
             run_estimator("ic_siga", pre, alpha=1.0, t_max=200)
         assert len(info.value.trace) >= 20
 
     def test_unknown_kind(self, rng):
-        model = random_model(rng, 4, 3)
-        pre = precompute_ic(model, random_y(rng, 4))
+        pre = precompute_ic(random_model(rng, 4, 3))
         with pytest.raises(DomainError):
             run_estimator("amp", pre)

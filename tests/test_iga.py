@@ -26,32 +26,32 @@ def orthogonal_disjoint_model(rng, blocks=8, sigma2=0.8):
     for j in range(n):
         A[2 * j, j] = rng.standard_normal() + 1j * rng.standard_normal()
         A[2 * j + 1, j] = rng.standard_normal() + 1j * rng.standard_normal()
-    return MeasurementModel(A, rng.uniform(0.5, 2.0, n), sigma2)
+    return MeasurementModel(A, rng.uniform(0.5, 2.0, n), sigma2, random_y(rng, m))
 
 
 def unit_modulus_model(rng, m, n, sigma2=2.0):
     """Random phases of modulus 1: every row of |A|^2 is the same."""
     A = np.exp(2j * np.pi * rng.random((m, n)))
-    return MeasurementModel(A, rng.uniform(0.2, 3.0, n), sigma2)
+    return MeasurementModel(A, rng.uniform(0.2, 3.0, n), sigma2, random_y(rng, m))
 
 
 @pytest.fixture(scope="module")
 def desk_case(desk_config, desk_geometry):
-    """The dense beam-domain model and receive vector of one desk trial."""
+    """The dense beam-domain model of one desk trial."""
     trial = build_trial(desk_geometry, desk_config, desk_config.seed, 0.0, stream=(0, 0))
     model, scn = trial.model, trial.model.A
     A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
-    return MeasurementModel(A, model.d, model.sigma2), trial.y
+    return MeasurementModel(A, model.d, model.sigma2, model.y)
 
 
 @pytest.fixture(params=["gaussian", "unit_modulus", "bscm"])
 def split_case(request, rng, desk_case):
-    """(model, y, shared): a rank-1 split whose precision row is shared or not."""
+    """(model, shared): a rank-1 split whose precision row is shared or not."""
     if request.param == "gaussian":
-        return random_model(rng, 12, 8), random_y(rng, 12), False
+        return random_model(rng, 12, 8), False
     if request.param == "unit_modulus":
-        return unit_modulus_model(rng, 12, 8), random_y(rng, 12), True
-    return (*desk_case, True)
+        return unit_modulus_model(rng, 12, 8), True
+    return desk_case, True
 
 
 def parent_run_iga(scheme, alpha, t_max, tol):
@@ -88,8 +88,9 @@ def parent_run_iga(scheme, alpha, t_max, tol):
 
 class TestSplit:
     def test_identity_columns(self):
-        model = MeasurementModel(np.eye(2, dtype=complex), np.full(2, 0.5), 1.0)
-        scheme = build_rank1_split(model, np.array([1.0, 2.0]))
+        model = MeasurementModel(np.eye(2, dtype=complex), np.full(2, 0.5), 1.0,
+                                 np.array([1.0, 2.0]))
+        scheme = build_rank1_split(model)
         assert np.allclose(scheme.b[0], [1.0, 0.0])
         assert np.allclose(scheme.b[1], [0.0, 2.0])
         assert np.allclose(scheme.lambda_c, 2.0)
@@ -98,21 +99,20 @@ class TestSplit:
 
     def test_mean_split_identity(self, rng):
         model = random_model(rng, 10, 6)
-        y = random_y(rng, 10)
-        scheme = build_rank1_split(model, y)
-        theta = (model.A.conj().T @ y) / model.sigma2
+        scheme = build_rank1_split(model)
+        theta = (model.A.conj().T @ model.y) / model.sigma2
         assert np.abs(scheme.theta_or() - theta).max() <= 1e-12 * np.abs(theta).max()
 
     def test_precision_split_identity(self, rng):
         model = random_model(rng, 10, 6)
-        scheme = build_rank1_split(model, random_y(rng, 10))
+        scheme = build_rank1_split(model)
         dense = scheme.precision()
         target = (model.A.conj().T @ model.A) / model.sigma2 + np.diag(1.0 / model.d)
         assert np.abs(dense - target).max() <= 1e-12 * np.abs(target).max()
 
     def test_precision_pattern_shape(self, split_case):
-        model, y, shared = split_case
-        scheme = build_rank1_split(model, y)
+        model, shared = split_case
+        scheme = build_rank1_split(model)
         q, n = model.m, model.n
         assert scheme.abs2.shape == ((1, n) if shared else (q, n))
         assert initial_state(scheme).Lam_q.shape == scheme.abs2.shape
@@ -157,14 +157,14 @@ class TestProjection:
             assert np.abs((proj.Lam - scheme.lambda_c - Lam_q[q]) - Xi_all[q]).max() <= 1e-10
 
     def test_rank1_matches_dense_gaussian_projection(self, rng):
-        scheme = build_rank1_split(random_model(rng, 12, 8), random_y(rng, 12))
+        scheme = build_rank1_split(random_model(rng, 12, 8))
         assert scheme.abs2.shape == (12, 8)
         self.check_against_dense_projection(rng, scheme)
 
     @pytest.mark.parametrize("split_case", ["unit_modulus", "bscm"], indirect=True)
     def test_shared_row_matches_dense_gaussian_projection(self, rng, split_case):
-        model, y, _ = split_case
-        self.check_against_dense_projection(rng, build_rank1_split(model, y))
+        model, _ = split_case
+        self.check_against_dense_projection(rng, build_rank1_split(model))
 
     def test_positivity_guard(self):
         scheme = SplitScheme(b=np.zeros((1, 2)), lambda_c=np.zeros(2),
@@ -195,7 +195,7 @@ class TestUpdate:
 
     @staticmethod
     def check_e_condition(rng, model, alpha, tol):
-        scheme = build_rank1_split(model, random_y(rng, model.m))
+        scheme = build_rank1_split(model)
         state = initial_state(scheme)
         for _ in range(5):
             xi, Xi = project_all(scheme, state)
@@ -213,26 +213,24 @@ class TestUpdate:
 
 class TestRun:
     def test_identity_model(self):
-        model = MeasurementModel(np.eye(2, dtype=complex), np.ones(2), 1.0)
-        rep = run_iga(build_rank1_split(model, np.array([2.0, 4.0])), alpha=1.0)
+        model = MeasurementModel(np.eye(2, dtype=complex), np.ones(2), 1.0, np.array([2.0, 4.0]))
+        rep = run_iga(build_rank1_split(model), alpha=1.0)
         assert np.abs(rep.mu - np.array([1.0, 2.0])).max() <= 1e-12
         assert rep.converged
 
     def test_decoupled_orthogonal_columns_fast_convergence(self, rng):
         # disjoint column supports decouple the auxiliaries completely
         model = orthogonal_disjoint_model(rng)
-        y = random_y(rng, model.m)
-        mu_mmse, _ = mmse_estimate(model, y)
-        rep = run_iga(build_rank1_split(model, y), alpha=1.0, t_max=10, tol=1e-12)
+        mu_mmse, _ = mmse_estimate(model)
+        rep = run_iga(build_rank1_split(model), alpha=1.0, t_max=10, tol=1e-12)
         assert rep.iterations <= 3
         assert rep.residual_trace[-1] <= 1e-10
         assert np.linalg.norm(rep.mu - mu_mmse) / np.linalg.norm(mu_mmse) <= 1e-10
 
     def test_random_instance_reaches_mmse(self, rng):
         model = random_model(rng, 16, 8)
-        y = random_y(rng, 16)
-        mu_mmse, _ = mmse_estimate(model, y)
-        rep = run_iga(build_rank1_split(model, y), alpha=0.05, t_max=5000, tol=1e-11)
+        mu_mmse, _ = mmse_estimate(model)
+        rep = run_iga(build_rank1_split(model), alpha=0.05, t_max=5000, tol=1e-11)
         assert rep.converged
         assert np.linalg.norm(rep.mu - mu_mmse) / np.linalg.norm(mu_mmse) <= 1e-6
         assert len(rep.residual_trace) == rep.iterations + 1
@@ -243,8 +241,7 @@ class TestRun:
         # with damping alpha the distance to the fixed point is about
         # (per-iteration change) / alpha, so stop on the adjusted change
         model = random_model(rng, 12, 6)
-        y = random_y(rng, 12)
-        scheme = build_rank1_split(model, y)
+        scheme = build_rank1_split(model)
         state = initial_state(scheme)
         alpha, tol = 0.05, 1e-11
         for _ in range(30000):
@@ -265,7 +262,7 @@ class TestRun:
 
     @pytest.mark.parametrize("alpha,t_max,tol", [(0.5, 1000, 1e-8), (0.05, 500, 1e-10)])
     def test_desk_trial_matches_reference_loop(self, desk_case, alpha, t_max, tol):
-        scheme = build_rank1_split(*desk_case)
+        scheme = build_rank1_split(desk_case)
         assert scheme.abs2.shape == (1, scheme.dim)
         rep = run_iga(scheme, alpha=alpha, t_max=t_max, tol=tol)
         mu_ref, iterations, residual = parent_run_iga(scheme, alpha, t_max, tol)
@@ -274,8 +271,7 @@ class TestRun:
         assert rep.residual_trace[-1] == pytest.approx(residual, rel=1e-9)
 
     def test_t_max_zero_returns_initialization(self, rng):
-        model = random_model(rng, 6, 4)
-        rep = run_iga(build_rank1_split(model, random_y(rng, 6)), alpha=0.1, t_max=0)
+        rep = run_iga(build_rank1_split(random_model(rng, 6, 4)), alpha=0.1, t_max=0)
         assert rep.iterations == 0 and not rep.converged
         assert np.all(rep.mu == 0)
         assert len(rep.residual_trace) == 1
@@ -283,8 +279,8 @@ class TestRun:
     def test_divergence_detected(self):
         # three identical columns with a huge prior: undamped updates blow up
         A = np.ones((4, 3), dtype=complex)
-        model = MeasurementModel(A, np.full(3, 100.0), 0.01)
-        scheme = build_rank1_split(model, np.ones(4, dtype=complex))
+        model = MeasurementModel(A, np.full(3, 100.0), 0.01, np.ones(4, dtype=complex))
+        scheme = build_rank1_split(model)
         with pytest.raises(DivergenceError) as info:
             run_iga(scheme, alpha=1.0, t_max=300)
         assert len(info.value.trace) >= 20
