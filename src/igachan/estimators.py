@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError
+from .gaussian import _cho_solve
 
 __all__ = [
     "MeasurementModel",
@@ -138,14 +138,14 @@ def mmse_estimate(model: MeasurementModel) -> tuple[np.ndarray, np.ndarray]:
     B = s * model.gram() + np.diag(1.0 / model.d)
     rhs = s * model.ahy
     try:
-        cf = scipy.linalg.cho_factor(B)
-    except scipy.linalg.LinAlgError:
+        L = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
         raise DomainError(
             "posterior precision is numerically singular "
             f"(1-norm condition estimate {_cond_estimate_1norm(B):.3e})"
         ) from None
-    mu = scipy.linalg.cho_solve(cf, rhs)
-    Sigma = scipy.linalg.cho_solve(cf, np.eye(model.n, dtype=np.complex128))
+    mu = _cho_solve(L, rhs)
+    Sigma = _cho_solve(L, np.eye(model.n, dtype=np.complex128))
     Sigma = 0.5 * (Sigma + Sigma.conj().T)
     return mu, Sigma
 
@@ -176,22 +176,15 @@ def modified_mmse_estimate(model: MeasurementModel) -> np.ndarray:
     The system matrix is assembled from its four summands and the right-hand
     side from its two terms; nothing is simplified back to the plain normal
     equations, since agreement with :func:`mmse_estimate` is the whole point.
-    The solve attempts a Hermitian positive definite factorization first and
-    falls back to a pivoted LU when the definiteness check fails.
+    The system is solved by one pivoted LU (``np.linalg.solve``); an exactly
+    singular system raises :class:`DomainError`.
     """
     form = build_modified_form(model)
     B = form.system_matrix
-    rhs = form.theta_mod
     try:
-        cf = scipy.linalg.cho_factor(0.5 * (B + B.conj().T))
-        return scipy.linalg.cho_solve(cf, rhs)
-    except scipy.linalg.LinAlgError:
-        pass
-    try:
-        lu, piv = scipy.linalg.lu_factor(B)
-    except scipy.linalg.LinAlgError:
+        return np.linalg.solve(B, form.theta_mod)
+    except np.linalg.LinAlgError:
         raise DomainError(
             "modified system is numerically singular "
             f"(1-norm condition estimate {_cond_estimate_1norm(B):.3e})"
         ) from None
-    return scipy.linalg.lu_solve((lu, piv), rhs)

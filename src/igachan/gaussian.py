@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError
 
@@ -65,12 +64,17 @@ def _chol_pd(a: np.ndarray, name: str) -> np.ndarray:
     is located only on the error path.
     """
     try:
-        return scipy.linalg.cholesky(a, lower=True)
-    except scipy.linalg.LinAlgError:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
         w = np.linalg.eigvalsh(a)
         raise DomainError(
             f"{name} is not positive definite (smallest eigenvalue {w[0]:.3e})"
         ) from None
+
+
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L^H) x = b from the lower Cholesky factor L: two triangular systems."""
+    return np.linalg.solve(L.conj().T, np.linalg.solve(L, b))
 
 
 @dataclass(frozen=True)
@@ -163,8 +167,8 @@ def natural_to_expectation(p: GaussianNatural) -> GaussianExpectation:
     taken through a Cholesky solve, never formed times a vector.
     """
     L = _chol_pd(-p.Theta, "-Theta")
-    mu = scipy.linalg.cho_solve((L, True), p.theta)
-    Sigma = scipy.linalg.cho_solve((L, True), np.eye(p.dim, dtype=np.complex128))
+    mu = _cho_solve(L, p.theta)
+    Sigma = _cho_solve(L, np.eye(p.dim, dtype=np.complex128))
     Sigma = 0.5 * (Sigma + Sigma.conj().T)
     return GaussianExpectation(mu, np.outer(mu, mu.conj()) + Sigma)
 
@@ -172,8 +176,8 @@ def natural_to_expectation(p: GaussianNatural) -> GaussianExpectation:
 def expectation_to_natural(p: GaussianExpectation) -> GaussianNatural:
     """Legendre transform (mu, M) -> (theta, Theta) via Sigma = M - mu mu^H."""
     L = _chol_pd(p.Sigma, "Sigma")
-    theta = scipy.linalg.cho_solve((L, True), p.mu)
-    Prec = scipy.linalg.cho_solve((L, True), np.eye(p.dim, dtype=np.complex128))
+    theta = _cho_solve(L, p.mu)
+    Prec = _cho_solve(L, np.eye(p.dim, dtype=np.complex128))
     Prec = 0.5 * (Prec + Prec.conj().T)
     return GaussianNatural(theta, -Prec)
 
@@ -184,7 +188,7 @@ def _free_energy(theta: np.ndarray, Theta: np.ndarray) -> float:
     L = _chol_pd(-Theta, "-Theta")
     logdet_negTheta = 2.0 * float(np.sum(np.log(np.real(np.diag(L)))))
     # theta^H Theta^{-1} theta = -theta^H (-Theta)^{-1} theta
-    t = scipy.linalg.solve_triangular(L, theta, lower=True)
+    t = np.linalg.solve(L, theta)
     quad = -float(np.real(np.vdot(t, t)))
     return n * np.log(np.pi) - logdet_negTheta - quad
 
@@ -227,8 +231,8 @@ def m_project_to_diag(p: GaussianNatural) -> DiagGaussian:
     It is the unique KL minimizer over diagonal-precision Gaussians.
     """
     L = _chol_pd(-p.Theta, "-Theta")
-    mu = scipy.linalg.cho_solve((L, True), p.theta)
-    Sigma = scipy.linalg.cho_solve((L, True), np.eye(p.dim, dtype=np.complex128))
+    mu = _cho_solve(L, p.theta)
+    Sigma = _cho_solve(L, np.eye(p.dim, dtype=np.complex128))
     var = np.real(np.diag(Sigma)).copy()
     if not np.all(var > 0):
         raise DomainError("projected variances must be positive")

@@ -8,8 +8,8 @@ the *same* data, channels are reconstructed to space-frequency form, and
     NMSE = (1 / (K N_sam)) sum_k sum_n ||Gbar_kn - G_kn||_F^2 / ||G_kn||_F^2
 
 is averaged into one CSV row per cell.  Output is deterministic under a
-fixed (spec, seed): rows appear in (snr, algorithm) order regardless of how
-trials were scheduled, and the wall-time column is written as 0.0 unless
+fixed (spec, seed): trials run in order on per-trial substreams, rows appear
+in (snr, algorithm) order, and the wall-time column is written as 0.0 unless
 timing is explicitly requested (measured times would break byte-identical
 reproducibility).
 """
@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,16 +257,13 @@ def _run_trial(spec: BenchmarkSpec, geometry, snr_index: int, trial: int):
 def run_benchmark(spec: BenchmarkSpec):
     """Sweep the spec; returns one row dict per (snr, algorithm) cell.
 
-    Trials run concurrently, one worker per CPU capped by the trials per
-    cell, on per-trial substreams; every algorithm in a cell sees the same
-    data, and row order is deterministic.
+    Trials run in order, each on its own substream; every algorithm in a
+    cell sees the same data, so the rows depend only on the spec and seed.
     """
     geometry = geometry_from_config(spec.scenario)
     rows = []
     for si, snr_db in enumerate(spec.snr_list_db):
-        with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, spec.n_sam)) as pool:
-            trial_results = list(pool.map(lambda t: _run_trial(spec, geometry, si, t),
-                                          range(spec.n_sam)))
+        trial_results = [_run_trial(spec, geometry, si, t) for t in range(spec.n_sam)]
         for alg in spec.algorithms:
             ratios = [r for tr in trial_results for r in tr[alg][0]]
             iters = [tr[alg][1] for tr in trial_results]

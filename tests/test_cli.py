@@ -220,6 +220,17 @@ def test_estimate_rejects_snr_list(tiny_config):
                  "--alg", "mmse"]) == 2
 
 
+def test_import_loads_no_scipy():
+    # numpy is the one linear-algebra stack
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import igachan, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_point(tiny_config, tmp_path):
     out = tmp_path / "cli.csv"
     proc = subprocess.run(

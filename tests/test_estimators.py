@@ -135,6 +135,14 @@ class TestModifiedEquivalence:
         model = MeasurementModel(np.array([[1.0]]), np.array([2.0]), 1.0, np.array([3.0]))
         assert abs(modified_mmse_estimate(model)[0] - 2.0) < 1e-13
 
+    def test_exactly_singular_system_raises(self):
+        # the prior precisions 1e-20 vanish next to the Gram entries, so the
+        # modified system is exactly [[4, 4], [4, 4]]
+        model = MeasurementModel(np.ones((2, 2)), np.array([1e20, 1e20]), 1.0,
+                                 np.array([1.0, 2.0]))
+        with pytest.raises(DomainError, match="numerically singular"):
+            modified_mmse_estimate(model)
+
     def test_equivalence_on_random_instances(self, rng):
         # the rewrite must reproduce the plain posterior mean
         worst = 0.0

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -109,13 +107,6 @@ class TestBenchmark:
         a = benchmark_csv_text(run_benchmark(small_spec))
         b = benchmark_csv_text(run_benchmark(small_spec))
         assert a == b
-
-    def test_thread_count_does_not_change_output(self, small_spec, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        serial = benchmark_csv_text(run_benchmark(small_spec))
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        threaded = benchmark_csv_text(run_benchmark(small_spec))
-        assert serial == threaded
 
     def test_mmse_is_lower_envelope(self, small_spec):
         rows = run_benchmark(small_spec)
