@@ -26,6 +26,7 @@ correction applied explicitly in the spatial stage.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -279,7 +280,8 @@ class BscmScenario:
     """Immutable handle bundling geometry, pilots and the extraction map.
 
     Provides the interface (``shape``, ``matvec``, ``rmatvec``, ``gram_diag``,
-    ``gram``) expected by :class:`igachan.estimators.MeasurementModel`.
+    ``gram``) expected by :class:`igachan.estimators.MeasurementModel`, and
+    ``gram_block`` for the Gram matrix of a subset of the extracted columns.
     """
 
     def __init__(self, array: ArrayConfig, ofdm: OfdmConfig, plan: PilotPlan,
@@ -376,25 +378,39 @@ class BscmScenario:
         return np.full(self.extraction.n, float(self.array.M_r * self.ofdm.M_p))
 
     def gram(self) -> np.ndarray:
-        """A^H A over the extracted columns, in closed form without forming A.
+        """A^H A over the extracted columns: :meth:`gram_block` on every position."""
+        return self.gram_block(slice(None))
+
+    def gram_block(self, positions) -> np.ndarray:
+        """Rows and columns ``positions`` (an index array or slice into the
+        extraction) of A^H A, in closed form without forming A.
 
         Column e of A is PT[:, q N_p + r] kron V_z[:, i_z] kron V_x[:, i_x],
         and each factor's Gram matrix is circulant, so G[e, e'] =
         Kp[q, q'][(r' - r) mod N_p] Dz[(i_z - i_z') mod N_z] Dx[(i_x - i_x') mod N_x]
         with Kp[q, q'] = FFT_{N_p}(conj(zc_q) zc_q') and Dz[k] = V_z[:, k]^H V_z[:, 0].
-        Costs O(n^2 + Q^2 N_p log N_p); refuses above ``DENSE_ENTRY_CAP`` entries.
+        A block of b positions costs O(b^2) once the generators are built
+        (O(Q^2 N_p log N_p), once per scenario); refuses above
+        ``DENSE_ENTRY_CAP`` entries.
         """
         a, o = self.array, self.ofdm
-        _refuse_above_cap("Gram matrix", self.extraction.n, self.extraction.n)
-        col_j, col_i = np.divmod(self.extraction.indices, a.N_r)
+        idx = self.extraction.indices[positions]
+        _refuse_above_cap("Gram matrix", idx.size, idx.size)
+        kp, dz, dx = self._gram_generators
+        col_j, col_i = np.divmod(idx, a.N_r)
         q, r = np.divmod(col_j, o.N_p)
         iz, ix = np.divmod(col_i, a.N_x)
-        kp = np.fft.fft(self.xt.conj()[:, None, :] * self.xt[None, :, :], n=o.N_p)
-        vz, vx = _steering_axis(a.M_z, a.N_z), _steering_axis(a.M_x, a.N_x)
-        dz, dx = vz.conj().T @ vz[:, 0], vx.conj().T @ vx[:, 0]
         return (kp[q[:, None], q[None, :], (r[None, :] - r[:, None]) % o.N_p]
                 * dz[(iz[:, None] - iz[None, :]) % a.N_z]
                 * dx[(ix[:, None] - ix[None, :]) % a.N_x])
+
+    @functools.cached_property
+    def _gram_generators(self):
+        """(Kp, Dz, Dx): the circulant generators :meth:`gram_block` reads."""
+        a, o = self.array, self.ofdm
+        kp = np.fft.fft(self.xt.conj()[:, None, :] * self.xt[None, :, :], n=o.N_p)
+        vz, vx = _steering_axis(a.M_z, a.N_z), _steering_axis(a.M_x, a.N_x)
+        return kp, vz.conj().T @ vz[:, 0], vx.conj().T @ vx[:, 0]
 
     def beam_to_space_freq(self, H_k: np.ndarray) -> np.ndarray:
         """V @ H_k @ U^T for one user's beam matrix (N_r, N_f) -> (M_r, M_p)."""

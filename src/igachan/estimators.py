@@ -43,7 +43,8 @@ class MeasurementModel:
     exposing ``shape``, ``matvec``, ``rmatvec``, ``gram_diag`` and ``gram``
     (see :class:`igachan.bscm.BscmScenario`).  ``d`` is the diagonal of D.
     ``ahy`` = A^H y is formed once here, by one dense product or one operator
-    ``rmatvec``; every estimator reads it, and A^H A from :meth:`gram`.
+    ``rmatvec``; every estimator reads it, and A^H A from :meth:`gram`, which
+    builds it at its first call and shares it read-only afterwards.
     """
 
     A: object
@@ -51,6 +52,7 @@ class MeasurementModel:
     sigma2: float
     y: np.ndarray
     ahy: np.ndarray = field(init=False)
+    _gram: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=np.float64).reshape(-1)
@@ -96,8 +98,13 @@ class MeasurementModel:
         return self.A
 
     def gram(self) -> np.ndarray:
-        """A^H A as a dense (N, N) matrix; an operator builds it in closed form."""
-        return self.A.conj().T @ self.A if self.is_dense else self.A.gram()
+        """A^H A as a read-only dense (N, N) matrix, built once per model; an
+        operator builds it in closed form."""
+        if self._gram is None:
+            G = self.A.conj().T @ self.A if self.is_dense else self.A.gram()
+            G.flags.writeable = False
+            object.__setattr__(self, "_gram", G)
+        return self._gram
 
 
 @dataclass(frozen=True)
@@ -127,16 +134,13 @@ def _cond_estimate_1norm(B: np.ndarray) -> float:
         return float("inf")
 
 
-def mmse_estimate(model: MeasurementModel) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and covariance of h given the model's y.
+def _mmse_mean(model: MeasurementModel) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and the Cholesky factor of the posterior precision.
 
-    Solves (sigma2^{-1} A^H A + D^{-1}) mu = sigma2^{-1} A^H y by Cholesky;
-    the covariance is the inverse of the same matrix, obtained from the
-    factorization rather than by explicit inversion and multiplication.
+    Solves (sigma2^{-1} A^H A + D^{-1}) mu = sigma2^{-1} A^H y by Cholesky.
     """
     s = 1.0 / model.sigma2
     B = s * model.gram() + np.diag(1.0 / model.d)
-    rhs = s * model.ahy
     try:
         L = np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
@@ -144,7 +148,17 @@ def mmse_estimate(model: MeasurementModel) -> tuple[np.ndarray, np.ndarray]:
             "posterior precision is numerically singular "
             f"(1-norm condition estimate {_cond_estimate_1norm(B):.3e})"
         ) from None
-    mu = _cho_solve(L, rhs)
+    return _cho_solve(L, s * model.ahy), L
+
+
+def mmse_estimate(model: MeasurementModel) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and covariance of h given the model's y.
+
+    The mean is :func:`_mmse_mean`'s; the covariance is the inverse of the
+    posterior precision, obtained from the same Cholesky factor rather than
+    by explicit inversion and multiplication.
+    """
+    mu, L = _mmse_mean(model)
     Sigma = _cho_solve(L, np.eye(model.n, dtype=np.complex128))
     Sigma = 0.5 * (Sigma + Sigma.conj().T)
     return mu, Sigma

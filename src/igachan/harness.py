@@ -3,15 +3,18 @@ self-validation suite.
 
 A benchmark cell is one (SNR, algorithm) pair: N_sam scenarios and noise
 draws are generated from per-trial substreams, every algorithm estimates on
-the *same* data, channels are reconstructed to space-frequency form, and
+the *same* data, and
 
     NMSE = (1 / (K N_sam)) sum_k sum_n ||Gbar_kn - G_kn||_F^2 / ||G_kn||_F^2
 
-is averaged into one CSV row per cell.  Output is deterministic under a
-fixed (spec, seed): trials run in order on per-trial substreams, rows appear
-in (snr, algorithm) order, and the wall-time column is written as 0.0 unless
-timing is explicitly requested (measured times would break byte-identical
-reproducibility).
+is averaged into one CSV row per cell.  Scoring builds no space-frequency
+matrix: ||Gbar_k - G_k||_F^2 = e_k^H W_k e_k, with e_k user k's coefficient
+error and W_k its diagonal block of A^H A (see :class:`Trial`);
+:func:`reconstruct_G` and :func:`nmse` are the reference it is tested
+against.  Output is deterministic under a fixed (spec, seed): trials run
+in order on per-trial substreams, rows appear in (snr, algorithm) order,
+and the wall-time column is written as 0.0 unless timing is explicitly
+requested (measured times would break byte-identical reproducibility).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .bscm import (
     geometry_from_config,
 )
 from .errors import ConfigError, DivergenceError, DomainError
-from .estimators import MeasurementModel, mmse_estimate, modified_mmse_estimate
+from .estimators import MeasurementModel, _mmse_mean, mmse_estimate, modified_mmse_estimate
 from .report import EstimateReport
 from .scenario import (
     build_prior,
@@ -102,15 +105,34 @@ def nmse(estimates, truths) -> float:
 @dataclass(frozen=True)
 class Trial:
     """One generated scenario draw: the model every estimator reads and the
-    truths it is scored against.  ``model.A`` is a :class:`BscmScenario`."""
+    truth it is scored against.  ``model.A`` is a :class:`BscmScenario`.
+
+    ``h`` is the stacked channel on the extracted support, sorted by stacked
+    index, so user k's coefficients are one contiguous slice s_k of it.
+    User k, with root q and shift p, owns the columns
+    A_k = (diag(zc_q o ramp_p) kron I) (U kron V)[:, I_k] of A, I_k its
+    extracted beam positions: a unit-modulus row scaling of its
+    beam-to-space-frequency transform.  Hence
+    ||Gbar_k - G_k||_F^2 = e_k^H W_k e_k with e_k = hbar_k - h_k and
+    W_k = A_k^H A_k, the diagonal block of A^H A on s_k, and
+    ||G_k||_F^2 = h_k^H W_k h_k.  ``users`` holds (s_k, W_k, ||G_k||_F^2)
+    per user.
+    """
 
     model: MeasurementModel
-    truths: list
+    h: np.ndarray
+    users: tuple
 
     def score(self, mu) -> list:
         """Per-user ||Gbar_k - G_k||_F^2 / ||G_k||_F^2 of an estimate."""
-        est = reconstruct_G(mu, self.model.A)
-        return [nmse([gb], [g]) for gb, g in zip(est, self.truths)]
+        mu = np.asarray(mu, dtype=np.complex128).reshape(-1)
+        if mu.size != self.h.size:
+            raise DomainError(f"estimate has length {mu.size}, expected {self.h.size}")
+        scores = []
+        for s, W, g2 in self.users:
+            e = mu[s] - self.h[s]
+            scores.append(float(np.vdot(e, W @ e).real) / g2)
+        return scores
 
 
 def sigma2_of_snr(snr_db: float) -> float:
@@ -132,8 +154,31 @@ def build_trial(geometry, cfg: ScenarioConfig, seed: int, snr_db: float,
     scn = BscmScenario(array, ofdm, plan, extraction)
     channels = sample_channels(powers, seed, stream=stream)
     y = synthesize_rx(scn, channels, sigma2, seed, stream=stream)
-    truths = [scn.beam_to_space_freq(ch.H) for ch in channels]
-    return Trial(MeasurementModel(scn, d, sigma2, y), truths)
+    return Trial(MeasurementModel(scn, d, sigma2, y), *_truth_blocks(scn, channels))
+
+
+def _truth_blocks(scn: BscmScenario, channels) -> tuple:
+    """The truth h on the extraction, and (slice, W_k, ||G_k||_F^2) per user.
+
+    User k's beam matrix fills the stacked positions first_k + vec(H_k), so
+    its extracted coefficients are gathered from H_k without stacking.
+    """
+    idx = scn.extraction.indices
+    h = np.zeros(idx.size, dtype=np.complex128)
+    users = []
+    for k, ch in enumerate(channels, start=1):
+        first = scn.plan.user_columns(k).start * scn.array.N_r
+        s = slice(*np.searchsorted(idx, (first, first + ch.H.size)).tolist())
+        h[s] = ch.H.reshape(-1, order="F")[idx[s] - first]
+        if np.count_nonzero(h[s]) != np.count_nonzero(ch.H):
+            raise DomainError(f"the channel draw of user {k} has a nonzero coefficient "
+                              "outside the extraction")
+        W = scn.gram_block(s)
+        g2 = float(np.vdot(h[s], W @ h[s]).real)
+        if not g2 > 0:
+            raise DomainError(f"truth of user {k} has zero norm")
+        users.append((s, W, g2))
+    return h, tuple(users)
 
 
 # -- estimator registry: name -> fn(trial, alpha, t_max, tol) -> EstimateReport.
@@ -153,8 +198,9 @@ def _solved(trial: Trial, mu, algorithm: str, t_start: float) -> EstimateReport:
 
 
 def _run_mmse(trial, alpha, t_max, tol):
+    # the sweep reads only the mean, so the covariance is never formed
     t0 = time.perf_counter()
-    mu, _ = mmse_estimate(trial.model)
+    mu, _ = _mmse_mean(trial.model)
     return _solved(trial, mu, "mmse", t0)
 
 

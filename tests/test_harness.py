@@ -9,6 +9,7 @@ from igachan.harness import (
     BenchmarkSpec,
     _run_trial,
     benchmark_csv_text,
+    build_trial,
     nmse,
     reconstruct_G,
     run_benchmark,
@@ -192,17 +193,54 @@ def test_golden_rows(small_spec):
         assert r["converged_fraction"] == conv
 
 
-def test_one_rmatvec_per_default_trial(monkeypatch):
-    # every estimator reads A^H y from the trial's model, which forms it once
+def _count_default_trial_calls(monkeypatch, method):
+    """Calls of a BscmScenario method in one default _run_trial of the IC sweep."""
     calls = []
-    rmatvec = BscmScenario.rmatvec
-    monkeypatch.setattr(BscmScenario, "rmatvec",
-                        lambda self, b: calls.append(1) or rmatvec(self, b))
+    original = getattr(BscmScenario, method)
+    monkeypatch.setattr(BscmScenario, method,
+                        lambda self, *a: calls.append(1) or original(self, *a))
     spec = BenchmarkSpec(snr_list_db=(10.0,), algorithms=("mmse", "ic_iga", "ic_siga"),
                          n_sam=1, scenario=ScenarioConfig(), seed=0)
     results = _run_trial(spec, geometry_from_config(spec.scenario), 0, 0)
     assert set(results) == {"mmse", "ic_iga", "ic_siga"}
-    assert len(calls) == 1
+    return len(calls)
+
+
+def test_one_rmatvec_per_default_trial(monkeypatch):
+    # every estimator reads A^H y from the trial's model, which forms it once
+    assert _count_default_trial_calls(monkeypatch, "rmatvec") == 1
+
+
+def test_one_gram_per_default_trial(monkeypatch):
+    # mmse, both IC precomputations and the direct-solve residual share the
+    # model's A^H A, which it builds at the first call and hands out read-only
+    assert _count_default_trial_calls(monkeypatch, "gram") == 1
+    cfg = ScenarioConfig()
+    model = build_trial(geometry_from_config(cfg), cfg, 0, 10.0, stream=(0, 0)).model
+    assert model.gram() is model.gram()
+    assert not model.gram().flags.writeable
+
+
+def test_no_space_frequency_transform_per_default_trial(monkeypatch):
+    # scoring reads each user's Gram block, never a space-frequency matrix
+    assert _count_default_trial_calls(monkeypatch, "beam_to_space_freq") == 0
+
+
+def test_truth_off_the_extraction_is_refused(small_spec, monkeypatch):
+    # the Gram-block score sees only extracted coefficients, so a channel
+    # draw with energy outside them cannot be scored
+    from igachan import harness as h
+
+    def leaky(powers, seed, stream=()):
+        channels = sample_channels(powers, seed, stream=stream)
+        H = channels[0].H.copy()
+        H[np.unravel_index(np.argmin(powers[0].omega), H.shape)] = 1.0
+        return [type(channels[0])(H), *channels[1:]]
+
+    cfg = small_spec.scenario
+    monkeypatch.setattr(h, "sample_channels", leaky)
+    with pytest.raises(DomainError, match="outside the extraction"):
+        build_trial(geometry_from_config(cfg), cfg, cfg.seed, 10.0, stream=(0, 0))
 
 
 class TestValidateSuite:

@@ -1,6 +1,7 @@
 """Property tests of the beam-domain model over random small geometries:
-the closed-form Gram matrix, the adjoint identity of the FFT operators, and
-the stack/reconstruct round trip of the users' channels."""
+the closed-form Gram matrix, the adjoint identity of the FFT operators, the
+stack/reconstruct round trip of the users' channels, and the Gram-block
+score of a trial against its space-frequency reference."""
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from igachan.bscm import (  # noqa: E402
     geometry_from_config,
     largest_prime_below,
 )
-from igachan.harness import reconstruct_G  # noqa: E402
+from igachan.harness import build_trial, nmse, reconstruct_G  # noqa: E402
 from igachan.scenario import gen_power_matrices, sample_channels, stack_channels  # noqa: E402
 
 
@@ -87,3 +88,29 @@ def test_stack_reconstruct_round_trip(cfg, seed):
     for G, ch in zip(rebuilt, channels):
         truth = scn.beam_to_space_freq(ch.H)
         assert np.abs(G - truth).max() <= 1e-12 * max(np.abs(truth).max(), 1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(configs(), st.integers(0, 2**32 - 1))
+def test_gram_block_score_equals_space_frequency_nmse(cfg, seed):
+    geometry = geometry_from_config(cfg)
+    trial = build_trial(geometry, cfg, seed, 10.0, stream=(0, 0))
+    scn = trial.model.A
+    channels = sample_channels(gen_power_matrices(cfg, seed, stream=(0, 0)), seed, stream=(0, 0))
+    assert np.array_equal(trial.h, stack_channels(channels, *geometry)[scn.extraction.indices])
+    truths = [scn.beam_to_space_freq(ch.H) for ch in channels]
+    rng = np.random.default_rng(seed)
+    n = trial.model.n
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for mu in (np.zeros(n), trial.h + 0.1 * np.abs(trial.h).max() * noise, noise):
+        ref = [nmse([gb], [g]) for gb, g in zip(reconstruct_G(mu, scn), truths)]
+        assert np.allclose(trial.score(mu), ref, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(configs(), st.integers(0, 2**32 - 1))
+def test_user_blocks_are_diagonal_blocks_of_the_gram(cfg, seed):
+    trial = build_trial(geometry_from_config(cfg), cfg, seed, 10.0, stream=(0, 0))
+    G = trial.model.A.gram()
+    for s, W, _ in trial.users:
+        assert W.shape == G[s, s].shape and W.tobytes() == G[s, s].tobytes()
