@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import harness, scenario
+from .blas import one_blas_thread
 from .bscm import ScenarioConfig, geometry_from_config, load_scenario_config
 from .errors import ConfigError, DivergenceError, DomainError
 
@@ -84,9 +85,10 @@ def _cmd_estimate(args) -> int:
     if len(spec.algorithms) != 1:
         raise ConfigError("estimate takes exactly one --alg value")
     (snr_db,), (alg,) = spec.snr_list_db, spec.algorithms
-    trial = harness.build_trial(geometry_from_config(cfg), cfg, cfg.seed, snr_db,
-                                stream=(0, 0))
-    rep = harness.ESTIMATORS[alg](trial, spec.alpha_for(alg), spec.t_max, spec.tol)
+    with one_blas_thread():
+        trial = harness.build_trial(geometry_from_config(cfg), cfg, cfg.seed, snr_db,
+                                    stream=(0, 0))
+        rep = harness.ESTIMATORS[alg](trial, spec.alpha_for(alg), spec.t_max, spec.tol)
     trial_nmse = float(np.mean(trial.score(rep.mu)))
 
     summary = {

@@ -12,9 +12,10 @@ matrix: ||Gbar_k - G_k||_F^2 = e_k^H W_k e_k, with e_k user k's coefficient
 error and W_k its diagonal block of A^H A (see :class:`Trial`);
 :func:`reconstruct_G` and :func:`nmse` are the reference it is tested
 against.  Output is deterministic under a fixed (spec, seed): trials run
-in order on per-trial substreams, rows appear in (snr, algorithm) order,
-and the wall-time column is written as 0.0 unless timing is explicitly
-requested (measured times would break byte-identical reproducibility).
+in order on per-trial substreams with numpy's BLAS on one thread, rows
+appear in (snr, algorithm) order, and the wall-time column is written as
+0.0 unless timing is explicitly requested (measured times would break
+byte-identical reproducibility).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import ic as _ic
 from . import iga as _iga
+from .blas import one_blas_thread
 from .bscm import (
     BscmScenario,
     ScenarioConfig,
@@ -145,16 +147,20 @@ def sigma2_of_snr(snr_db: float) -> float:
 
 def build_trial(geometry, cfg: ScenarioConfig, seed: int, snr_db: float,
                 stream: tuple) -> Trial:
-    """Draw powers, channels and noise for one trial from substream ``stream``."""
+    """Draw powers, channels and noise for one trial from substream ``stream``.
+
+    The truth is gathered on the extraction once, and y is synthesized
+    from that vector; no stacked grid is formed.
+    """
     array, ofdm, plan = geometry
     sigma2 = sigma2_of_snr(snr_db)
     powers = gen_power_matrices(cfg, seed, stream=stream)
     extraction = extraction_from_powers(powers, array, ofdm, plan)
     d = build_prior(powers, extraction, array, ofdm, plan)
     scn = BscmScenario(array, ofdm, plan, extraction)
-    channels = sample_channels(powers, seed, stream=stream)
-    y = synthesize_rx(scn, channels, sigma2, seed, stream=stream)
-    return Trial(MeasurementModel(scn, d, sigma2, y), *_truth_blocks(scn, channels))
+    h, users = _truth_blocks(scn, sample_channels(powers, seed, stream=stream))
+    y = synthesize_rx(scn, h, sigma2, seed, stream=stream)
+    return Trial(MeasurementModel(scn, d, sigma2, y), h, users)
 
 
 def _truth_blocks(scn: BscmScenario, channels) -> tuple:
@@ -303,13 +309,17 @@ def _run_trial(spec: BenchmarkSpec, geometry, snr_index: int, trial: int):
 def run_benchmark(spec: BenchmarkSpec):
     """Sweep the spec; returns one row dict per (snr, algorithm) cell.
 
-    Trials run in order, each on its own substream; every algorithm in a
-    cell sees the same data, so the rows depend only on the spec and seed.
+    Trials run in order, each on its own substream, with numpy's BLAS on
+    the calling thread (:func:`igachan.blas.one_blas_thread`); every
+    algorithm in a cell sees the same data, so the rows depend only on the
+    spec and seed, and not on the host's core count.
     """
     geometry = geometry_from_config(spec.scenario)
+    with one_blas_thread():
+        per_snr = [[_run_trial(spec, geometry, si, t) for t in range(spec.n_sam)]
+                   for si in range(len(spec.snr_list_db))]
     rows = []
-    for si, snr_db in enumerate(spec.snr_list_db):
-        trial_results = [_run_trial(spec, geometry, si, t) for t in range(spec.n_sam)]
+    for snr_db, trial_results in zip(spec.snr_list_db, per_snr):
         for alg in spec.algorithms:
             ratios = [r for tr in trial_results for r in tr[alg][0]]
             iters = [tr[alg][1] for tr in trial_results]
@@ -660,19 +670,14 @@ def _check_frobenius_energy():
 
 
 def _check_noise_statistics():
-    from .scenario import sample_channels as sc, gen_power_matrices as gpm
-
-    cfg, array, ofdm, plan, extraction = _tiny_scenario()
+    _, array, ofdm, plan, extraction = _tiny_scenario()
     scn = BscmScenario(array, ofdm, plan, extraction)
-    powers = gpm(cfg, seed=15)
-    channels = sc(powers, seed=15)
-    zero_channels = [type(ch)(np.zeros_like(ch.H)) for ch in channels]
     sigma2 = 0.7
     samples = []
     m = array.M_r * ofdm.M_p
     reps = max(1, 10_000 // m + 1)
     for t in range(reps):
-        y = synthesize_rx(scn, zero_channels, sigma2, seed=16, stream=(t,))
+        y = synthesize_rx(scn, np.zeros(extraction.n), sigma2, seed=16, stream=(t,))
         samples.append(np.abs(y) ** 2)
     samples = np.concatenate(samples)
     emp = float(samples.mean())

@@ -30,7 +30,10 @@ The projected precisions depend on g_q only through |g_q|^2.  When every
 row of |A|^2 is the same (every entry of the beam-domain A has modulus 1),
 the precisions Lambda_q start equal and stay equal, so they are stored as
 one shared (1, N) row and broadcast against the (Q, N) means; otherwise
-they are a full (Q, N) array.  Both shapes run the same code.
+they are a full (Q, N) array.  :func:`project_all` and
+:func:`update_points` run both shapes and are the reference; on the shared
+row :func:`run_iga` fuses them into one step of two mat-vecs (see
+:func:`_shared_row_stepper`).
 """
 
 from __future__ import annotations
@@ -60,31 +63,33 @@ DEFAULT_ALPHA = 0.05
 class SplitScheme:
     """Additive split of the posterior natural parameters.
 
-    ``b`` is (Q, N) with row q the mean-parameter piece b_q; the quadratic
-    pieces are rank-1, C_q = factors[q] factors[q]^H with ``factors`` (Q, N).
-    ``lambda_c`` is the shared diagonal.  ``abs2`` is |factors|^2, derived
-    once: a single (1, N) row when every row equals row 0 to within 1e-12
-    relative, else (Q, N).  The auxiliary precisions take its shape.
+    The quadratic pieces are rank-1, C_q = factors[q] factors[q]^H with
+    ``factors`` (Q, N), and the mean-parameter pieces lie along the same
+    vectors, b_q = beta[q] factors[q] with ``beta`` (Q,); the (Q, N) array
+    ``b`` is derived on demand and never stored.  ``lambda_c`` is the
+    shared diagonal.  ``abs2`` is |factors|^2, derived once: a single
+    (1, N) row when every row equals row 0 to within 1e-12 relative, else
+    (Q, N).  The auxiliary precisions take its shape.
     """
 
-    b: np.ndarray
+    beta: np.ndarray
     lambda_c: np.ndarray
     factors: np.ndarray | None = None
     abs2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=np.complex128)
+        beta = np.asarray(self.beta, dtype=np.complex128)
         lc = np.asarray(self.lambda_c, dtype=np.float64).reshape(-1)
-        if b.ndim != 2 or b.shape[1] != lc.size:
-            raise DomainError("b must be (Q, N) matching lambda_c")
+        if beta.ndim != 1:
+            raise DomainError("beta must be a (Q,) vector")
         if np.any(lc < 0):
             raise DomainError("lambda_c entries must be nonnegative")
         if self.factors is None:
             raise DomainError("the rank-1 factors must be given")
         f = np.asarray(self.factors, dtype=np.complex128)
-        if f.shape != b.shape:
-            raise DomainError("factors must have shape (Q, N)")
-        object.__setattr__(self, "b", b)
+        if f.shape != (beta.size, lc.size):
+            raise DomainError("factors must be (Q, N), matching beta and lambda_c")
+        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "lambda_c", lc)
         object.__setattr__(self, "factors", f)
         abs2 = (f.conj() * f).real
@@ -94,15 +99,20 @@ class SplitScheme:
 
     @property
     def q_count(self) -> int:
-        return self.b.shape[0]
+        return self.factors.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.b.shape[1]
+        return self.factors.shape[1]
+
+    @property
+    def b(self) -> np.ndarray:
+        """The (Q, N) mean-parameter pieces, row q = beta[q] factors[q]."""
+        return self.beta[:, None] * self.factors
 
     def theta_or(self) -> np.ndarray:
         """sum_q b_q, the mean natural parameter being split."""
-        return self.b.sum(axis=0)
+        return self.beta @ self.factors
 
     def precision(self) -> np.ndarray:
         """sum_q C_q + diag(lambda_c), the (N, N) precision being split."""
@@ -138,23 +148,26 @@ def build_rank1_split(model: MeasurementModel) -> SplitScheme:
     With a_q the q-th column of A^H, the pieces are
     b_q = sigma2^{-1} a_q y_q and C_q = sigma2^{-1} a_q a_q^H, with
     Lambda_c = D^{-1}; the split identities then hold exactly by
-    construction.  C_q is kept in factored form g_q = a_q / sigma_z.
+    construction.  C_q is kept in factored form g_q = a_q / sigma_z, and
+    b_q = beta_q g_q with beta_q = y_q / sigma_z.
     """
     A = model._require_dense("build_rank1_split")
-    s = 1.0 / model.sigma2
-    rows_conj = A.conj()  # row q of this is a_q^T
-    b = s * rows_conj * model.y[:, None]
-    factors = rows_conj / np.sqrt(model.sigma2)
-    return SplitScheme(b=b, lambda_c=1.0 / model.d, factors=factors)
+    sigma = np.sqrt(model.sigma2)
+    # row q is a_q^T; column-major, so broadcasts of a (Q,) or (N,) vector
+    # over the (Q, N) arrays of a step run along Q in memory
+    factors = np.conjugate(A, order="F")
+    factors /= sigma
+    return SplitScheme(beta=model.y / sigma, lambda_c=1.0 / model.d, factors=factors)
 
 
 def initial_state(scheme: SplitScheme) -> AuxiliaryState:
     """All-zero start: lambda_c alone carries the covariance, and the
-    e-condition holds trivially.  ``Lam_q`` takes the shape of ``abs2``."""
-    q, n = scheme.q_count, scheme.dim
+    e-condition holds trivially.  ``lam_q`` takes the shape and memory
+    layout of ``factors``, ``Lam_q`` those of ``abs2``."""
+    n = scheme.dim
     return AuxiliaryState(
-        lam_q=np.zeros((q, n), dtype=np.complex128),
-        Lam_q=np.zeros(scheme.abs2.shape, dtype=np.float64),
+        lam_q=np.zeros_like(scheme.factors),
+        Lam_q=np.zeros_like(scheme.abs2),
         lam0=np.zeros(n, dtype=np.complex128),
         Lam0=np.zeros(n, dtype=np.float64),
         iteration=0,
@@ -179,7 +192,8 @@ def project_all(scheme: SplitScheme, state: AuxiliaryState):
     if np.any(w <= 0):
         raise DomainError("auxiliary covariance lost positivity (Lambda_q + lambda_c <= 0)")
     g = scheme.factors
-    m = state.lam_q + scheme.b
+    m = scheme.b
+    m += state.lam_q
     inv_w = 1.0 / w
     denom = 1.0 + np.sum(scheme.abs2 * inv_w, axis=1, keepdims=True)
     r_over_denom = w / (w * denom - scheme.abs2)
@@ -210,28 +224,99 @@ def update_points(state: AuxiliaryState, xi: np.ndarray, Xi: np.ndarray,
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
     lam0_new = xi.sum(axis=0)
-    Lam0_new = Xi.sum(axis=0) * (xi.shape[0] / Xi.shape[0])
     lam0 = alpha * lam0_new + (1 - alpha) * state.lam0
-    Lam0 = alpha * Lam0_new + (1 - alpha) * state.Lam0
     lam_q = np.subtract(lam0_new, xi)  # updated in place, as xi in project_all
     lam_q *= alpha
     lam_q += (1 - alpha) * state.lam_q
+    Lam0, Lam_q = _damped_precisions(state, Xi, xi.shape[0], alpha, lambda_c)
+    return AuxiliaryState(lam_q=lam_q, Lam_q=Lam_q, lam0=lam0, Lam0=Lam0,
+                          iteration=state.iteration + 1)
+
+
+def _damped_precisions(state: AuxiliaryState, Xi: np.ndarray, q: int, alpha: float,
+                       lambda_c: np.ndarray | None):
+    """(Lambda_0, Lambda_q) after the damped exchange of the precision beliefs
+    ``Xi`` of Q = ``q`` points; with ``lambda_c``, a target precision that
+    loses positivity raises :class:`DivergenceError`."""
+    Lam0_new = Xi.sum(axis=0) * (q / Xi.shape[0])
+    Lam0 = alpha * Lam0_new + (1 - alpha) * state.Lam0
     Lam_q = alpha * (Lam0_new - Xi) + (1 - alpha) * state.Lam_q
-    if lambda_c is not None and np.any(Lam0 + lambda_c <= 0):
+    if lambda_c is not None and (Lam0 + lambda_c <= 0).any():
         raise DivergenceError(
             "target precision lost positivity; reduce the damping coefficient alpha"
         )
-    return AuxiliaryState(lam_q=lam_q, Lam_q=Lam_q, lam0=lam0, Lam0=Lam0,
-                          iteration=state.iteration + 1)
+    return Lam0, Lam_q
+
+
+def _shared_row_stepper(scheme: SplitScheme, alpha: float):
+    """One damped project/update step for a shared (1, N) precision row,
+    with the (Q, N) beliefs never formed.
+
+    With w, denom and R = r_over_denom * denom of :func:`project_all`
+    shared by every point, and b_q = beta_q g_q, the mean belief is
+    xi_q = (R - 1) lambda_q + R g_q gamma_q, where
+
+        s_q = sum_n conj(g_qn) lambda_qn / w_n + beta_q sum_n |g_n|^2 / w_n,
+        gamma_q = beta_q - s_q / denom.
+
+    The e-condition gives sum_q lambda_q = (Q - 1) lambda_0, so the exchange
+    of :func:`update_points` becomes
+
+        lambda_0^new = (R - 1) (Q - 1) lambda_0 + R (G^T gamma),
+        lambda_q <- alpha lambda_0^new + (1 - alpha R) lambda_q
+                    - alpha R g_q gamma_q,
+
+    two mat-vecs and seven (Q, N) passes, where project/update make about
+    sixteen; the precisions update as in :func:`update_points`.  The
+    returned step writes the new lambda_q over the lambda_q array of the
+    state before the one it is given, so call it on the state it returned
+    last and keep no older state.
+    """
+    g, beta, abs2, lc = scheme.factors, scheme.beta, scheme.abs2, scheme.lambda_c
+    q = scheme.q_count
+    spare = np.empty_like(g)
+
+    def step(state: AuxiliaryState) -> AuxiliaryState:
+        nonlocal spare
+        w = state.Lam_q + lc
+        if (w <= 0).any():
+            raise DomainError("auxiliary covariance lost positivity (Lambda_q + lambda_c <= 0)")
+        inv_w = 1.0 / w
+        spread = (abs2 * inv_w).sum(axis=1, keepdims=True)
+        denom = 1.0 + spread
+        r_over_denom = w / (w * denom - abs2)
+        R = (r_over_denom * denom)[0]
+        lam_q, buf = state.lam_q, spare
+        np.conjugate(g, out=buf)
+        buf *= lam_q
+        s = buf @ inv_w[0]
+        s += beta * spread[0, 0]
+        gamma = beta - s / denom[0, 0]
+        lam0_new = (R - 1) * ((q - 1) * state.lam0) + R * (gamma @ g)
+        np.multiply(g, gamma[:, None], out=buf)
+        buf += lam_q
+        buf *= -alpha * R
+        buf += lam_q
+        buf += alpha * lam0_new
+        spare = lam_q
+        Lam0, Lam_q = _damped_precisions(state, r_over_denom * abs2, q, alpha, lc)
+        return AuxiliaryState(lam_q=buf, Lam_q=Lam_q,
+                              lam0=alpha * lam0_new + (1 - alpha) * state.lam0, Lam0=Lam0,
+                              iteration=state.iteration + 1)
+
+    return step
 
 
 def run_iga(scheme: SplitScheme, alpha: float = DEFAULT_ALPHA, t_max: int = 100,
             tol: float = 1e-8) -> EstimateReport:
     """Iterate project/update until the target mean settles.
 
-    The target mean is mu_0 = lambda_0 / (Lambda_0 + lambda_c) and the
-    reported variances are 1 / (Lambda_0 + lambda_c).  Stop and divergence
-    rules are those of :func:`igachan.report.iterate`.
+    A shared precision row runs the fused step of
+    :func:`_shared_row_stepper`; a (Q, N) one runs :func:`project_all` and
+    :func:`update_points`.  The target mean is
+    mu_0 = lambda_0 / (Lambda_0 + lambda_c) and the reported variances are
+    1 / (Lambda_0 + lambda_c).  Stop and divergence rules are those of
+    :func:`igachan.report.iterate`.
     """
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
@@ -243,9 +328,12 @@ def run_iga(scheme: SplitScheme, alpha: float = DEFAULT_ALPHA, t_max: int = 100,
         mu = state.lam0 / (state.Lam0 + scheme.lambda_c)
         return mu, float(np.linalg.norm(precision @ mu - theta)) / theta_norm
 
-    def step(state):
-        xi, Xi = project_all(scheme, state)
-        return update_points(state, xi, Xi, alpha, lambda_c=scheme.lambda_c)
+    if scheme.abs2.shape[0] == 1:
+        step = _shared_row_stepper(scheme, alpha)
+    else:
+        def step(state):
+            xi, Xi = project_all(scheme, state)
+            return update_points(state, xi, Xi, alpha, lambda_c=scheme.lambda_c)
 
     return iterate(step, measure, initial_state(scheme), t_max, tol,
                    config={"algorithm": "iga", "alpha": alpha, "t_max": t_max, "tol": tol},

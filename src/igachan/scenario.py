@@ -204,17 +204,19 @@ def build_prior(powers: list[PowerMatrix], extraction: ExtractionMap,
     return d
 
 
-def synthesize_rx(scenario: BscmScenario, channels: list[BeamChannel],
-                  sigma2: float, seed: int, stream: tuple = ()) -> np.ndarray:
+def synthesize_rx(scenario: BscmScenario, h: np.ndarray, sigma2: float, seed: int,
+                  stream: tuple = ()) -> np.ndarray:
     """y = A h + z through the fast operator, with circular complex noise.
 
-    Noise draws come from the "noise" substream; real and imaginary parts
-    each have variance sigma2 / 2.  ``sigma2 = 0`` gives a noise-free y.
+    ``h`` holds the beam coefficients on ``scenario.extraction``, in
+    extraction order (``stack_channels(...)[extraction.indices]`` of a
+    channel draw).  Noise draws come from the "noise" substream; real and
+    imaginary parts each have variance sigma2 / 2.  ``sigma2 = 0`` gives a
+    noise-free y.
     """
     if sigma2 < 0:
         raise DomainError("sigma2 must be nonnegative")
-    ht = stack_channels(channels, scenario.array, scenario.ofdm, scenario.plan)
-    y = scenario.matvec(ht[scenario.extraction.indices])
+    y = scenario.matvec(h)
     if sigma2 > 0:
         rng = substream(seed, "noise", *stream)
         z = rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)

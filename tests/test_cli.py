@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -113,6 +114,23 @@ def test_benchmark_deterministic_bytes(tiny_config, tmp_path):
     header = out1.read_text().splitlines()[0]
     assert header == ("snr_db,algorithm,nmse,nmse_db,mean_iterations,"
                       "converged_fraction,wall_time_ms,seed")
+
+
+def test_benchmark_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the default scenario's dense products are large enough for OpenBLAS
+    # to split over threads, and a split product sums in another order
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "igachan", "benchmark", "--trials", "1", "--snr", "0",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_unconverged_cells_warn_on_stderr(tiny_config, tmp_path, capsys):

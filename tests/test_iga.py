@@ -9,6 +9,7 @@ from igachan.harness import build_trial
 from igachan.iga import (
     AuxiliaryState,
     SplitScheme,
+    _shared_row_stepper,
     build_rank1_split,
     initial_state,
     project_all,
@@ -121,13 +122,13 @@ class TestSplit:
 
     def test_requires_exactly_one_quadratic_form(self):
         with pytest.raises(DomainError):
-            SplitScheme(b=np.zeros((2, 3)), lambda_c=np.ones(3))
+            SplitScheme(beta=np.zeros(2), lambda_c=np.ones(3))
 
 
 class TestProjection:
     def test_zero_piece_projects_to_itself(self, rng):
         n = 5
-        scheme = SplitScheme(b=np.zeros((1, n)), lambda_c=np.ones(n),
+        scheme = SplitScheme(beta=np.zeros(1), lambda_c=np.ones(n),
                              factors=np.zeros((1, n)))
         state = AuxiliaryState(
             lam_q=(rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))),
@@ -167,7 +168,7 @@ class TestProjection:
         self.check_against_dense_projection(rng, build_rank1_split(model))
 
     def test_positivity_guard(self):
-        scheme = SplitScheme(b=np.zeros((1, 2)), lambda_c=np.zeros(2),
+        scheme = SplitScheme(beta=np.zeros(1), lambda_c=np.zeros(2),
                              factors=np.zeros((1, 2)))
         state = initial_state(scheme)
         with pytest.raises(DomainError):
@@ -209,6 +210,31 @@ class TestUpdate:
                                lam0=np.zeros(1, dtype=complex), Lam0=np.zeros(1))
         with pytest.raises(DomainError):
             update_points(state, np.zeros((1, 1)), np.zeros((1, 1)), alpha=0.0)
+
+
+class TestFusedStep:
+    @pytest.mark.parametrize("split_case", ["unit_modulus", "bscm"], indirect=True)
+    @pytest.mark.parametrize("alpha,tol", [(1.0, 1e-12), (0.5, 1e-10)])
+    def test_matches_project_and_update(self, split_case, alpha, tol):
+        # the same states as the reference pair, step by step; the
+        # precisions take the same arithmetic, so they agree exactly.  The
+        # e-condition bounds are absolute and were set on O(1) parameters;
+        # on the desk trial the parameters sum to about 1e5, so there the
+        # reference's own residual bounds the fused step's
+        model, _ = split_case
+        scheme = build_rank1_split(model)
+        step = _shared_row_stepper(scheme, alpha)
+        ref = fused = initial_state(scheme)
+        for _ in range(5):
+            xi, Xi = project_all(scheme, ref)
+            ref = update_points(ref, xi, Xi, alpha, lambda_c=scheme.lambda_c)
+            fused = step(fused)
+            for got, want in ((fused.lam_q, ref.lam_q), (fused.lam0, ref.lam0)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(fused.Lam_q, ref.Lam_q)
+            assert np.array_equal(fused.Lam0, ref.Lam0)
+            assert fused.iteration == ref.iteration
+            assert fused.e_condition_residual() <= max(tol, ref.e_condition_residual())
 
 
 class TestRun:

@@ -148,7 +148,7 @@ class TestSynthesis:
         channels[2] = BeamChannel(H1)
         ht = stack_channels(channels, array, ofdm, plan)
         idx = int(np.flatnonzero(ht)[0])
-        y = synthesize_rx(scn, channels, sigma2=0.0, seed=0)
+        y = synthesize_rx(scn, ht, sigma2=0.0, seed=0)
         assert np.abs(y - A[:, idx] * value).max() <= 1e-12
 
     def test_fast_path_matches_literal_matrix_model(self, cfg, parts, rng):
@@ -167,7 +167,7 @@ class TestSynthesis:
             G_k = V @ channels[k - 1].H @ U.T
             Y += G_k @ np.diag(zc_pilot(plan, ofdm, k))
         y_ref = Y.reshape(-1, order="F")
-        y = synthesize_rx(scn, channels, sigma2=0.0, seed=0)
+        y = synthesize_rx(scn, stack_channels(channels, array, ofdm, plan), sigma2=0.0, seed=0)
         assert np.linalg.norm(y - y_ref) <= 1e-10 * np.linalg.norm(y_ref)
 
     def test_uneven_root_occupancy(self, rng):
@@ -191,7 +191,7 @@ class TestSynthesis:
         for k in range(1, plan.K + 1):
             Y += (V @ channels[k - 1].H @ U.T) @ np.diag(zc_pilot(plan, ofdm, k))
         y_ref = Y.reshape(-1, order="F")
-        y = synthesize_rx(scn, channels, sigma2=0.0, seed=0)
+        y = synthesize_rx(scn, stack_channels(channels, array, ofdm, plan), sigma2=0.0, seed=0)
         assert np.linalg.norm(y - y_ref) <= 1e-10 * np.linalg.norm(y_ref)
 
     def test_noise_statistics(self, cfg, parts):
@@ -199,8 +199,7 @@ class TestSynthesis:
         from igachan.bscm import full_extraction
 
         scn = BscmScenario(array, ofdm, plan, full_extraction(array, ofdm, plan))
-        zero = [BeamChannel(np.zeros((array.N_r, ofdm.N_f), dtype=complex))
-                for _ in range(plan.K)]
+        zero = np.zeros(scn.extraction.n)
         sigma2 = 0.6
         samples = np.concatenate([
             np.abs(synthesize_rx(scn, zero, sigma2, seed=10, stream=(t,))) ** 2
@@ -215,8 +214,7 @@ class TestSynthesis:
         from igachan.bscm import full_extraction
 
         scn = BscmScenario(array, ofdm, plan, full_extraction(array, ofdm, plan))
-        zero = [BeamChannel(np.zeros((array.N_r, ofdm.N_f), dtype=complex))
-                for _ in range(plan.K)]
+        zero = np.zeros(scn.extraction.n)
         with pytest.raises(DomainError):
             synthesize_rx(scn, zero, -1.0, seed=0)
 
