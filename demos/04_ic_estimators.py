@@ -13,7 +13,6 @@ from igachan.ic import (
     IcState,
     ic_beliefs,
     mproj_belief_oracle,
-    precompute_ic,
     run_estimator,
 )
 
@@ -25,13 +24,15 @@ model = MeasurementModel(A, d=rng.uniform(0.3, 2.0, n), sigma2=0.4,
                          y=rng.standard_normal(m) + 1j * rng.standard_normal(m))
 mu_mmse, _ = mmse_estimate(model)
 
-pre = precompute_ic(model)  # reads A^H y from the model
+# every IC function takes the model: it forms A^H y once, and A^H A,
+# diag(A^H A), c and L = |A^H A|.^2 each at their first use
+print("c = diag(A^H A) / sigma2 + 1/d lies in [%.3f, %.3f]" % (model.c.min(), model.c.max()))
 
 # the vectorized kernel reproduces the dense block-inversion projection
 lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 Lam = rng.uniform(0.5, 2.0, n)
 state = IcState(lam=lam, Lam=Lam)
-mu_vec, r_vec, e = ic_beliefs(pre, state)
+mu_vec, r_vec, e = ic_beliefs(model, state)
 mu_0, r_0, xi, Xi = mproj_belief_oracle(model, state, n=0)
 print("coordinate 0: vectorized mean %.6f%+.6fj vs oracle %.6f%+.6fj"
       % (mu_vec[0].real, mu_vec[0].imag, mu_0.real, mu_0.imag))
@@ -39,7 +40,7 @@ print("belief support (nonzero entries of xi_0):", int(np.sum(np.abs(xi) > 1e-12
 print("interference energies e_n are nonnegative:", bool(np.all(e >= 0)))
 
 for kind, alpha in (("ic_iga", 0.45), ("ic_siga", 0.25)):
-    rep = run_estimator(kind, pre, alpha=alpha, t_max=2000, tol=1e-10)
+    rep = run_estimator(kind, model, alpha=alpha, t_max=2000, tol=1e-10)
     err = np.linalg.norm(rep.mu - mu_mmse) / np.linalg.norm(mu_mmse)
     extras = "" if rep.variances is None else \
         f", posterior variances in [{rep.variances.min():.3f}, {rep.variances.max():.3f}]"

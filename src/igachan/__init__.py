@@ -33,14 +33,12 @@ from .iga import (
     update_points,
 )
 from .ic import (
-    IcPrecomp,
     IcState,
     ic_beliefs,
     ic_iga_step,
     ic_siga_step,
     initial_ic_state,
     mproj_belief_oracle,
-    precompute_ic,
     run_estimator,
 )
 from .bscm import (

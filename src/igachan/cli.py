@@ -43,7 +43,7 @@ def _run_spec(args, cfg: ScenarioConfig, n_sam: int,
     algs = tuple(tok.strip() for tok in args.alg.split(",") if tok.strip() != "")
     return harness.BenchmarkSpec(
         snr_list_db=snrs, algorithms=algs, n_sam=n_sam, scenario=cfg, seed=cfg.seed,
-        alphas={} if args.alpha is None else dict.fromkeys(algs, args.alpha),
+        alpha=args.alpha,
         t_max=args.max_iter, tol=args.tol, measure_time=measure_time)
 
 

@@ -14,15 +14,18 @@ hollow (zero-diagonal) Gram matrix T and the diagonal matrix Upsilon,
 
 which has the same mean as MMSE.  Both are desk-scale oracles: every
 iterative estimator in this package is validated against them.  Each
-takes one :class:`MeasurementModel`, which carries y and forms A^H y once.
+takes one :class:`MeasurementModel`, which carries y and forms A^H y once,
+and owns every product of A^H A the estimators read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from . import bscm
 from .errors import DomainError
 from .gaussian import _cho_solve
 
@@ -43,8 +46,14 @@ class MeasurementModel:
     exposing ``shape``, ``matvec``, ``rmatvec``, ``gram_diag`` and ``gram``
     (see :class:`igachan.bscm.BscmScenario`).  ``d`` is the diagonal of D.
     ``ahy`` = A^H y is formed once here, by one dense product or one operator
-    ``rmatvec``; every estimator reads it, and A^H A from :meth:`gram`, which
-    builds it at its first call and shares it read-only afterwards.
+    ``rmatvec``; every estimator reads it.
+
+    It owns every product of A^H A the estimators read: :meth:`gram`,
+    ``gram_apply``, ``gram_diag``, ``c`` and ``gram_abs2``, each built at
+    its first use, when ``bscm.DENSE_ENTRY_CAP`` is read, and shared after;
+    ``dataclasses.replace`` starts with none built.  Above the cap on N^2,
+    A^H A is applied through the operator, L is not formed and a dense
+    ``A`` is refused.
     """
 
     A: object
@@ -52,7 +61,6 @@ class MeasurementModel:
     sigma2: float
     y: np.ndarray
     ahy: np.ndarray = field(init=False)
-    _gram: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=np.float64).reshape(-1)
@@ -78,7 +86,8 @@ class MeasurementModel:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "sigma2", sigma2)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "ahy", A.conj().T @ y if self.is_dense else A.rmatvec(y))
+        # (y^H A)^H makes no conjugate copy of A
+        object.__setattr__(self, "ahy", (y.conj() @ A).conj() if self.is_dense else A.rmatvec(y))
 
     @property
     def m(self) -> int:
@@ -100,11 +109,65 @@ class MeasurementModel:
     def gram(self) -> np.ndarray:
         """A^H A as a read-only dense (N, N) matrix, built once per model; an
         operator builds it in closed form."""
-        if self._gram is None:
-            G = self.A.conj().T @ self.A if self.is_dense else self.A.gram()
-            G.flags.writeable = False
-            object.__setattr__(self, "_gram", G)
         return self._gram
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        G = self.A.conj().T @ self.A if self.is_dense else self.A.gram()
+        G.flags.writeable = False
+        return G
+
+    def _gram_fits(self) -> bool:
+        """Whether N^2 <= ``bscm.DENSE_ENTRY_CAP``; above it a dense ``A`` is refused."""
+        if self.n ** 2 <= bscm.DENSE_ENTRY_CAP:
+            return True
+        if self.is_dense:
+            raise DomainError("N^2 exceeds DENSE_ENTRY_CAP: pass a matrix-free operator, "
+                              "not a dense A")
+        return False
+
+    @cached_property
+    def gram_apply(self):
+        """x -> A^H A x: the dense A^H A at or below the cap, the operator's
+        ``rmatvec(matvec(x))`` above it."""
+        if self._gram_fits():
+            return self.gram().__matmul__
+        op = self.A
+        return lambda x: op.rmatvec(op.matvec(x))
+
+    @cached_property
+    def gram_diag(self) -> np.ndarray:
+        """diag(A^H A), real."""
+        if self._gram_fits():
+            return np.real(np.diag(self.gram())).copy()
+        return np.asarray(self.A.gram_diag(), dtype=np.float64)
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        """sigma2^{-1} diag(A^H A) + 1/d, the diagonal of the posterior precision."""
+        c = self.gram_diag / self.sigma2 + 1.0 / self.d
+        if not np.all(c > 0):
+            raise DomainError("c must be strictly positive (check A columns and d)")
+        return c
+
+    @cached_property
+    def gram_abs2(self) -> np.ndarray:
+        """L = |A^H A|.^2, formed only at or below the cap."""
+        if not self._gram_fits():
+            raise DomainError("L = |A^H A|.^2 is not formed above DENSE_ENTRY_CAP")
+        return np.abs(self.gram()) ** 2
+
+    @cached_property
+    def _theta(self) -> tuple:
+        theta = self.ahy / self.sigma2
+        return theta, float(np.linalg.norm(theta)) or 1.0
+
+    def residual(self, mu: np.ndarray, gram_mu: np.ndarray) -> float:
+        """||(sigma2^{-1} A^H A + D^{-1}) mu - theta|| / ||theta||, theta = sigma2^{-1} A^H y,
+        the relative normal-equation residual of ``mu`` given ``gram_mu`` = A^H A mu."""
+        theta, theta_norm = self._theta
+        lhs = gram_mu / self.sigma2 + mu / self.d
+        return float(np.linalg.norm(lhs - theta)) / theta_norm
 
 
 @dataclass(frozen=True)

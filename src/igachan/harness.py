@@ -24,7 +24,7 @@ import functools
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,9 +195,7 @@ def _solved(trial: Trial, mu, algorithm: str, t_start: float) -> EstimateReport:
     """Report of a direct solve: no iterations, converged, and the relative
     normal-equation residual of its mean."""
     model = trial.model
-    theta = model.ahy / model.sigma2
-    lhs = model.gram() @ mu / model.sigma2 + mu / model.d
-    residual = float(np.linalg.norm(lhs - theta)) / (float(np.linalg.norm(theta)) or 1.0)
+    residual = model.residual(mu, model.gram() @ mu)
     return EstimateReport(mu=mu, variances=None, residual_trace=[residual], iterations=0,
                           converged=True, wall_time=time.perf_counter() - t_start,
                           config={"algorithm": algorithm})
@@ -216,16 +214,17 @@ def _run_modified_mmse(trial, alpha, t_max, tol):
 
 
 def _run_iga(trial, alpha, t_max, tol):
-    # the rank-1 split needs the rows of A, so IGA alone assembles it
+    # the rank-1 split needs the rows of A, so IGA alone assembles it; no
+    # name holds A, so it is freed once the split is built
     model, scn = trial.model, trial.model.A
-    A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
-    scheme = _iga.build_rank1_split(MeasurementModel(A, model.d, model.sigma2, model.y))
+    scheme = _iga.build_rank1_split(MeasurementModel(
+        assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction),
+        model.d, model.sigma2, model.y))
     return _iga.run_iga(scheme, alpha=alpha, t_max=t_max, tol=tol)
 
 
 def _run_ic(kind, trial, alpha, t_max, tol):
-    pre = _ic.precompute_ic(trial.model)
-    return _ic.run_estimator(kind, pre, alpha=alpha, t_max=t_max, tol=tol)
+    return _ic.run_estimator(kind, trial.model, alpha=alpha, t_max=t_max, tol=tol)
 
 
 ESTIMATORS = {
@@ -240,14 +239,18 @@ ALGORITHMS = tuple(ESTIMATORS)
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """One benchmark sweep: SNR grid x algorithms x N_sam trials."""
+    """One benchmark sweep: SNR grid x algorithms x N_sam trials.
+
+    ``alpha`` overrides the damping of every iterative algorithm; None
+    keeps each one's default in ``DEFAULT_ALPHAS``.
+    """
 
     snr_list_db: tuple
     algorithms: tuple
     n_sam: int
     scenario: ScenarioConfig
     seed: int
-    alphas: dict = field(default_factory=dict)
+    alpha: float | None = None
     t_max: int = 100
     tol: float = 1e-8
     measure_time: bool = False
@@ -275,15 +278,11 @@ class BenchmarkSpec:
             raise ConfigError("t_max (--max-iter) must be >= 0")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ConfigError(f"tol (--tol) must be finite and >= 0, got {self.tol}")
-        alphas = dict(DEFAULT_ALPHAS)
-        alphas.update(self.alphas)
-        for alg, alpha in alphas.items():
-            if not (0 < alpha <= 1):
-                raise ConfigError(f"alpha (--alpha) for {alg} must lie in (0, 1], got {alpha}")
-        object.__setattr__(self, "alphas", alphas)
+        if self.alpha is not None and not (0 < self.alpha <= 1):
+            raise ConfigError(f"alpha (--alpha) must lie in (0, 1], got {self.alpha}")
 
     def alpha_for(self, algorithm: str) -> float:
-        return float(self.alphas.get(algorithm, 1.0))
+        return float(DEFAULT_ALPHAS.get(algorithm, 1.0) if self.alpha is None else self.alpha)
 
 
 def _run_trial(spec: BenchmarkSpec, geometry, snr_index: int, trial: int):
@@ -452,11 +451,10 @@ def _check_belief_oracle():
     for _ in range(5):
         n = 8
         model = _rand_model(rng, 12, n)
-        pre = _ic.precompute_ic(model)
         lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         Lam = rng.uniform(0.5, 2.0, n)
-        state = _ic.IcState(lam=lam, Lam=Lam, t=0)
-        mu_vec, r_vec, _ = _ic.ic_beliefs(pre, state)
+        state = _ic.IcState(lam=lam, Lam=Lam)
+        mu_vec, r_vec, _ = _ic.ic_beliefs(model, state)
         for j in range(n):
             mu_j, r_j, xi, Xi = _ic.mproj_belief_oracle(model, state, j)
             scale = max(abs(mu_j), abs(r_j), 1.0)
@@ -471,17 +469,16 @@ def _check_ic_equilibria():
     rng = np.random.default_rng(106)
     model = _rand_model(rng, 96, 48)
     mu_m, _ = mmse_estimate(model)
-    pre = _ic.precompute_ic(model)
     msgs = []
     ok = True
     for kind in ("ic_iga", "ic_siga"):
-        rep = _ic.run_estimator(kind, pre, t_max=2000, tol=1e-12)
+        rep = _ic.run_estimator(kind, model, t_max=2000, tol=1e-12)
         err = float(np.linalg.norm(rep.mu - mu_m) / np.linalg.norm(mu_m))
         res = rep.residual_trace[-1]
         ok = ok and err <= 1e-6 and res <= 1e-8
         msgs.append(f"{kind}: rel err {err:.3e} (tol 1e-6), residual {res:.3e} (tol 1e-8)")
     # fixed-point probe: one mean-only step at the MMSE mean stays put
-    step = _ic.ic_siga_step(pre, mu_m, alpha=1.0)
+    step = _ic.ic_siga_step(model, mu_m, alpha=1.0)
     fp = float(np.linalg.norm(step - mu_m) / np.linalg.norm(mu_m))
     ok = ok and fp <= 1e-10
     msgs.append(f"fixed point drift {fp:.3e} (tol 1e-10)")

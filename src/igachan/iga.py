@@ -74,7 +74,7 @@ class SplitScheme:
 
     beta: np.ndarray
     lambda_c: np.ndarray
-    factors: np.ndarray | None = None
+    factors: np.ndarray
     abs2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -84,8 +84,6 @@ class SplitScheme:
             raise DomainError("beta must be a (Q,) vector")
         if np.any(lc < 0):
             raise DomainError("lambda_c entries must be nonnegative")
-        if self.factors is None:
-            raise DomainError("the rank-1 factors must be given")
         f = np.asarray(self.factors, dtype=np.complex128)
         if f.shape != (beta.size, lc.size):
             raise DomainError("factors must be (Q, N), matching beta and lambda_c")
@@ -131,7 +129,6 @@ class AuxiliaryState:
     Lam_q: np.ndarray  # (P, N) real
     lam0: np.ndarray  # (N,) complex
     Lam0: np.ndarray  # (N,) real
-    iteration: int = 0
 
     def e_condition_residual(self) -> float:
         """Max absolute violation of sum_q (.) + (1 - Q) (.)_0 = 0."""
@@ -170,7 +167,6 @@ def initial_state(scheme: SplitScheme) -> AuxiliaryState:
         Lam_q=np.zeros_like(scheme.abs2),
         lam0=np.zeros(n, dtype=np.complex128),
         Lam0=np.zeros(n, dtype=np.float64),
-        iteration=0,
     )
 
 
@@ -229,8 +225,7 @@ def update_points(state: AuxiliaryState, xi: np.ndarray, Xi: np.ndarray,
     lam_q *= alpha
     lam_q += (1 - alpha) * state.lam_q
     Lam0, Lam_q = _damped_precisions(state, Xi, xi.shape[0], alpha, lambda_c)
-    return AuxiliaryState(lam_q=lam_q, Lam_q=Lam_q, lam0=lam0, Lam0=Lam0,
-                          iteration=state.iteration + 1)
+    return AuxiliaryState(lam_q=lam_q, Lam_q=Lam_q, lam0=lam0, Lam0=Lam0)
 
 
 def _damped_precisions(state: AuxiliaryState, Xi: np.ndarray, q: int, alpha: float,
@@ -301,8 +296,7 @@ def _shared_row_stepper(scheme: SplitScheme, alpha: float):
         spare = lam_q
         Lam0, Lam_q = _damped_precisions(state, r_over_denom * abs2, q, alpha, lc)
         return AuxiliaryState(lam_q=buf, Lam_q=Lam_q,
-                              lam0=alpha * lam0_new + (1 - alpha) * state.lam0, Lam0=Lam0,
-                              iteration=state.iteration + 1)
+                              lam0=alpha * lam0_new + (1 - alpha) * state.lam0, Lam0=Lam0)
 
     return step
 

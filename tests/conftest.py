@@ -34,12 +34,12 @@ def random_spd_natural(rng, n, shift=None):
 
 @pytest.fixture
 def corrupt_e_diagonal(monkeypatch):
-    """Drop the diagonal-exclusion term of e_n (dense precomputations), to
-    show that the belief-oracle comparison is sensitive to it."""
+    """Drop the diagonal-exclusion term of e_n (models at or below the cap),
+    to show that the belief-oracle comparison is sensitive to it."""
     from igachan import ic
 
     monkeypatch.setattr(ic, "_interference_energy",
-                        lambda pre, v: (pre.L @ v) / (pre.sigma2**2 * pre.c))
+                        lambda model, v: (model.gram_abs2 @ v) / (model.sigma2**2 * model.c))
 
 
 @pytest.fixture

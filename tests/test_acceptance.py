@@ -6,6 +6,7 @@ as a human-readable acceptance report.
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -76,11 +77,10 @@ def test_criterion_2_belief_oracle():
         m = int(rng.integers(n, 2 * n + 1))
         A = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2 * m)
         model = MeasurementModel(A, rng.uniform(0.2, 3.0, n), 0.5, random_y(rng, m))
-        pre = ic.precompute_ic(model)
         lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         Lam = rng.uniform(0.3, 3.0, n)
-        state = ic.IcState(lam=lam, Lam=Lam, t=0)
-        mu_vec, r_vec, _ = ic.ic_beliefs(pre, state)
+        state = ic.IcState(lam=lam, Lam=Lam)
+        mu_vec, r_vec, _ = ic.ic_beliefs(model, state)
         for j in range(n):
             mu_j, r_j, xi, Xi = ic.mproj_belief_oracle(model, state, j)
             scale = max(abs(mu_j), r_j, 1.0)
@@ -102,9 +102,8 @@ def test_criterion_3_ic_equilibria():
     for n in (32, 64, 128):
         model = _well_conditioned_model(rng, n)
         mu_mmse, _ = mmse_estimate(model)
-        pre = ic.precompute_ic(model)
         for kind, alpha in (("ic_iga", 0.45), ("ic_siga", 0.25)):
-            rep = ic.run_estimator(kind, pre, alpha=alpha, t_max=2000, tol=1e-12)
+            rep = ic.run_estimator(kind, model, alpha=alpha, t_max=2000, tol=1e-12)
             err = float(np.linalg.norm(rep.mu - mu_mmse) / np.linalg.norm(mu_mmse))
             worst_err = max(worst_err, err)
             worst_res = max(worst_res, rep.residual_trace[-1])
@@ -208,10 +207,9 @@ def test_criterion_7_orthogonal_pilot_decoupling():
     model = MeasurementModel(A, rng.uniform(0.3, 2.0, A.shape[1]), 0.5,
                              random_y(rng, A.shape[0]))
     mu_mmse, _ = mmse_estimate(model)
-    pre = ic.precompute_ic(model)
     state0 = ic.initial_ic_state(A.shape[1])
     assert np.linalg.norm(state0.mu - mu_mmse) > 1e-3  # not there yet
-    state1 = ic.ic_iga_step(pre, state0, alpha=1.0)
+    state1 = ic.ic_iga_step(model, state0, alpha=1.0)
     err = float(np.linalg.norm(state1.mu - mu_mmse) / np.linalg.norm(mu_mmse))
     _report("criterion-7 orthogonal-pilot-decoupling", err <= 1e-10,
             f"mean error after exactly one iteration {err:.3e} (tol 1e-10)",
@@ -243,19 +241,18 @@ def _median_round_ratio(fn_small, fn_big, steps_small, steps_big, rounds):
 def _dense_step_timer(n, rng):
     # timing-only surrogate: a synthetic Hermitian Gram with the exact
     # per-iteration kernels (L @ v and the Gram product dominate); diagonal
-    # dominance keeps the iterate finite over hundreds of timing steps
+    # dominance keeps the iterate finite over hundreds of timing steps.  An
+    # operator whose gram() is K, and whose A^H y is y, stands for A
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     K = (G + G.conj().T) / 2
     np.fill_diagonal(K, 0.0)
     np.fill_diagonal(K, np.abs(K).sum(axis=1) + 1.0)
-    kd = np.real(np.diag(K)).copy()
-    pre = ic.IcPrecomp(ahy=random_y(rng, n), aha_diag=kd, c=kd + 1.0,
-                       d=np.ones(n), sigma2=1.0,
-                       gram=lambda x, _K=K: _K @ x, L=np.abs(K) ** 2)
+    op = SimpleNamespace(shape=(n, n), rmatvec=lambda y: y, gram=lambda: K)
+    model = MeasurementModel(op, np.ones(n), 1.0, random_y(rng, n))
     state = [ic.initial_ic_state(n)]
 
     def step():
-        state[0] = ic.ic_iga_step(pre, state[0], 0.45)
+        state[0] = ic.ic_iga_step(model, state[0], 0.45)
 
     return step
 
@@ -265,10 +262,9 @@ def _fast_step_timer(f_z, rng):
     ofdm = OfdmConfig(N_c=2048, delta_f_hz=30e3, M_p=32, M_g=144, F_p=2)
     plan = PilotPlan(K=1, P=1, M_p=32, N_p=ofdm.N_p, N_f=ofdm.N_f)
     scn = BscmScenario(array, ofdm, plan, full_extraction(array, ofdm, plan))
-    pre = ic.precompute_ic(MeasurementModel(scn, np.ones(scn.shape[1]), 1.0,
-                                            random_y(rng, scn.shape[0])))
+    model = MeasurementModel(scn, np.ones(scn.shape[1]), 1.0, random_y(rng, scn.shape[0]))
     mu = random_y(rng, scn.shape[1])
-    return lambda: ic.ic_siga_step(pre, mu, 0.25), scn.shape[1]
+    return lambda: ic.ic_siga_step(model, mu, 0.25), scn.shape[1]
 
 
 def test_criterion_8_complexity_scaling():

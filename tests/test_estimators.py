@@ -46,7 +46,11 @@ class TestMmse:
         model = random_model(rng, 10, 6)
         alpha = 0.7 - 1.3j
         mu1, _ = mmse_estimate(model)
-        mu2, _ = mmse_estimate(dataclasses.replace(model, y=alpha * model.y))
+        assert np.all(model.c > 0)  # builds A^H A, diag(A^H A) and c
+        scaled = dataclasses.replace(model, y=alpha * model.y)
+        # a replaced model starts with none of the products built
+        assert not {"_gram", "gram_diag", "c"} & set(vars(scaled))
+        mu2, _ = mmse_estimate(scaled)
         assert np.abs(mu2 - alpha * mu1).max() <= 1e-13 * np.abs(mu1).max()
 
     def test_dimension_mismatch(self, rng):

@@ -1,8 +1,12 @@
+import functools
+import weakref
+
 import numpy as np
 import pytest
 
 from igachan.bscm import BscmScenario, ScenarioConfig, build_steering, geometry_from_config
 from igachan.errors import ConfigError, DomainError
+from igachan.estimators import MeasurementModel
 from igachan.harness import (
     ALGORITHMS,
     CSV_HEADER,
@@ -151,7 +155,7 @@ class TestBenchmark:
         from igachan import harness as h
         from igachan.errors import DivergenceError
 
-        def explode(kind, pre, **kwargs):
+        def explode(kind, model, **kwargs):
             raise DivergenceError("forced", trace=[1.0])
 
         monkeypatch.setattr(h._ic, "run_estimator", explode)
@@ -212,13 +216,54 @@ def test_one_rmatvec_per_default_trial(monkeypatch):
 
 
 def test_one_gram_per_default_trial(monkeypatch):
-    # mmse, both IC precomputations and the direct-solve residual share the
+    # mmse, both IC estimators and the direct-solve residual share the
     # model's A^H A, which it builds at the first call and hands out read-only
     assert _count_default_trial_calls(monkeypatch, "gram") == 1
     cfg = ScenarioConfig()
     model = build_trial(geometry_from_config(cfg), cfg, 0, 10.0, stream=(0, 0)).model
     assert model.gram() is model.gram()
     assert not model.gram().flags.writeable
+
+
+@pytest.mark.parametrize("algorithms, builds", [
+    (("mmse", "ic_iga", "ic_siga"), 1),
+    (("ic_siga",), 0),
+], ids=["default-algorithms", "ic_siga-alone"])
+def test_L_formed_at_most_once_per_default_trial(monkeypatch, algorithms, builds):
+    # IC-IGA and IC-SIGA read one model per trial, so L = |A^H A|.^2 is
+    # formed once; IC-SIGA alone never reads it
+    product, calls = vars(MeasurementModel)["gram_abs2"], []
+    counted = functools.cached_property(lambda model: calls.append(1) or product.func(model))
+    counted.__set_name__(MeasurementModel, "gram_abs2")
+    monkeypatch.setattr(MeasurementModel, "gram_abs2", counted)
+    spec = BenchmarkSpec(snr_list_db=(10.0,), algorithms=algorithms, n_sam=1,
+                         scenario=ScenarioConfig(), seed=0)
+    _run_trial(spec, geometry_from_config(spec.scenario), 0, 0)
+    assert len(calls) == builds
+
+
+def test_iga_frees_the_dense_A_before_iterating(small_spec, monkeypatch):
+    # IGA iterates on its split's own factors, so the assembled A is dead
+    # by the time run_iga starts
+    from igachan import harness as h
+
+    assemble, run_iga, refs, alive = h.assemble_dense_A, h._iga.run_iga, [], []
+
+    def assembled(*args):
+        A = assemble(*args)
+        refs.append(weakref.ref(A))
+        return A
+
+    def run(scheme, **kwargs):
+        alive.append(refs[-1]() is not None)
+        return run_iga(scheme, **kwargs)
+
+    monkeypatch.setattr(h, "assemble_dense_A", assembled)
+    monkeypatch.setattr(h._iga, "run_iga", run)
+    cfg = small_spec.scenario
+    trial = build_trial(geometry_from_config(cfg), cfg, cfg.seed, 10.0, stream=(0, 0))
+    h.ESTIMATORS["iga"](trial, 0.05, 2, 1e-8)
+    assert alive == [False]
 
 
 def test_no_space_frequency_transform_per_default_trial(monkeypatch):

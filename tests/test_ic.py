@@ -1,4 +1,5 @@
-import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from igachan.ic import (
     ic_siga_step,
     initial_ic_state,
     mproj_belief_oracle,
-    precompute_ic,
     run_estimator,
 )
 
@@ -24,55 +24,61 @@ from conftest import random_model, random_y
 def random_state(rng, n):
     lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     Lam = rng.uniform(0.5, 2.0, n)
-    return IcState(lam=lam, Lam=Lam, t=0)
+    return IcState(lam=lam, Lam=Lam)
 
 
 class TestPrecompute:
+    # the model's products of A^H A, each built at its first use
     def test_identity(self):
         model = MeasurementModel(np.eye(3, dtype=complex), np.ones(3), 1.0, np.zeros(3))
-        pre = precompute_ic(model)
-        assert np.allclose(pre.c, 2.0)
-        assert np.allclose(pre.L, np.eye(3))
+        assert np.allclose(model.c, 2.0)
+        assert np.allclose(model.gram_abs2, np.eye(3))
 
     def test_scalar(self):
         model = MeasurementModel(np.array([[2.0]]), np.array([1.0]), 1.0, np.array([1.0]))
-        pre = precompute_ic(model)
-        assert pre.aha_diag[0] == 4.0
-        assert pre.c[0] == 5.0
+        assert model.gram_diag[0] == 4.0
+        assert model.c[0] == 5.0
 
     def test_squared_gram_oracle(self, rng):
         model = random_model(rng, 12, 8)
-        pre = precompute_ic(model)
         aha = model.A.conj().T @ model.A
         for i in range(8):
             for j in range(8):
                 expect = abs(aha[i, j]) ** 2
-                assert abs(pre.L[i, j] - expect) <= 1e-13 * max(expect, 1.0)
+                assert abs(model.gram_abs2[i, j] - expect) <= 1e-13 * max(expect, 1.0)
 
     def test_scenario_model_stores_L_below_cap(self, tiny_scenario, rng, monkeypatch):
         scn = tiny_scenario
         d = rng.uniform(0.5, 2.0, scn.shape[1])
         y = random_y(rng, scn.shape[0])
         model = MeasurementModel(scn, d, 1.0, y)
-        pre = precompute_ic(model)
         A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
-        L = np.abs(A.conj().T @ A) ** 2
-        assert pre.mode == "dense"
-        assert np.abs(pre.L - L).max() <= 1e-12 * L.max()
-        # above the cap only the FFT operators run, and L is not stored
+        G = A.conj().T @ A
+        L = np.abs(G) ** 2
+        assert np.abs(model.gram_abs2 - L).max() <= 1e-12 * L.max()
+        # above the cap only the FFT operators run: A^H A and L are not
+        # formed.  The cap is read when a product is first built, so this
+        # cap gets a fresh model
         monkeypatch.setattr(bscm, "DENSE_ENTRY_CAP", scn.shape[1] ** 2 - 1)
-        pre = precompute_ic(model)
-        assert pre.L is None and pre.mode == "operator"
+        model = MeasurementModel(scn, d, 1.0, y)
+        x = random_y(rng, scn.shape[1])
+        assert np.abs(model.gram_apply(x) - G @ x).max() <= 1e-12 * np.abs(G @ x).max()
+        assert np.array_equal(model.gram_diag, scn.gram_diag())
+        assert np.array_equal(model.c, scn.gram_diag() + 1.0 / d)
         with pytest.raises(DomainError, match="DENSE_ENTRY_CAP"):
-            precompute_ic(MeasurementModel(A, d, 1.0, y))
+            model.gram_abs2
+        assert "_gram" not in vars(model)
+        dense = MeasurementModel(A, d, 1.0, y)
+        for product in ("gram_apply", "gram_diag", "c", "gram_abs2"):
+            with pytest.raises(DomainError, match="DENSE_ENTRY_CAP"):
+                getattr(dense, product)
 
 
 class TestIcIgaStep:
     def test_diagonal_gram_first_step(self):
         model = MeasurementModel(np.eye(2, dtype=complex), np.ones(2), 1.0, np.array([2.0, 4.0]))
-        pre = precompute_ic(model)
         state = initial_ic_state(2)
-        mu_new, r, e = ic_beliefs(pre, state)
+        mu_new, r, e = ic_beliefs(model, state)
         assert np.abs(e).max() == 0
         assert np.allclose(r, 2.0)
         assert np.allclose(mu_new, [1.0, 2.0])
@@ -82,20 +88,18 @@ class TestIcIgaStep:
                                 + 1j * rng.standard_normal((24, 12)))
         model = MeasurementModel(q_mat, rng.uniform(0.5, 2.0, 12), 0.7, random_y(rng, 24))
         mu_mmse, _ = mmse_estimate(model)
-        pre = precompute_ic(model)
-        s1 = ic_iga_step(pre, initial_ic_state(12), alpha=1.0)
+        s1 = ic_iga_step(model, initial_ic_state(12), alpha=1.0)
         assert np.abs(s1.mu - mu_mmse).max() <= 1e-12 * np.abs(mu_mmse).max()
-        s2 = ic_iga_step(pre, s1, alpha=1.0)
+        s2 = ic_iga_step(model, s1, alpha=1.0)
         assert np.abs(s2.lam - s1.lam).max() <= 1e-12 * np.abs(s1.lam).max()
         assert np.abs(s2.Lam - s1.Lam).max() <= 1e-12 * np.abs(s1.Lam).max()
 
     def test_matches_dense_oracle(self, rng):
         model = random_model(rng, 12, 8)
-        pre = precompute_ic(model)
         state = random_state(rng, 8)
-        mu_vec, r_vec, e = ic_beliefs(pre, state)
+        mu_vec, r_vec, e = ic_beliefs(model, state)
         assert np.all(e >= 0)
-        assert np.all(r_vec > 0) and np.all(r_vec <= pre.c + 1e-12)
+        assert np.all(r_vec > 0) and np.all(r_vec <= model.c + 1e-12)
         for n in range(8):
             mu_n, r_n, xi, Xi = mproj_belief_oracle(model, state, n)
             assert abs(mu_n - mu_vec[n]) <= 1e-10 * max(1.0, abs(mu_n))
@@ -129,11 +133,9 @@ class TestIcIgaStep:
         A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
         d = rng.uniform(0.5, 2.0, A.shape[1])
         y = random_y(rng, A.shape[0])
-        pre_d = precompute_ic(MeasurementModel(A, d, 0.8, y))
-        pre_o = precompute_ic(MeasurementModel(scn, d, 0.8, y))
         state = random_state(rng, A.shape[1])
-        s_d = ic_iga_step(pre_d, state, alpha=0.6)
-        s_o = ic_iga_step(pre_o, state, alpha=0.6)
+        s_d = ic_iga_step(MeasurementModel(A, d, 0.8, y), state, alpha=0.6)
+        s_o = ic_iga_step(MeasurementModel(scn, d, 0.8, y), state, alpha=0.6)
         scale = np.abs(s_d.lam).max()
         assert np.abs(s_d.lam - s_o.lam).max() <= 1e-12 * scale
         assert np.abs(s_d.Lam - s_o.Lam).max() <= 1e-12 * np.abs(s_d.Lam).max()
@@ -154,26 +156,23 @@ class TestIcIgaStep:
 class TestIcSigaStep:
     def test_identity_fixed_point(self):
         model = MeasurementModel(np.eye(2, dtype=complex), np.ones(2), 1.0, np.array([2.0, 4.0]))
-        pre = precompute_ic(model)
-        mu1 = ic_siga_step(pre, np.zeros(2, dtype=complex), alpha=1.0)
+        mu1 = ic_siga_step(model, np.zeros(2, dtype=complex), alpha=1.0)
         assert np.allclose(mu1, [1.0, 2.0])
-        mu2 = ic_siga_step(pre, mu1, alpha=1.0)
+        mu2 = ic_siga_step(model, mu1, alpha=1.0)
         assert np.abs(mu2 - mu1).max() <= 1e-14
 
     def test_mmse_mean_is_fixed_point(self, rng):
         model = random_model(rng, 20, 10)
         mu_mmse, _ = mmse_estimate(model)
-        pre = precompute_ic(model)
-        stepped = ic_siga_step(pre, mu_mmse, alpha=1.0)
+        stepped = ic_siga_step(model, mu_mmse, alpha=1.0)
         assert np.linalg.norm(stepped - mu_mmse) / np.linalg.norm(mu_mmse) <= 1e-10
 
     def test_equals_damped_jacobi(self, rng):
         # independent Jacobi-splitting computation of the same update
         model = random_model(rng, 14, 9)
-        pre = precompute_ic(model)
         mu_t = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         alpha = 0.3
-        got = ic_siga_step(pre, mu_t, alpha)
+        got = ic_siga_step(model, mu_t, alpha)
         s = 1.0 / model.sigma2
         B = s * (model.A.conj().T @ model.A) + np.diag(1.0 / model.d)
         rhs = s * (model.A.conj().T @ model.y)
@@ -185,8 +184,7 @@ class TestIcSigaStep:
 
 class TestRunEstimator:
     def test_t_max_zero(self, rng):
-        pre = precompute_ic(random_model(rng, 8, 5))
-        rep = run_estimator("ic_iga", pre, t_max=0)
+        rep = run_estimator("ic_iga", random_model(rng, 8, 5), t_max=0)
         assert rep.iterations == 0 and not rep.converged
         assert np.all(rep.mu == 0)
         assert len(rep.residual_trace) == 1
@@ -207,8 +205,7 @@ class TestRunEstimator:
         A = assemble_dense_A(array, ofdm, plan, scn.extraction)
         d = rng.uniform(0.5, 2.0, A.shape[1])
         model = MeasurementModel(A, d, 1.0, random_y(rng, A.shape[0]))
-        pre = precompute_ic(model)
-        rep = run_estimator("ic_iga", pre, alpha=0.45, t_max=40, tol=1e-14)
+        rep = run_estimator("ic_iga", model, alpha=0.45, t_max=40, tol=1e-14)
         assert rep.residual_trace[35] <= 1e-8
         mu_mmse, _ = mmse_estimate(model)
         assert np.linalg.norm(rep.mu - mu_mmse) / np.linalg.norm(mu_mmse) <= 1e-8
@@ -217,8 +214,7 @@ class TestRunEstimator:
     def test_reaches_mmse_on_random_instances(self, rng, kind, alpha):
         model = random_model(rng, 32, 16)
         mu_mmse, _ = mmse_estimate(model)
-        pre = precompute_ic(model)
-        rep = run_estimator(kind, pre, alpha=alpha, t_max=2000, tol=1e-10)
+        rep = run_estimator(kind, model, alpha=alpha, t_max=2000, tol=1e-10)
         assert rep.converged
         assert np.linalg.norm(rep.mu - mu_mmse) / np.linalg.norm(mu_mmse) <= 1e-6
         assert rep.residual_trace[-1] <= 1e-8
@@ -229,11 +225,11 @@ class TestRunEstimator:
 
     def test_equilibrium_is_damping_invariant(self, rng):
         # a fixed point for one damping stays fixed for any other
-        pre = precompute_ic(random_model(rng, 24, 12))
-        rep = run_estimator("ic_iga", pre, alpha=0.45, t_max=5000, tol=1e-13)
+        model = random_model(rng, 24, 12)
+        rep = run_estimator("ic_iga", model, alpha=0.45, t_max=5000, tol=1e-13)
         state = IcState(lam=rep.mu * (1.0 / rep.variances), Lam=1.0 / rep.variances)
         for alpha in (1.0, 0.2):
-            stepped = ic_iga_step(pre, state, alpha=alpha)
+            stepped = ic_iga_step(model, state, alpha=alpha)
             assert np.abs(stepped.mu - state.mu).max() <= 1e-9 * np.abs(state.mu).max()
 
     def test_scenario_model_run_reports_dense_variances(self, rng, monkeypatch):
@@ -252,66 +248,63 @@ class TestRunEstimator:
         scn = BscmScenario(array, ofdm, plan, extraction)
         y = random_y(rng, scn.shape[0])
         model = MeasurementModel(scn, d, 1.0, y)
-        rep = run_estimator("ic_iga", precompute_ic(model), t_max=1000, tol=1e-10)
+        rep = run_estimator("ic_iga", model, t_max=1000, tol=1e-10)
         assert rep.residual_trace[-1] <= 1e-8
         A = assemble_dense_A(array, ofdm, plan, extraction)
-        ref = run_estimator("ic_iga", precompute_ic(MeasurementModel(A, d, 1.0, y)),
-                            t_max=1000, tol=1e-10)
+        ref = run_estimator("ic_iga", MeasurementModel(A, d, 1.0, y), t_max=1000, tol=1e-10)
         assert rep.variances is not None
         assert np.abs(rep.variances - ref.variances).max() <= 1e-10 * ref.variances.max()
         # above the cap there is no L, and IC-IGA refuses instead of dropping
-        # its variances
+        # its variances; the cap is read by a fresh model's first product
         monkeypatch.setattr(bscm, "DENSE_ENTRY_CAP", extraction.n ** 2 - 1)
-        pre = precompute_ic(model)
         with pytest.raises(DomainError, match="DENSE_ENTRY_CAP"):
-            run_estimator("ic_iga", pre, t_max=1000, tol=1e-10)
+            run_estimator("ic_iga", MeasurementModel(scn, d, 1.0, y), t_max=1000, tol=1e-10)
 
     def test_one_gram_apply_per_iteration(self, tiny_scenario, rng, monkeypatch):
-        # both modes apply the Gram matrix once for the starting residual and
-        # once per iteration, and match a hand loop of the public steps bit
-        # for bit; IC-IGA needs L, so in operator mode it refuses to run
+        # in both size regimes a run applies the Gram matrix once for the
+        # starting residual and once per iteration, and matches a hand loop
+        # of the public steps bit for bit; above the cap IC-IGA needs L, so
+        # it refuses to run.  The cap is read by a fresh model for each
         scn = tiny_scenario
-        model = MeasurementModel(scn, rng.uniform(0.5, 2.0, scn.shape[1]), 0.8,
-                                 random_y(rng, scn.shape[0]))
+        d, y = rng.uniform(0.5, 2.0, scn.shape[1]), random_y(rng, scn.shape[0])
         t_max = 12
-        for mode, cap in (("dense", bscm.DENSE_ENTRY_CAP), ("operator", scn.shape[1] ** 2 - 1)):
+        for dense, cap in ((True, bscm.DENSE_ENTRY_CAP), (False, scn.shape[1] ** 2 - 1)):
             monkeypatch.setattr(bscm, "DENSE_ENTRY_CAP", cap)
-            pre = precompute_ic(model)
-            assert pre.mode == mode
-            calls = []
-            counted = dataclasses.replace(
-                pre, gram=lambda x, _g=pre.gram: calls.append(1) or _g(x))
-            rep = run_estimator("ic_siga", counted, alpha=0.25, t_max=t_max, tol=0.0)
+            model = MeasurementModel(scn, d, 0.8, y)
+            apply, calls = model.gram_apply, []
+            object.__setattr__(model, "gram_apply", lambda x: calls.append(1) or apply(x))
+            rep = run_estimator("ic_siga", model, alpha=0.25, t_max=t_max, tol=0.0)
             assert rep.iterations == t_max
             assert len(calls) == t_max + 1
+            assert ("_gram" in vars(model)) is dense  # A^H A formed at or below the cap
 
-            theta = pre.ahy / pre.sigma2
+            theta = model.ahy / model.sigma2
 
             def residual(mu):
-                lhs = pre.gram(mu) / pre.sigma2 + mu / pre.d
+                lhs = apply(mu) / model.sigma2 + mu / model.d
                 return float(np.linalg.norm(lhs - theta)) / float(np.linalg.norm(theta))
 
-            mu = np.zeros(pre.n, dtype=complex)
+            mu = np.zeros(model.n, dtype=complex)
             trace = [residual(mu)]
             for _ in range(t_max):
-                mu = ic_siga_step(pre, mu, 0.25)
+                mu = ic_siga_step(model, mu, 0.25)
                 trace.append(residual(mu))
             assert np.array_equal(rep.mu, mu)
             assert rep.residual_trace == trace
-            if mode == "operator":
+            if not dense:
                 with pytest.raises(DomainError, match="DENSE_ENTRY_CAP"):
-                    run_estimator("ic_iga", counted, alpha=0.45, t_max=t_max, tol=0.0)
+                    run_estimator("ic_iga", model, alpha=0.45, t_max=t_max, tol=0.0)
                 continue
 
             calls.clear()
-            rep = run_estimator("ic_iga", counted, alpha=0.45, t_max=t_max, tol=0.0)
+            rep = run_estimator("ic_iga", model, alpha=0.45, t_max=t_max, tol=0.0)
             assert rep.iterations == t_max
             assert len(calls) == t_max + 1
-            state = initial_ic_state(pre.n)
+            state = initial_ic_state(model.n)
             trace = [residual(state.mu)]
             for _ in range(t_max):
-                beliefs = ic_beliefs(pre, state)
-                state = ic_iga_step(pre, state, 0.45, beliefs=beliefs)
+                beliefs = ic_beliefs(model, state)
+                state = ic_iga_step(model, state, 0.45, beliefs=beliefs)
                 trace.append(residual(state.mu))
             assert np.array_equal(rep.mu, state.mu)
             assert np.array_equal(rep.variances, 1.0 / beliefs[1])
@@ -320,12 +313,20 @@ class TestRunEstimator:
     def test_divergence_detected(self):
         A = np.ones((4, 3), dtype=complex)
         model = MeasurementModel(A, np.full(3, 100.0), 0.01, np.ones(4, dtype=complex))
-        pre = precompute_ic(model)
         with pytest.raises(DivergenceError) as info:
-            run_estimator("ic_siga", pre, alpha=1.0, t_max=200)
+            run_estimator("ic_siga", model, alpha=1.0, t_max=200)
         assert len(info.value.trace) >= 20
 
     def test_unknown_kind(self, rng):
-        pre = precompute_ic(random_model(rng, 4, 3))
         with pytest.raises(DomainError):
-            run_estimator("amp", pre)
+            run_estimator("amp", random_model(rng, 4, 3))
+
+
+def test_readme_quickstart_runs(capsys):
+    # the library quickstart in README.md runs as written: IC-IGA lands on
+    # the exact MMSE mean
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md quickstart", "exec"), {})
+    assert float(capsys.readouterr().out) <= 1e-6

@@ -121,7 +121,7 @@ class TestSplit:
         assert np.abs(np.broadcast_to(scheme.abs2, (q, n)) - full).max() <= 1e-12 * full.max()
 
     def test_requires_exactly_one_quadratic_form(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             SplitScheme(beta=np.zeros(2), lambda_c=np.ones(3))
 
 
@@ -233,7 +233,6 @@ class TestFusedStep:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             assert np.array_equal(fused.Lam_q, ref.Lam_q)
             assert np.array_equal(fused.Lam0, ref.Lam0)
-            assert fused.iteration == ref.iteration
             assert fused.e_condition_residual() <= max(tol, ref.e_condition_residual())
 
 
