@@ -88,7 +88,7 @@ def _cmd_estimate(args) -> int:
     with one_blas_thread():
         trial = harness.build_trial(geometry_from_config(cfg), cfg, cfg.seed, snr_db,
                                     stream=(0, 0))
-        rep = harness.ESTIMATORS[alg](trial, spec.alpha_for(alg), spec.t_max, spec.tol)
+        rep = harness.ESTIMATORS[alg](trial, spec.alpha, spec.t_max, spec.tol)
     trial_nmse = float(np.mean(trial.score(rep.mu)))
 
     summary = {

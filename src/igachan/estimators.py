@@ -43,8 +43,9 @@ class MeasurementModel:
     """One draw of the linear-Gaussian measurement model: (A, D, sigma2, y).
 
     ``A`` is either a dense (M, N) complex matrix or a matrix-free operator
-    exposing ``shape``, ``matvec``, ``rmatvec``, ``gram_diag`` and ``gram``
-    (see :class:`igachan.bscm.BscmScenario`).  ``d`` is the diagonal of D.
+    exposing ``shape``, ``matvec``, ``rmatvec``, ``gram_diag``, ``gram`` and
+    ``dense`` (see :class:`igachan.bscm.BscmScenario`); only IGA's rank-1
+    split calls ``dense``, for the rows of A.  ``d`` is the diagonal of D.
     ``ahy`` = A^H y is formed once here, by one dense product or one operator
     ``rmatvec``; every estimator reads it.
 
@@ -53,7 +54,8 @@ class MeasurementModel:
     its first use, when ``bscm.DENSE_ENTRY_CAP`` is read, and shared after;
     ``dataclasses.replace`` starts with none built.  Above the cap on N^2,
     A^H A is applied through the operator, L is not formed and a dense
-    ``A`` is refused.
+    ``A`` is refused.  :meth:`residual` is the one normal-equation residual
+    of every estimator: the iteration driver and the direct solves read it.
     """
 
     A: object
@@ -100,11 +102,6 @@ class MeasurementModel:
     @property
     def is_dense(self) -> bool:
         return isinstance(self.A, np.ndarray)
-
-    def _require_dense(self, op: str) -> np.ndarray:
-        if not self.is_dense:
-            raise DomainError(f"{op} requires a dense measurement matrix")
-        return self.A
 
     def gram(self) -> np.ndarray:
         """A^H A as a read-only dense (N, N) matrix, built once per model; an

@@ -53,7 +53,6 @@ from .scenario import (
 __all__ = [
     "ALGORITHMS",
     "ESTIMATORS",
-    "DEFAULT_ALPHAS",
     "CSV_HEADER",
     "BenchmarkSpec",
     "reconstruct_G",
@@ -64,7 +63,6 @@ __all__ = [
     "validate_suite",
 ]
 
-DEFAULT_ALPHAS = {"iga": _iga.DEFAULT_ALPHA, **_ic.DEFAULT_ALPHA}
 CSV_HEADER = "snr_db,algorithm,nmse,nmse_db,mean_iterations,converged_fraction,wall_time_ms,seed"
 
 
@@ -188,14 +186,15 @@ def _truth_blocks(scn: BscmScenario, channels) -> tuple:
 
 
 # -- estimator registry: name -> fn(trial, alpha, t_max, tol) -> EstimateReport.
-# Entries call library functions through module globals at call time, so a
-# patched or traced function is the one that runs.
+# ``alpha`` None keeps each iterative estimator's own default damping; the
+# direct solves ignore it.  Entries call library functions through module
+# globals at call time, so a patched or traced function is the one that runs.
 
 def _solved(trial: Trial, mu, algorithm: str, t_start: float) -> EstimateReport:
     """Report of a direct solve: no iterations, converged, and the relative
     normal-equation residual of its mean."""
     model = trial.model
-    residual = model.residual(mu, model.gram() @ mu)
+    residual = model.residual(mu, model.gram_apply(mu))
     return EstimateReport(mu=mu, variances=None, residual_trace=[residual], iterations=0,
                           converged=True, wall_time=time.perf_counter() - t_start,
                           config={"algorithm": algorithm})
@@ -214,13 +213,7 @@ def _run_modified_mmse(trial, alpha, t_max, tol):
 
 
 def _run_iga(trial, alpha, t_max, tol):
-    # the rank-1 split needs the rows of A, so IGA alone assembles it; no
-    # name holds A, so it is freed once the split is built
-    model, scn = trial.model, trial.model.A
-    scheme = _iga.build_rank1_split(MeasurementModel(
-        assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction),
-        model.d, model.sigma2, model.y))
-    return _iga.run_iga(scheme, alpha=alpha, t_max=t_max, tol=tol)
+    return _iga.run_iga(trial.model, alpha=alpha, t_max=t_max, tol=tol)
 
 
 def _run_ic(kind, trial, alpha, t_max, tol):
@@ -242,7 +235,7 @@ class BenchmarkSpec:
     """One benchmark sweep: SNR grid x algorithms x N_sam trials.
 
     ``alpha`` overrides the damping of every iterative algorithm; None
-    keeps each one's default in ``DEFAULT_ALPHAS``.
+    keeps each one's own default.
     """
 
     snr_list_db: tuple
@@ -281,9 +274,6 @@ class BenchmarkSpec:
         if self.alpha is not None and not (0 < self.alpha <= 1):
             raise ConfigError(f"alpha (--alpha) must lie in (0, 1], got {self.alpha}")
 
-    def alpha_for(self, algorithm: str) -> float:
-        return float(DEFAULT_ALPHAS.get(algorithm, 1.0) if self.alpha is None else self.alpha)
-
 
 def _run_trial(spec: BenchmarkSpec, geometry, snr_index: int, trial: int):
     """All algorithms on one generated scenario; returns per-algorithm stats."""
@@ -293,7 +283,7 @@ def _run_trial(spec: BenchmarkSpec, geometry, snr_index: int, trial: int):
     for alg in spec.algorithms:
         t0 = time.perf_counter()
         try:
-            rep = ESTIMATORS[alg](tr, spec.alpha_for(alg), spec.t_max, spec.tol)
+            rep = ESTIMATORS[alg](tr, spec.alpha, spec.t_max, spec.tol)
             mu, iterations, converged = rep.mu, rep.iterations, rep.converged
         except DivergenceError:
             # a diverged trial is a result, not a crash
@@ -499,8 +489,8 @@ def _check_iga_framework():
     ok = True
     for label, model in cases:
         mu_m, _ = mmse_estimate(model)
+        rep = _iga.run_iga(model, alpha=0.05, t_max=5000, tol=1e-11)
         scheme = _iga.build_rank1_split(model)
-        rep = _iga.run_iga(scheme, alpha=0.05, t_max=5000, tol=1e-11)
         err = float(np.linalg.norm(rep.mu - mu_m) / np.linalg.norm(mu_m))
         # rank-1 fast projection against the dense gaussian-module path,
         # after a few damped steps so that every parameter is nonzero

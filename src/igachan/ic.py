@@ -106,13 +106,15 @@ def _beliefs(model: MeasurementModel, state: IcState, gram_mu: np.ndarray):
     return _mean_update(model, state.mu, gram_mu), r, e
 
 
-def ic_iga_step(model: MeasurementModel, state: IcState, alpha: float,
-                beliefs=None) -> IcState:
+def ic_iga_step(model: MeasurementModel, state: IcState, alpha: float) -> IcState:
     """One damped IC-IGA update of the natural parameters."""
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
-    if beliefs is None:
-        beliefs = ic_beliefs(model, state)
+    return _ic_iga_update(state, ic_beliefs(model, state), alpha)
+
+
+def _ic_iga_update(state: IcState, beliefs, alpha: float) -> IcState:
+    """:func:`ic_iga_step` from the state's beliefs (mu_new, r, e)."""
     mu_new, r, _ = beliefs
     lam = alpha * (r * mu_new) + (1 - alpha) * state.lam
     Lam = alpha * r + (1 - alpha) * state.Lam
@@ -174,12 +176,12 @@ def run_estimator(kind: str, model: MeasurementModel, alpha: float | None = None
                   t_max: int = 100, tol: float = 1e-8) -> EstimateReport:
     """Run IC-IGA or IC-SIGA to (approximate) equilibrium.
 
-    Stop and divergence rules are those of :func:`igachan.report.iterate`.
-    Each iterate carries its Gram product A^H A mu, which both its residual
-    and the next step read, so an iteration applies the Gram matrix once.
-    IC-IGA reports variances 1/r at the final iterate and needs the
-    model's L = |A^H A|.^2, which is not formed above ``DENSE_ENTRY_CAP``;
-    IC-SIGA is mean-only and runs at any size.
+    Stop and divergence rules are those of :func:`igachan.report.iterate`,
+    which applies the Gram matrix once per iterate; its product A^H A mu
+    feeds both the residual and the next step.  IC-IGA reports variances
+    1/r at the final iterate and needs the model's L = |A^H A|.^2, which is
+    not formed above ``DENSE_ENTRY_CAP``; IC-SIGA is mean-only and runs at
+    any size.
     """
     if kind not in DEFAULT_ALPHA:
         raise DomainError(f"unknown estimator kind {kind!r}")
@@ -187,31 +189,19 @@ def run_estimator(kind: str, model: MeasurementModel, alpha: float | None = None
         alpha = DEFAULT_ALPHA[kind]
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
-    gram, residual = model.gram_apply, model.residual
+    config = {"algorithm": kind, "alpha": alpha, "t_max": t_max, "tol": tol}
+    if kind == "ic_siga":
+        # the iterate is the mean itself
+        return iterate(model, lambda mu, gram_mu: _siga_update(model, mu, gram_mu, alpha),
+                       lambda mu: mu, np.zeros(model.n, dtype=np.complex128), t_max, tol,
+                       config=config, variances=lambda mu: None)
 
-    # an iterate is (mu, A^H A mu, IcState, r of the step that made it);
-    # the mean-only recursion carries None for the last two
-    def measure(point):
-        mu = point[0]
-        return mu, residual(mu, point[1])
-
-    def siga_step(point):
-        mu = _siga_update(model, point[0], point[1], alpha)
-        return mu, gram(mu), None, None
-
-    def iga_step(point):
-        _, gram_mu, state, _ = point
+    # an IC-IGA iterate is (IcState, r of the step that made it)
+    def step(point, gram_mu):
+        state = point[0]
         beliefs = _beliefs(model, state, gram_mu)
-        state = ic_iga_step(model, state, alpha, beliefs=beliefs)
-        return state.mu, gram(state.mu), state, beliefs[1]
+        return _ic_iga_update(state, beliefs, alpha), beliefs[1]
 
-    def variances(point):
-        return None if point[3] is None else 1.0 / point[3]
-
-    mean_only = kind == "ic_siga"
-    state = None if mean_only else initial_ic_state(model.n)
-    mu = np.zeros(model.n, dtype=np.complex128)
-    return iterate(siga_step if mean_only else iga_step, measure,
-                   (mu, gram(mu), state, None), t_max, tol,
-                   config={"algorithm": kind, "alpha": alpha, "t_max": t_max, "tol": tol},
-                   variances=variances)
+    return iterate(model, step, lambda point: point[0].mu, (initial_ic_state(model.n), None),
+                   t_max, tol, config=config,
+                   variances=lambda point: None if point[1] is None else 1.0 / point[1])

@@ -34,6 +34,11 @@ they are a full (Q, N) array.  :func:`project_all` and
 :func:`update_points` run both shapes and are the reference; on the shared
 row :func:`run_iga` fuses them into one step of two mat-vecs (see
 :func:`_shared_row_stepper`).
+
+:func:`run_iga` takes the :class:`MeasurementModel`, as the IC estimators
+do, and builds its split from it.  The split's (N, N) precision is never
+formed to measure a run: the driver takes every residual from the model's
+one A^H A.
 """
 
 from __future__ import annotations
@@ -108,12 +113,9 @@ class SplitScheme:
         """The (Q, N) mean-parameter pieces, row q = beta[q] factors[q]."""
         return self.beta[:, None] * self.factors
 
-    def theta_or(self) -> np.ndarray:
-        """sum_q b_q, the mean natural parameter being split."""
-        return self.beta @ self.factors
-
     def precision(self) -> np.ndarray:
-        """sum_q C_q + diag(lambda_c), the (N, N) precision being split."""
+        """sum_q C_q + diag(lambda_c), the (N, N) precision being split: an
+        oracle for the split identity, which no run forms."""
         return self.factors.T @ self.factors.conj() + np.diag(self.lambda_c)
 
 
@@ -146,9 +148,11 @@ def build_rank1_split(model: MeasurementModel) -> SplitScheme:
     b_q = sigma2^{-1} a_q y_q and C_q = sigma2^{-1} a_q a_q^H, with
     Lambda_c = D^{-1}; the split identities then hold exactly by
     construction.  C_q is kept in factored form g_q = a_q / sigma_z, and
-    b_q = beta_q g_q with beta_q = y_q / sigma_z.
+    b_q = beta_q g_q with beta_q = y_q / sigma_z.  An operator model's rows
+    come from its ``dense()`` assembly, which nothing keeps once the
+    factors are copied out.
     """
-    A = model._require_dense("build_rank1_split")
+    A = model.A if model.is_dense else model.A.dense()
     sigma = np.sqrt(model.sigma2)
     # row q is a_q^T; column-major, so broadcasts of a (Q,) or (N,) vector
     # over the (Q, N) arrays of a step run along Q in memory
@@ -301,34 +305,38 @@ def _shared_row_stepper(scheme: SplitScheme, alpha: float):
     return step
 
 
-def run_iga(scheme: SplitScheme, alpha: float = DEFAULT_ALPHA, t_max: int = 100,
+def run_iga(model: MeasurementModel, alpha: float | None = None, t_max: int = 100,
             tol: float = 1e-8) -> EstimateReport:
-    """Iterate project/update until the target mean settles.
+    """Split the model by :func:`build_rank1_split` and iterate project/update
+    until the target mean settles.
 
     A shared precision row runs the fused step of
     :func:`_shared_row_stepper`; a (Q, N) one runs :func:`project_all` and
     :func:`update_points`.  The target mean is
     mu_0 = lambda_0 / (Lambda_0 + lambda_c) and the reported variances are
-    1 / (Lambda_0 + lambda_c).  Stop and divergence rules are those of
-    :func:`igachan.report.iterate`.
+    1 / (Lambda_0 + lambda_c).  ``alpha`` defaults to ``DEFAULT_ALPHA``.
+    The residual, stop and divergence rules are those of
+    :func:`igachan.report.iterate`, which measures every iterate through
+    the model's Gram apply; the steps never read that product.
     """
+    if alpha is None:
+        alpha = DEFAULT_ALPHA
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
-    theta = scheme.theta_or()
-    theta_norm = float(np.linalg.norm(theta)) or 1.0
-    precision = scheme.precision()  # (N, N): no product with a (Q, N) array per step
-
-    def measure(state):
-        mu = state.lam0 / (state.Lam0 + scheme.lambda_c)
-        return mu, float(np.linalg.norm(precision @ mu - theta)) / theta_norm
+    scheme = build_rank1_split(model)
+    lc = scheme.lambda_c
 
     if scheme.abs2.shape[0] == 1:
-        step = _shared_row_stepper(scheme, alpha)
-    else:
-        def step(state):
-            xi, Xi = project_all(scheme, state)
-            return update_points(state, xi, Xi, alpha, lambda_c=scheme.lambda_c)
+        fused = _shared_row_stepper(scheme, alpha)
 
-    return iterate(step, measure, initial_state(scheme), t_max, tol,
+        def step(state, _gram_mu):
+            return fused(state)
+    else:
+        def step(state, _gram_mu):
+            xi, Xi = project_all(scheme, state)
+            return update_points(state, xi, Xi, alpha, lambda_c=lc)
+
+    return iterate(model, step, lambda state: state.lam0 / (state.Lam0 + lc),
+                   initial_state(scheme), t_max, tol,
                    config={"algorithm": "iga", "alpha": alpha, "t_max": t_max, "tol": tol},
-                   variances=lambda state: 1.0 / (state.Lam0 + scheme.lambda_c))
+                   variances=lambda state: 1.0 / (state.Lam0 + lc))

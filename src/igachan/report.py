@@ -65,36 +65,40 @@ class EstimateReport:
         return out
 
 
-def iterate(step, measure, point, t_max: int, tol: float, config: dict,
+def iterate(model, step, mean, point, t_max: int, tol: float, config: dict,
             variances) -> EstimateReport:
-    """Advance ``point = step(point)`` until the mean settles.
+    """Advance ``point = step(point, A^H A mu)`` until the mean settles.
 
-    ``measure(point)`` returns the point's mean and its relative
-    normal-equation residual; the residual trace starts at the initial
-    point.  Stops when the max relative change of the mean drops below
-    ``tol`` (converged) or after ``t_max`` steps.  Raises
-    :class:`DivergenceError` when the residual rises for 20 consecutive
-    steps, and attaches the trace so far to a :class:`DivergenceError`
-    raised inside a step.  ``variances(point)`` gives the report's
-    variances (or None) at the final point.
+    ``mean(point)`` is the point's mean mu.  The driver applies the model's
+    Gram matrix to it once, appends ``model.residual(mu, A^H A mu)`` to the
+    residual trace, which starts at the initial point, and hands the product
+    to the next step, which may read or ignore it.  Stops when the max
+    relative change of the mean drops below ``tol`` (converged) or after
+    ``t_max`` steps.  Raises :class:`DivergenceError` when the residual
+    rises for 20 consecutive steps, and attaches the trace so far to a
+    :class:`DivergenceError` raised inside a step.  ``variances(point)``
+    gives the report's variances (or None) at the final point.
     """
     if t_max < 0:
         raise DomainError("t_max must be nonnegative")
     t_start = time.perf_counter()
-    mu, res = measure(point)
-    trace = [res]
+    gram, residual = model.gram_apply, model.residual
+    mu = mean(point)
+    gram_mu = gram(mu)
+    trace = [residual(mu, gram_mu)]
     converged = False
     rising = 0
     iterations = 0
     while iterations < t_max:
         try:
-            point = step(point)
+            point = step(point, gram_mu)
         except DivergenceError as exc:
             exc.trace = trace
             raise
         iterations += 1
-        mu_new, res = measure(point)
-        trace.append(res)
+        mu_new = mean(point)
+        gram_mu = gram(mu_new)
+        trace.append(residual(mu_new, gram_mu))
         if trace[-1] > trace[-2]:
             rising += 1
             if rising >= 20:

@@ -10,6 +10,7 @@ from igachan.estimators import MeasurementModel
 from igachan.harness import (
     ALGORITHMS,
     CSV_HEADER,
+    ESTIMATORS,
     BenchmarkSpec,
     _run_trial,
     benchmark_csv_text,
@@ -20,6 +21,7 @@ from igachan.harness import (
     validate_suite,
     write_benchmark_csv,
 )
+from igachan.iga import SplitScheme
 from igachan.scenario import (
     gen_power_matrices,
     sample_channels,
@@ -197,16 +199,21 @@ def test_golden_rows(small_spec):
         assert r["converged_fraction"] == conv
 
 
-def _count_default_trial_calls(monkeypatch, method):
-    """Calls of a BscmScenario method in one default _run_trial of the IC sweep."""
-    calls = []
-    original = getattr(BscmScenario, method)
-    monkeypatch.setattr(BscmScenario, method,
-                        lambda self, *a: calls.append(1) or original(self, *a))
-    spec = BenchmarkSpec(snr_list_db=(10.0,), algorithms=("mmse", "ic_iga", "ic_siga"),
-                         n_sam=1, scenario=ScenarioConfig(), seed=0)
+def _counted(monkeypatch, owner, method):
+    """Patch ``owner.method`` to record its calls; returns the list of them."""
+    calls, original = [], getattr(owner, method)
+    monkeypatch.setattr(owner, method, lambda self, *a: calls.append(1) or original(self, *a))
+    return calls
+
+
+def _count_default_trial_calls(monkeypatch, method, algorithms=("mmse", "ic_iga", "ic_siga")):
+    """Calls of a BscmScenario method in one default _run_trial of ``algorithms``,
+    capped at 5 iterations."""
+    calls = _counted(monkeypatch, BscmScenario, method)
+    spec = BenchmarkSpec(snr_list_db=(10.0,), algorithms=algorithms, n_sam=1,
+                         scenario=ScenarioConfig(), seed=0, t_max=5)
     results = _run_trial(spec, geometry_from_config(spec.scenario), 0, 0)
-    assert set(results) == {"mmse", "ic_iga", "ic_siga"}
+    assert set(results) == set(algorithms)
     return len(calls)
 
 
@@ -223,6 +230,26 @@ def test_one_gram_per_default_trial(monkeypatch):
     model = build_trial(geometry_from_config(cfg), cfg, 0, 10.0, stream=(0, 0)).model
     assert model.gram() is model.gram()
     assert not model.gram().flags.writeable
+
+
+def test_one_model_and_one_gram_per_default_iga_trial(monkeypatch):
+    # IGA splits the trial's model and measures its residual through the
+    # model's A^H A, so an mmse,iga trial builds one model and one Gram
+    # matrix, and never the split's (N, N) precision
+    models = _counted(monkeypatch, MeasurementModel, "__post_init__")
+    precisions = _counted(monkeypatch, SplitScheme, "precision")
+    assert _count_default_trial_calls(monkeypatch, "gram", ("mmse", "iga")) == 1
+    assert len(precisions) == 0
+    assert len(models) == 1
+
+
+def test_one_residual_for_every_estimator(desk_config, desk_geometry):
+    # the driver and the direct solves all measure through the model
+    trial = build_trial(desk_geometry, desk_config, desk_config.seed, 10.0, stream=(0, 0))
+    model = trial.model
+    for name, run in ESTIMATORS.items():
+        rep = run(trial, None, 50, 1e-8)
+        assert rep.residual_trace[-1] == model.residual(rep.mu, model.gram_apply(rep.mu)), name
 
 
 @pytest.mark.parametrize("algorithms, builds", [
@@ -243,26 +270,26 @@ def test_L_formed_at_most_once_per_default_trial(monkeypatch, algorithms, builds
 
 
 def test_iga_frees_the_dense_A_before_iterating(small_spec, monkeypatch):
-    # IGA iterates on its split's own factors, so the assembled A is dead
-    # by the time run_iga starts
-    from igachan import harness as h
+    # IGA iterates on its split's own factors, so the A that the split
+    # assembled is dead by the time the iteration's initial state is built
+    from igachan import bscm, iga
 
-    assemble, run_iga, refs, alive = h.assemble_dense_A, h._iga.run_iga, [], []
+    assemble, initial_state, refs, alive = bscm.assemble_dense_A, iga.initial_state, [], []
 
     def assembled(*args):
         A = assemble(*args)
         refs.append(weakref.ref(A))
         return A
 
-    def run(scheme, **kwargs):
+    def start(scheme):
         alive.append(refs[-1]() is not None)
-        return run_iga(scheme, **kwargs)
+        return initial_state(scheme)
 
-    monkeypatch.setattr(h, "assemble_dense_A", assembled)
-    monkeypatch.setattr(h._iga, "run_iga", run)
+    monkeypatch.setattr(bscm, "assemble_dense_A", assembled)
+    monkeypatch.setattr(iga, "initial_state", start)
     cfg = small_spec.scenario
     trial = build_trial(geometry_from_config(cfg), cfg, cfg.seed, 10.0, stream=(0, 0))
-    h.ESTIMATORS["iga"](trial, 0.05, 2, 1e-8)
+    ESTIMATORS["iga"](trial, 0.05, 2, 1e-8)
     assert alive == [False]
 
 

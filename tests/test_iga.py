@@ -102,7 +102,7 @@ class TestSplit:
         model = random_model(rng, 10, 6)
         scheme = build_rank1_split(model)
         theta = (model.A.conj().T @ model.y) / model.sigma2
-        assert np.abs(scheme.theta_or() - theta).max() <= 1e-12 * np.abs(theta).max()
+        assert np.abs(scheme.beta @ scheme.factors - theta).max() <= 1e-12 * np.abs(theta).max()
 
     def test_precision_split_identity(self, rng):
         model = random_model(rng, 10, 6)
@@ -239,7 +239,7 @@ class TestFusedStep:
 class TestRun:
     def test_identity_model(self):
         model = MeasurementModel(np.eye(2, dtype=complex), np.ones(2), 1.0, np.array([2.0, 4.0]))
-        rep = run_iga(build_rank1_split(model), alpha=1.0)
+        rep = run_iga(model, alpha=1.0)
         assert np.abs(rep.mu - np.array([1.0, 2.0])).max() <= 1e-12
         assert rep.converged
 
@@ -247,7 +247,7 @@ class TestRun:
         # disjoint column supports decouple the auxiliaries completely
         model = orthogonal_disjoint_model(rng)
         mu_mmse, _ = mmse_estimate(model)
-        rep = run_iga(build_rank1_split(model), alpha=1.0, t_max=10, tol=1e-12)
+        rep = run_iga(model, alpha=1.0, t_max=10, tol=1e-12)
         assert rep.iterations <= 3
         assert rep.residual_trace[-1] <= 1e-10
         assert np.linalg.norm(rep.mu - mu_mmse) / np.linalg.norm(mu_mmse) <= 1e-10
@@ -255,7 +255,7 @@ class TestRun:
     def test_random_instance_reaches_mmse(self, rng):
         model = random_model(rng, 16, 8)
         mu_mmse, _ = mmse_estimate(model)
-        rep = run_iga(build_rank1_split(model), alpha=0.05, t_max=5000, tol=1e-11)
+        rep = run_iga(model, alpha=0.05, t_max=5000, tol=1e-11)
         assert rep.converged
         assert np.linalg.norm(rep.mu - mu_mmse) / np.linalg.norm(mu_mmse) <= 1e-6
         assert len(rep.residual_trace) == rep.iterations + 1
@@ -289,14 +289,14 @@ class TestRun:
     def test_desk_trial_matches_reference_loop(self, desk_case, alpha, t_max, tol):
         scheme = build_rank1_split(desk_case)
         assert scheme.abs2.shape == (1, scheme.dim)
-        rep = run_iga(scheme, alpha=alpha, t_max=t_max, tol=tol)
+        rep = run_iga(desk_case, alpha=alpha, t_max=t_max, tol=tol)
         mu_ref, iterations, residual = parent_run_iga(scheme, alpha, t_max, tol)
         assert rep.iterations == iterations
         assert np.linalg.norm(rep.mu - mu_ref) <= 1e-12 * np.linalg.norm(mu_ref)
         assert rep.residual_trace[-1] == pytest.approx(residual, rel=1e-9)
 
     def test_t_max_zero_returns_initialization(self, rng):
-        rep = run_iga(build_rank1_split(random_model(rng, 6, 4)), alpha=0.1, t_max=0)
+        rep = run_iga(random_model(rng, 6, 4), alpha=0.1, t_max=0)
         assert rep.iterations == 0 and not rep.converged
         assert np.all(rep.mu == 0)
         assert len(rep.residual_trace) == 1
@@ -305,7 +305,6 @@ class TestRun:
         # three identical columns with a huge prior: undamped updates blow up
         A = np.ones((4, 3), dtype=complex)
         model = MeasurementModel(A, np.full(3, 100.0), 0.01, np.ones(4, dtype=complex))
-        scheme = build_rank1_split(model)
         with pytest.raises(DivergenceError) as info:
-            run_iga(scheme, alpha=1.0, t_max=300)
+            run_iga(model, alpha=1.0, t_max=300)
         assert len(info.value.trace) >= 20
