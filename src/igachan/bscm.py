@@ -280,8 +280,10 @@ class BscmScenario:
     """Immutable handle bundling geometry, pilots and the extraction map.
 
     Provides the interface (``shape``, ``matvec``, ``rmatvec``, ``gram_diag``,
-    ``gram``, ``dense``) expected by :class:`igachan.estimators.MeasurementModel`,
+    ``gram``) expected by :class:`igachan.estimators.MeasurementModel`,
     and ``gram_block`` for the Gram matrix of a subset of the extracted columns.
+    Every entry of A has modulus 1 (a pilot phase times a steering phase),
+    which IGA's Gram-domain step relies on.
     """
 
     def __init__(self, array: ArrayConfig, ofdm: OfdmConfig, plan: PilotPlan,
@@ -404,10 +406,6 @@ class BscmScenario:
                 * dz[(iz[:, None] - iz[None, :]) % a.N_z]
                 * dx[(ix[:, None] - ix[None, :]) % a.N_x])
 
-    def dense(self) -> np.ndarray:
-        """The dense (M, N) A of this scenario, by :func:`assemble_dense_A`."""
-        return assemble_dense_A(self.array, self.ofdm, self.plan, self.extraction)
-
     @functools.cached_property
     def _gram_generators(self):
         """(Kp, Dz, Dx): the circulant generators :meth:`gram_block` reads."""
@@ -443,9 +441,8 @@ def assemble_dense_A(array: ArrayConfig, ofdm: OfdmConfig, plan: PilotPlan,
                      extraction: ExtractionMap) -> np.ndarray:
     """Extracted columns of P_mat^T kron V, assembled column by column.
 
-    A desk-scale oracle, and the rows of IGA's rank-1 split (through
-    :meth:`BscmScenario.dense`); refuses above ``DENSE_ENTRY_CAP`` complex
-    entries.
+    A desk-scale oracle, which no estimator calls; refuses above
+    ``DENSE_ENTRY_CAP`` complex entries.
     """
     m = array.M_r * ofdm.M_p
     n = extraction.n

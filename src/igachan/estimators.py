@@ -43,9 +43,11 @@ class MeasurementModel:
     """One draw of the linear-Gaussian measurement model: (A, D, sigma2, y).
 
     ``A`` is either a dense (M, N) complex matrix or a matrix-free operator
-    exposing ``shape``, ``matvec``, ``rmatvec``, ``gram_diag``, ``gram`` and
-    ``dense`` (see :class:`igachan.bscm.BscmScenario`); only IGA's rank-1
-    split calls ``dense``, for the rows of A.  ``d`` is the diagonal of D.
+    exposing ``shape``, ``matvec``, ``rmatvec``, ``gram_diag`` and ``gram``
+    (see :class:`igachan.bscm.BscmScenario`).  No estimator reads an
+    operator's rows: IGA takes its entries to have modulus 1, as a
+    ``BscmScenario``'s do, and runs from :meth:`gram` and ``ahy``.  ``d`` is
+    the diagonal of D.
     ``ahy`` = A^H y is formed once here, by one dense product or one operator
     ``rmatvec``; every estimator reads it.
 

@@ -29,21 +29,23 @@ O(N) each through the rank-1 inverse update, never densifying C_q.
 The projected precisions depend on g_q only through |g_q|^2.  When every
 row of |A|^2 is the same (every entry of the beam-domain A has modulus 1),
 the precisions Lambda_q start equal and stay equal, so they are stored as
-one shared (1, N) row and broadcast against the (Q, N) means; otherwise
-they are a full (Q, N) array.  :func:`project_all` and
-:func:`update_points` run both shapes and are the reference; on the shared
-row :func:`run_iga` fuses them into one step of two mat-vecs (see
-:func:`_shared_row_stepper`).
+one shared (1, N) row; otherwise they are a full (Q, N) array.
+:func:`project_all` and :func:`update_points` run both shapes and are the
+reference.  On the shared row every lambda_q stays in the span of the
+N + 1 columns of Psi = [beta, conj(G)], G the (Q, N) matrix of rows g_q,
+so :func:`run_iga` runs the whole iteration from A^H A and A^H y in
+O(N^2) per step (see :func:`_gram_stepper`): no A is formed and no (Q, N)
+array.  A Gaussian A keeps the O(Q N) rank-1 step.
 
 :func:`run_iga` takes the :class:`MeasurementModel`, as the IC estimators
-do, and builds its split from it.  The split's (N, N) precision is never
-formed to measure a run: the driver takes every residual from the model's
-one A^H A.
+do.  The split's (N, N) precision is never formed to measure a run: the
+driver takes every residual from the model's one A^H A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,7 +97,7 @@ class SplitScheme:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "lambda_c", lc)
         object.__setattr__(self, "factors", f)
-        abs2 = (f.conj() * f).real
+        abs2 = f.real ** 2 + f.imag ** 2
         if np.allclose(abs2, abs2[:1], rtol=1e-12, atol=0.0):
             abs2 = abs2[:1].copy()
         object.__setattr__(self, "abs2", abs2)
@@ -142,21 +144,21 @@ class AuxiliaryState:
 
 
 def build_rank1_split(model: MeasurementModel) -> SplitScheme:
-    """Per-observation rank-1 split: one piece per sample of the model's y.
+    """Per-observation rank-1 split of a dense model: one piece per sample of y.
 
     With a_q the q-th column of A^H, the pieces are
     b_q = sigma2^{-1} a_q y_q and C_q = sigma2^{-1} a_q a_q^H, with
     Lambda_c = D^{-1}; the split identities then hold exactly by
     construction.  C_q is kept in factored form g_q = a_q / sigma_z, and
-    b_q = beta_q g_q with beta_q = y_q / sigma_z.  An operator model's rows
-    come from its ``dense()`` assembly, which nothing keeps once the
-    factors are copied out.
+    b_q = beta_q g_q with beta_q = y_q / sigma_z.  An operator model has no
+    rows to split: :func:`run_iga` runs it in the Gram domain.
     """
-    A = model.A if model.is_dense else model.A.dense()
+    if not model.is_dense:
+        raise DomainError("the rank-1 split needs a dense A")
     sigma = np.sqrt(model.sigma2)
     # row q is a_q^T; column-major, so broadcasts of a (Q,) or (N,) vector
     # over the (Q, N) arrays of a step run along Q in memory
-    factors = np.conjugate(A, order="F")
+    factors = np.conjugate(model.A, order="F")
     factors /= sigma
     return SplitScheme(beta=model.y / sigma, lambda_c=1.0 / model.d, factors=factors)
 
@@ -247,75 +249,106 @@ def _damped_precisions(state: AuxiliaryState, Xi: np.ndarray, q: int, alpha: flo
     return Lam0, Lam_q
 
 
-def _shared_row_stepper(scheme: SplitScheme, alpha: float):
-    """One damped project/update step for a shared (1, N) precision row,
-    with the (Q, N) beliefs never formed.
+class _GramPoint(NamedTuple):
+    """The state of :func:`_gram_stepper` on a shared precision row.
+
+    Every lambda_q is ``u + g_q * (Psi_q X)``, with Psi_q = [beta_q,
+    conj(g_q)] the q-th row of the (Q, N + 1) basis Psi = [beta, conj(G)];
+    ``lam0``, ``Lam0`` and the (1, N) ``Lam_q`` are those of
+    :class:`AuxiliaryState`.
+    """
+
+    u: np.ndarray  # (N,) complex
+    X: np.ndarray  # (N + 1, N) complex
+    lam0: np.ndarray  # (N,) complex
+    Lam0: np.ndarray  # (N,) real
+    Lam_q: np.ndarray  # (1, N) real
+
+
+def _gram_stepper(model: MeasurementModel, abs2: np.ndarray, alpha: float):
+    """(start, step): the damped project/update iteration of the rank-1 split
+    on a shared (1, N) precision row ``abs2`` = |g_q|^2, run from A^H A and
+    A^H y alone.
 
     With w, denom and R = r_over_denom * denom of :func:`project_all`
     shared by every point, and b_q = beta_q g_q, the mean belief is
-    xi_q = (R - 1) lambda_q + R g_q gamma_q, where
-
-        s_q = sum_n conj(g_qn) lambda_qn / w_n + beta_q sum_n |g_n|^2 / w_n,
-        gamma_q = beta_q - s_q / denom.
-
-    The e-condition gives sum_q lambda_q = (Q - 1) lambda_0, so the exchange
-    of :func:`update_points` becomes
+    xi_q = (R - 1) lambda_q + R g_q gamma_q with gamma_q = beta_q - s_q / denom,
+    s_q = sum_n conj(g_qn) lambda_qn / w_n + beta_q sum_n |g_n|^2 / w_n.  The
+    e-condition gives sum_q lambda_q = (Q - 1) lambda_0, so the exchange of
+    :func:`update_points` is
 
         lambda_0^new = (R - 1) (Q - 1) lambda_0 + R (G^T gamma),
         lambda_q <- alpha lambda_0^new + (1 - alpha R) lambda_q
-                    - alpha R g_q gamma_q,
+                    - alpha R g_q gamma_q.
 
-    two mat-vecs and seven (Q, N) passes, where project/update make about
-    sixteen; the precisions update as in :func:`update_points`.  The
-    returned step writes the new lambda_q over the lambda_q array of the
-    state before the one it is given, so call it on the state it returned
-    last and keep no older state.
+    From the all-zero start every lambda_q stays u + g_q * (Psi_q X) (see
+    :class:`_GramPoint`): then s = Psi c_s and gamma = Psi c_gamma with
+
+        c_s = X (|g|^2 / w) + [spread; u / w],   c_gamma = e_0 - c_s / denom,
+
+    and G^T Psi = [A^H y, A^H A] / sigma2, so a step is
+
+        lambda_0^new = (R - 1) (Q - 1) lambda_0 + R ([A^H y, A^H A] c_gamma) / sigma2,
+        u <- (1 - alpha R) u + alpha lambda_0^new,
+        X <- X diag(1 - alpha R) - c_gamma (alpha R)^T,
+
+    O(N^2) with no (Q, N) array; the precisions update as in
+    :func:`update_points`.
     """
-    g, beta, abs2, lc = scheme.factors, scheme.beta, scheme.abs2, scheme.lambda_c
-    q = scheme.q_count
-    spare = np.empty_like(g)
+    q, n = model.m, model.n
+    lc = 1.0 / model.d
+    # G^T Psi: the one product of the factors with the span
+    gt_psi = np.empty((n, n + 1), dtype=np.complex128)
+    gt_psi[:, 0] = model.ahy
+    gt_psi[:, 1:] = model.gram()
+    gt_psi /= model.sigma2
+    zero = np.zeros(n, dtype=np.complex128)
+    start = _GramPoint(u=zero, X=np.zeros((n + 1, n), dtype=np.complex128), lam0=zero,
+                       Lam0=np.zeros(n), Lam_q=np.zeros_like(abs2))
 
-    def step(state: AuxiliaryState) -> AuxiliaryState:
-        nonlocal spare
-        w = state.Lam_q + lc
+    def step(point: _GramPoint, _gram_mu) -> _GramPoint:
+        w = point.Lam_q + lc
         if (w <= 0).any():
             raise DomainError("auxiliary covariance lost positivity (Lambda_q + lambda_c <= 0)")
         inv_w = 1.0 / w
-        spread = (abs2 * inv_w).sum(axis=1, keepdims=True)
+        abs2_w = abs2 * inv_w
+        spread = abs2_w.sum(axis=1, keepdims=True)
         denom = 1.0 + spread
         r_over_denom = w / (w * denom - abs2)
         R = (r_over_denom * denom)[0]
-        lam_q, buf = state.lam_q, spare
-        np.conjugate(g, out=buf)
-        buf *= lam_q
-        s = buf @ inv_w[0]
-        s += beta * spread[0, 0]
-        gamma = beta - s / denom[0, 0]
-        lam0_new = (R - 1) * ((q - 1) * state.lam0) + R * (gamma @ g)
-        np.multiply(g, gamma[:, None], out=buf)
-        buf += lam_q
-        buf *= -alpha * R
-        buf += lam_q
-        buf += alpha * lam0_new
-        spare = lam_q
-        Lam0, Lam_q = _damped_precisions(state, r_over_denom * abs2, q, alpha, lc)
-        return AuxiliaryState(lam_q=buf, Lam_q=Lam_q,
-                              lam0=alpha * lam0_new + (1 - alpha) * state.lam0, Lam0=Lam0)
+        c = np.empty(n + 1, dtype=np.complex128)
+        c[0] = spread[0, 0]
+        np.multiply(point.u, inv_w[0], out=c[1:])
+        c += point.X @ abs2_w[0]
+        c /= -denom[0, 0]
+        c[0] += 1.0
+        moved = alpha * ((R - 1) * ((q - 1) * point.lam0) + R * (gt_psi @ c))
+        alpha_r = alpha * R
+        keep = 1 - alpha_r
+        X = point.X * keep
+        X -= np.multiply.outer(c, alpha_r)
+        Lam0, Lam_q = _damped_precisions(point, r_over_denom * abs2, q, alpha, lc)
+        return _GramPoint(u=keep * point.u + moved, X=X,
+                          lam0=moved + (1 - alpha) * point.lam0, Lam0=Lam0, Lam_q=Lam_q)
 
-    return step
+    return start, step
 
 
 def run_iga(model: MeasurementModel, alpha: float | None = None, t_max: int = 100,
             tol: float = 1e-8) -> EstimateReport:
-    """Split the model by :func:`build_rank1_split` and iterate project/update
-    until the target mean settles.
+    """Iterate project/update on the model's rank-1 split until the target
+    mean settles.
 
-    A shared precision row runs the fused step of
-    :func:`_shared_row_stepper`; a (Q, N) one runs :func:`project_all` and
-    :func:`update_points`.  The target mean is
-    mu_0 = lambda_0 / (Lambda_0 + lambda_c) and the reported variances are
-    1 / (Lambda_0 + lambda_c).  ``alpha`` defaults to ``DEFAULT_ALPHA``.
-    The residual, stop and divergence rules are those of
+    On a shared precision row the Gram-domain step of :func:`_gram_stepper`
+    runs from ``model.gram()`` and ``model.ahy``.  An operator's entries are
+    read as unit modulus, as every :class:`igachan.bscm.BscmScenario`'s are
+    by construction, so its row is 1 / sigma2 and no A is formed; a dense A
+    shares the row of its :func:`build_rank1_split`, or else runs
+    :func:`project_all` and :func:`update_points` on (Q, N) precisions.
+    Above ``bscm.DENSE_ENTRY_CAP`` on N^2 it raises :class:`DomainError`.
+    The target mean is mu_0 = lambda_0 / (Lambda_0 + lambda_c) and the
+    reported variances are 1 / (Lambda_0 + lambda_c).  ``alpha`` defaults to
+    ``DEFAULT_ALPHA``.  The residual, stop and divergence rules are those of
     :func:`igachan.report.iterate`, which measures every iterate through
     the model's Gram apply; the steps never read that product.
     """
@@ -323,20 +356,28 @@ def run_iga(model: MeasurementModel, alpha: float | None = None, t_max: int = 10
         alpha = DEFAULT_ALPHA
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
-    scheme = build_rank1_split(model)
-    lc = scheme.lambda_c
-
-    if scheme.abs2.shape[0] == 1:
-        fused = _shared_row_stepper(scheme, alpha)
-
-        def step(state, _gram_mu):
-            return fused(state)
+    if not model._gram_fits():
+        raise DomainError("IGA runs from A^H A, which is not formed above DENSE_ENTRY_CAP")
+    lc = 1.0 / model.d
+    if model.is_dense:
+        scheme = build_rank1_split(model)
+        abs2 = scheme.abs2
     else:
+        if not np.allclose(model.gram_diag, model.m, rtol=1e-12, atol=0.0):
+            raise DomainError("IGA on an operator needs unit-modulus entries "
+                              "(diag(A^H A) = M)")
+        abs2 = np.full((1, model.n), 1.0 / model.sigma2)
+
+    if abs2.shape[0] == 1:
+        start, step = _gram_stepper(model, abs2, alpha)
+    else:
+        start = initial_state(scheme)
+
         def step(state, _gram_mu):
             xi, Xi = project_all(scheme, state)
             return update_points(state, xi, Xi, alpha, lambda_c=lc)
 
-    return iterate(model, step, lambda state: state.lam0 / (state.Lam0 + lc),
-                   initial_state(scheme), t_max, tol,
+    return iterate(model, step, lambda state: state.lam0 / (state.Lam0 + lc), start,
+                   t_max, tol,
                    config={"algorithm": "iga", "alpha": alpha, "t_max": t_max, "tol": tol},
                    variances=lambda state: 1.0 / (state.Lam0 + lc))

@@ -14,6 +14,10 @@ from .errors import DivergenceError, DomainError
 # and the driver's loop belongs to the estimator that runs it
 __all__ = ["EstimateReport"]
 
+# a residual this many times above its running minimum marks a diverging run
+DIVERGENCE_FACTOR = 1e6
+_EPS = float(np.finfo(np.float64).eps)
+
 
 @dataclass
 class EstimateReport:
@@ -74,10 +78,13 @@ def iterate(model, step, mean, point, t_max: int, tol: float, config: dict,
     residual trace, which starts at the initial point, and hands the product
     to the next step, which may read or ignore it.  Stops when the max
     relative change of the mean drops below ``tol`` (converged) or after
-    ``t_max`` steps.  Raises :class:`DivergenceError` when the residual
-    rises for 20 consecutive steps, and attaches the trace so far to a
-    :class:`DivergenceError` raised inside a step.  ``variances(point)``
-    gives the report's variances (or None) at the final point.
+    ``t_max`` steps.  Raises :class:`DivergenceError` when the residual is
+    not finite or exceeds ``DIVERGENCE_FACTOR`` times its running minimum
+    (floored at machine epsilon), and attaches the trace so far to a
+    :class:`DivergenceError` raised inside a step.  A converging run may
+    plateau and rise for many steps, but not by that factor, so only a
+    run that blows up trips the rule.  ``variances(point)`` gives the
+    report's variances (or None) at the final point.
     """
     if t_max < 0:
         raise DomainError("t_max must be nonnegative")
@@ -86,8 +93,8 @@ def iterate(model, step, mean, point, t_max: int, tol: float, config: dict,
     mu = mean(point)
     gram_mu = gram(mu)
     trace = [residual(mu, gram_mu)]
+    floor = trace[0]
     converged = False
-    rising = 0
     iterations = 0
     while iterations < t_max:
         try:
@@ -98,15 +105,15 @@ def iterate(model, step, mean, point, t_max: int, tol: float, config: dict,
         iterations += 1
         mu_new = mean(point)
         gram_mu = gram(mu_new)
-        trace.append(residual(mu_new, gram_mu))
-        if trace[-1] > trace[-2]:
-            rising += 1
-            if rising >= 20:
-                raise DivergenceError(
-                    "residual increased for 20 consecutive iterations", trace=trace
-                )
-        else:
-            rising = 0
+        res = residual(mu_new, gram_mu)
+        trace.append(res)
+        if res < floor:
+            floor = res
+        elif not res <= DIVERGENCE_FACTOR * max(floor, _EPS):  # NaN fails it too
+            raise DivergenceError(
+                f"residual {res:.3e} exceeds {DIVERGENCE_FACTOR:.0e} times its minimum "
+                f"{floor:.3e}", trace=trace
+            )
         change = np.abs(mu_new - mu).max() / max(np.abs(mu_new).max(), 1e-300)
         mu = mu_new
         if change < tol:

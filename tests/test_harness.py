@@ -1,5 +1,4 @@
 import functools
-import weakref
 
 import numpy as np
 import pytest
@@ -233,9 +232,9 @@ def test_one_gram_per_default_trial(monkeypatch):
 
 
 def test_one_model_and_one_gram_per_default_iga_trial(monkeypatch):
-    # IGA splits the trial's model and measures its residual through the
-    # model's A^H A, so an mmse,iga trial builds one model and one Gram
-    # matrix, and never the split's (N, N) precision
+    # IGA steps from the trial model's A^H A and measures its residual
+    # through it, so an mmse,iga trial builds one model and one Gram matrix,
+    # and never the split's (N, N) precision
     models = _counted(monkeypatch, MeasurementModel, "__post_init__")
     precisions = _counted(monkeypatch, SplitScheme, "precision")
     assert _count_default_trial_calls(monkeypatch, "gram", ("mmse", "iga")) == 1
@@ -269,28 +268,22 @@ def test_L_formed_at_most_once_per_default_trial(monkeypatch, algorithms, builds
     assert len(calls) == builds
 
 
-def test_iga_frees_the_dense_A_before_iterating(small_spec, monkeypatch):
-    # IGA iterates on its split's own factors, so the A that the split
-    # assembled is dead by the time the iteration's initial state is built
+def test_iga_assembles_no_dense_A(small_spec, monkeypatch):
+    # a BscmScenario trial runs IGA in the Gram domain: no A is assembled
+    # and the (Q, N) split and its reference step are not built
     from igachan import bscm, iga
 
-    assemble, initial_state, refs, alive = bscm.assemble_dense_A, iga.initial_state, [], []
-
-    def assembled(*args):
-        A = assemble(*args)
-        refs.append(weakref.ref(A))
-        return A
-
-    def start(scheme):
-        alive.append(refs[-1]() is not None)
-        return initial_state(scheme)
-
-    monkeypatch.setattr(bscm, "assemble_dense_A", assembled)
-    monkeypatch.setattr(iga, "initial_state", start)
+    calls = []
+    for owner, name in ((bscm, "assemble_dense_A"), (iga, "build_rank1_split"),
+                        (iga, "initial_state")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
     cfg = small_spec.scenario
     trial = build_trial(geometry_from_config(cfg), cfg, cfg.seed, 10.0, stream=(0, 0))
-    ESTIMATORS["iga"](trial, 0.05, 2, 1e-8)
-    assert alive == [False]
+    rep = ESTIMATORS["iga"](trial, 0.05, 2, 1e-8)
+    assert rep.iterations == 2
+    assert calls == []
 
 
 def test_no_space_frequency_transform_per_default_trial(monkeypatch):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from igachan import bscm
-from igachan.bscm import assemble_dense_A
+from igachan.bscm import ScenarioConfig, assemble_dense_A, geometry_from_config
 from igachan.errors import DivergenceError, DomainError
 from igachan.estimators import MeasurementModel, mmse_estimate
+from igachan.harness import build_trial
 from igachan.ic import (
     IcState,
     ic_beliefs,
@@ -17,6 +18,7 @@ from igachan.ic import (
     mproj_belief_oracle,
     run_estimator,
 )
+from igachan.report import DIVERGENCE_FACTOR, iterate
 
 from conftest import random_model, random_y
 
@@ -315,7 +317,25 @@ class TestRunEstimator:
         model = MeasurementModel(A, np.full(3, 100.0), 0.01, np.ones(4, dtype=complex))
         with pytest.raises(DivergenceError) as info:
             run_estimator("ic_siga", model, alpha=1.0, t_max=200)
-        assert len(info.value.trace) >= 20
+        trace = info.value.trace
+        assert trace[-1] > DIVERGENCE_FACTOR * min(trace[:-1])
+
+    def test_non_finite_residual_is_divergence(self, rng):
+        # the driver's rule, on a step that makes the mean NaN at once
+        model = random_model(rng, 6, 4)
+        with pytest.raises(DivergenceError) as info:
+            iterate(model, lambda mu, _gram_mu: mu + np.nan, lambda mu: mu,
+                    np.zeros(4, dtype=complex), 10, 1e-8, config={},
+                    variances=lambda mu: None)
+        assert len(info.value.trace) == 2 and np.isnan(info.value.trace[-1])
+
+    def test_default_scenario_diverges_undamped(self):
+        # IC-SIGA is damped Jacobi: at alpha = 1 the default scenario's
+        # largest Jacobi-scaled eigenvalue (about 3.1 > 2) blows it up
+        cfg = ScenarioConfig()
+        model = build_trial(geometry_from_config(cfg), cfg, cfg.seed, 10.0, stream=(0, 0)).model
+        with pytest.raises(DivergenceError):
+            run_estimator("ic_siga", model, alpha=1.0, t_max=100)
 
     def test_unknown_kind(self, rng):
         with pytest.raises(DomainError):

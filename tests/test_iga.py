@@ -1,21 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from igachan.bscm import assemble_dense_A
+from igachan import bscm
+from igachan.bscm import ScenarioConfig, assemble_dense_A, geometry_from_config
 from igachan.errors import DivergenceError, DomainError
 from igachan.estimators import MeasurementModel, mmse_estimate
 from igachan.gaussian import GaussianNatural, m_project_to_diag
-from igachan.harness import build_trial
+from igachan.harness import _rand_model, _rand_y, build_trial
 from igachan.iga import (
     AuxiliaryState,
     SplitScheme,
-    _shared_row_stepper,
+    _gram_stepper,
     build_rank1_split,
     initial_state,
     project_all,
     run_iga,
     update_points,
 )
+from igachan.report import DIVERGENCE_FACTOR
 
 from conftest import random_model, random_y
 
@@ -37,10 +41,15 @@ def unit_modulus_model(rng, m, n, sigma2=2.0):
 
 
 @pytest.fixture(scope="module")
-def desk_case(desk_config, desk_geometry):
+def desk_operator_case(desk_config, desk_geometry):
+    """The operator model of one desk trial."""
+    return build_trial(desk_geometry, desk_config, desk_config.seed, 0.0, stream=(0, 0)).model
+
+
+@pytest.fixture(scope="module")
+def desk_case(desk_operator_case):
     """The dense beam-domain model of one desk trial."""
-    trial = build_trial(desk_geometry, desk_config, desk_config.seed, 0.0, stream=(0, 0))
-    model, scn = trial.model, trial.model.A
+    model, scn = desk_operator_case, desk_operator_case.A
     A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
     return MeasurementModel(A, model.d, model.sigma2, model.y)
 
@@ -212,28 +221,107 @@ class TestUpdate:
             update_points(state, np.zeros((1, 1)), np.zeros((1, 1)), alpha=0.0)
 
 
-class TestFusedStep:
-    @pytest.mark.parametrize("split_case", ["unit_modulus", "bscm"], indirect=True)
-    @pytest.mark.parametrize("alpha,tol", [(1.0, 1e-12), (0.5, 1e-10)])
-    def test_matches_project_and_update(self, split_case, alpha, tol):
-        # the same states as the reference pair, step by step; the
-        # precisions take the same arithmetic, so they agree exactly.  The
-        # e-condition bounds are absolute and were set on O(1) parameters;
-        # on the desk trial the parameters sum to about 1e5, so there the
-        # reference's own residual bounds the fused step's
-        model, _ = split_case
-        scheme = build_rank1_split(model)
-        step = _shared_row_stepper(scheme, alpha)
-        ref = fused = initial_state(scheme)
+class TestGramStep:
+    @pytest.mark.parametrize("case", ["desk", "desk_operator", "unit_modulus"])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_matches_project_and_update(self, request, rng, case, alpha):
+        # the same states as the reference pair, step by step, with every
+        # lambda_q rebuilt as u + g_q * (Psi_q X).  Fed the scheme's abs2
+        # row, the precisions take the same arithmetic, so they agree
+        # exactly; the operator's row is 1 / sigma2, the dense row to round-off
+        if case == "unit_modulus":
+            model = dense = unit_modulus_model(rng, 12, 8)
+        else:
+            model, dense = (request.getfixturevalue(f"{case}_case"),
+                            request.getfixturevalue("desk_case"))
+        scheme = build_rank1_split(dense)
+        assert scheme.abs2.shape == (1, scheme.dim)
+        exact = model.is_dense
+        abs2 = scheme.abs2 if exact else np.full_like(scheme.abs2, 1.0 / model.sigma2)
+        point, step = _gram_stepper(model, abs2, alpha)
+        psi = np.column_stack([scheme.beta, scheme.factors.conj()])
+        ref = initial_state(scheme)
         for _ in range(5):
             xi, Xi = project_all(scheme, ref)
             ref = update_points(ref, xi, Xi, alpha, lambda_c=scheme.lambda_c)
-            fused = step(fused)
-            for got, want in ((fused.lam_q, ref.lam_q), (fused.lam0, ref.lam0)):
+            point = step(point, None)
+            assert point.X.shape == (scheme.dim + 1, scheme.dim)
+            lam_q = point.u + scheme.factors * (psi @ point.X)
+            for got, want in ((lam_q, ref.lam_q), (point.lam0, ref.lam0)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            assert np.array_equal(fused.Lam_q, ref.Lam_q)
-            assert np.array_equal(fused.Lam0, ref.Lam0)
-            assert fused.e_condition_residual() <= max(tol, ref.e_condition_residual())
+            for got, want in ((point.Lam_q, ref.Lam_q), (point.Lam0, ref.Lam0)):
+                if exact:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_operator_row_is_unit_modulus(self, desk_operator_case):
+        # run_iga reads a BscmScenario's |A|^2 rows as 1 / sigma2 without
+        # forming A: every assembled entry has modulus 1
+        scn = desk_operator_case.A
+        A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
+        assert np.abs(np.abs(A) ** 2 - 1.0).max() <= 1e-12
+        dense = MeasurementModel(A, desk_operator_case.d, desk_operator_case.sigma2,
+                                 desk_operator_case.y)
+        abs2 = build_rank1_split(dense).abs2
+        assert abs2.shape == (1, A.shape[1])
+        assert np.abs(abs2 * dense.sigma2 - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("alpha,t_max,tol", [(0.5, 1000, 1e-8), (0.05, 500, 1e-10)])
+    def test_operator_run_matches_dense_run(self, desk_case, desk_operator_case,
+                                            alpha, t_max, tol):
+        rep = run_iga(desk_operator_case, alpha=alpha, t_max=t_max, tol=tol)
+        ref = run_iga(desk_case, alpha=alpha, t_max=t_max, tol=tol)
+        assert rep.iterations == ref.iterations
+        assert np.linalg.norm(rep.mu - ref.mu) <= 1e-12 * np.linalg.norm(ref.mu)
+        assert np.abs(rep.variances - ref.variances).max() <= 1e-12 * ref.variances.max()
+
+    def test_default_scenario_forms_no_dense_A(self, monkeypatch):
+        # at the default scenario (Q = 15360, N = 144) a (Q, N) complex array
+        # is 35 MB; the run reads only the model's A^H A and A^H y
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense A assembled")
+
+        monkeypatch.setattr(bscm, "assemble_dense_A", refuse)
+        cfg = ScenarioConfig()
+        model = build_trial(geometry_from_config(cfg), cfg, cfg.seed, 10.0, stream=(0, 0)).model
+        assert not model.is_dense
+        model.gram()
+        tracemalloc.start()
+        try:
+            rep = run_iga(model, t_max=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.iterations == 5
+        assert peak < 10e6
+
+    def test_refuses_operator_without_unit_modulus_entries(self, rng):
+        # an operator's |A|^2 rows are read as 1 / sigma2, so one whose
+        # columns are not of norm^2 M is refused
+        dense = random_model(rng, 12, 8)
+
+        class Operator:
+            shape = dense.A.shape
+            matvec, rmatvec = dense.A.__matmul__, dense.A.conj().T.__matmul__
+
+            def gram_diag(self):
+                return np.real(np.diag(self.gram()))
+
+            def gram(self):
+                return dense.A.conj().T @ dense.A
+
+        model = MeasurementModel(Operator(), dense.d, dense.sigma2, dense.y)
+        with pytest.raises(DomainError, match="unit-modulus"):
+            run_iga(model, t_max=5)
+
+    def test_refused_above_cap(self, tiny_scenario, rng, monkeypatch):
+        scn = tiny_scenario
+        model = MeasurementModel(scn, rng.uniform(0.5, 2.0, scn.shape[1]), 1.0,
+                                 random_y(rng, scn.shape[0]))
+        monkeypatch.setattr(bscm, "DENSE_ENTRY_CAP", scn.shape[1] ** 2 - 1)
+        with pytest.raises(DomainError, match="DENSE_ENTRY_CAP"):
+            run_iga(model, t_max=5)
 
 
 class TestRun:
@@ -307,4 +395,22 @@ class TestRun:
         model = MeasurementModel(A, np.full(3, 100.0), 0.01, np.ones(4, dtype=complex))
         with pytest.raises(DivergenceError) as info:
             run_iga(model, alpha=1.0, t_max=300)
-        assert len(info.value.trace) >= 20
+        trace = info.value.trace
+        assert trace[-1] > DIVERGENCE_FACTOR * min(trace[:-1])
+
+    def test_plateau_is_not_divergence(self):
+        # validate's unit-modulus case at sigma2 = 0.5: the residual stalls
+        # and rises for dozens of consecutive steps, then converges
+        rng = np.random.default_rng(107)
+        _rand_model(rng, 24, 12)
+        phases = np.exp(2j * np.pi * rng.random((24, 12)))
+        model = MeasurementModel(phases, rng.uniform(0.2, 3.0, 12), 0.5, _rand_y(rng, 24))
+        rep = run_iga(model, alpha=0.05, t_max=5000, tol=1e-11)
+        rises = longest = 0
+        for before, after in zip(rep.residual_trace, rep.residual_trace[1:]):
+            rises = rises + 1 if after > before else 0
+            longest = max(longest, rises)
+        assert longest >= 20
+        assert rep.converged
+        mu_mmse, _ = mmse_estimate(model)
+        assert np.linalg.norm(rep.mu - mu_mmse) <= 1e-6 * np.linalg.norm(mu_mmse)
