@@ -19,6 +19,7 @@ from .gaussian import (
 )
 from .estimators import (
     MeasurementModel,
+    ModelBatch,
     ModifiedForm,
     build_modified_form,
     mmse_estimate,
@@ -30,6 +31,7 @@ from .iga import (
     build_rank1_split,
     project_all,
     run_iga,
+    run_iga_batch,
     update_points,
 )
 from .ic import (
@@ -40,6 +42,7 @@ from .ic import (
     initial_ic_state,
     mproj_belief_oracle,
     run_estimator,
+    run_estimator_batch,
 )
 from .bscm import (
     ArrayConfig,

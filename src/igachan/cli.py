@@ -17,6 +17,7 @@ from . import harness, scenario
 from .blas import one_blas_thread
 from .bscm import ScenarioConfig, geometry_from_config, load_scenario_config
 from .errors import ConfigError, DivergenceError, DomainError
+from .report import single
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILURE = 1
@@ -88,7 +89,7 @@ def _cmd_estimate(args) -> int:
     with one_blas_thread():
         trial = harness.build_trial(geometry_from_config(cfg), cfg, cfg.seed, snr_db,
                                     stream=(0, 0))
-        rep = harness.ESTIMATORS[alg](trial, spec.alpha, spec.t_max, spec.tol)
+        rep = single(harness.ESTIMATORS[alg]([trial], spec.alpha, spec.t_max, spec.tol))
     trial_nmse = float(np.mean(trial.score(rep.mu)))
 
     summary = {
@@ -98,6 +99,7 @@ def _cmd_estimate(args) -> int:
         "nmse_db": 10.0 * np.log10(trial_nmse) if trial_nmse > 0 else None,
         "iterations": rep.iterations,
         "converged": rep.converged,
+        "stop": rep.stop,
         "n": trial.model.n,
         "m": trial.model.m,
         "seed": cfg.seed,

@@ -20,6 +20,7 @@ and owns every product of A^H A the estimators read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,6 +32,7 @@ from .gaussian import _cho_solve
 
 __all__ = [
     "MeasurementModel",
+    "ModelBatch",
     "ModifiedForm",
     "mmse_estimate",
     "build_modified_form",
@@ -130,7 +132,7 @@ class MeasurementModel:
         """x -> A^H A x: the dense A^H A at or below the cap, the operator's
         ``rmatvec(matvec(x))`` above it."""
         if self._gram_fits():
-            return self.gram().__matmul__
+            return self.gram().dot
         op = self.A
         return lambda x: op.rmatvec(op.matvec(x))
 
@@ -156,6 +158,10 @@ class MeasurementModel:
             raise DomainError("L = |A^H A|.^2 is not formed above DENSE_ENTRY_CAP")
         return np.abs(self.gram()) ** 2
 
+    def abs2_apply(self, v: np.ndarray) -> np.ndarray:
+        """v -> L v, with L = ``gram_abs2``."""
+        return self.gram_abs2.dot(v)
+
     @cached_property
     def _theta(self) -> tuple:
         theta = self.ahy / self.sigma2
@@ -163,10 +169,94 @@ class MeasurementModel:
 
     def residual(self, mu: np.ndarray, gram_mu: np.ndarray) -> float:
         """||(sigma2^{-1} A^H A + D^{-1}) mu - theta|| / ||theta||, theta = sigma2^{-1} A^H y,
-        the relative normal-equation residual of ``mu`` given ``gram_mu`` = A^H A mu."""
-        theta, theta_norm = self._theta
-        lhs = gram_mu / self.sigma2 + mu / self.d
-        return float(np.linalg.norm(lhs - theta)) / theta_norm
+        the relative normal-equation residual of ``mu`` given ``gram_mu`` = A^H A mu:
+        :meth:`ModelBatch.residuals` on the batch of one."""
+        return ModelBatch([self]).residuals(mu[None], gram_mu[None])[0]
+
+
+class ModelBatch:
+    """B measurement models whose runs the iteration driver steps together.
+
+    Each model's vectors are the first ``sizes[b]`` entries of row b of a
+    zero-padded (B, ``width``) array, ``width`` the largest N unless given.
+    The padding keeps a padded entry of every element-wise step at zero:
+    ``ahy`` and ``gram_diag`` pad with 0, and ``sigma2``, ``d`` and ``c``
+    with 1 (``sigma2`` fills its row, since a same-shape operand is cheaper
+    than a broadcast one).  Each array is built at its first use
+    from the model's own, so its entries are the model's bit for bit.
+    Every product or sum over N (:meth:`gram_apply`, :meth:`abs2_apply`,
+    the norms of :meth:`residuals`) runs per model on the unpadded view:
+    padding would change the association of BLAS and pairwise sums, and so
+    the last bits of the result.
+    """
+
+    def __init__(self, models, width: int | None = None):
+        self.models = tuple(models)
+        self.sizes = [model.n for model in self.models]
+        self.width = max(self.sizes) if width is None else width
+
+    def take(self, rows) -> "ModelBatch":
+        """The batch of the models at ``rows``, at the same width."""
+        return ModelBatch([self.models[j] for j in rows], self.width)
+
+    def _pad(self, name: str, fill: float, dtype) -> np.ndarray:
+        out = np.full((len(self.models), self.width), fill, dtype=dtype)
+        for row, model, n in zip(out, self.models, self.sizes):
+            row[:n] = getattr(model, name)
+        return out
+
+    @cached_property
+    def sigma2(self) -> np.ndarray:
+        return self._pad("sigma2", 1.0, np.float64)
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        return self._pad("d", 1.0, np.float64)
+
+    @cached_property
+    def ahy(self) -> np.ndarray:
+        return self._pad("ahy", 0.0, np.complex128)
+
+    @cached_property
+    def gram_diag(self) -> np.ndarray:
+        return self._pad("gram_diag", 0.0, np.float64)
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return self._pad("c", 1.0, np.float64)
+
+    def _per_model(self, product: str, v: np.ndarray) -> np.ndarray:
+        out = np.zeros(v.shape, v.dtype)
+        for j, (model, n) in enumerate(zip(self.models, self.sizes)):
+            out[j, :n] = getattr(model, product)(v[j, :n])
+        return out
+
+    def gram_apply(self, v: np.ndarray) -> np.ndarray:
+        """Row b -> A_b^H A_b v_b, through each model's ``gram_apply``."""
+        return self._per_model("gram_apply", v)
+
+    def abs2_apply(self, v: np.ndarray) -> np.ndarray:
+        """Row b -> L_b v_b, through each model's :meth:`MeasurementModel.abs2_apply`."""
+        return self._per_model("abs2_apply", v)
+
+    @cached_property
+    def _residual_parts(self) -> tuple:
+        """theta = sigma2^{-1} A^H y, ||theta|| per row, and a (B, width)
+        buffer for the residual vectors with the real and imaginary views of
+        each row's unpadded part."""
+        buf = np.zeros((len(self.models), self.width), dtype=np.complex128)
+        views = [(buf[j, :n].real, buf[j, :n].imag) for j, n in enumerate(self.sizes)]
+        return self.ahy / self.sigma2, [model._theta[1] for model in self.models], buf, views
+
+    def residuals(self, mu: np.ndarray, gram_mu: np.ndarray) -> list:
+        """Each row's :meth:`MeasurementModel.residual`, as a list of floats."""
+        theta, norms, diff, views = self._residual_parts
+        np.divide(gram_mu, self.sigma2, out=diff)
+        diff += mu / self.d
+        diff -= theta
+        # np.linalg.norm of a complex vector, without its argument handling
+        return [math.sqrt(re.dot(re) + im.dot(im)) / norm
+                for (re, im), norm in zip(views, norms)]
 
 
 @dataclass(frozen=True)

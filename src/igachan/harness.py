@@ -11,9 +11,11 @@ is averaged into one CSV row per cell.  Scoring builds no space-frequency
 matrix: ||Gbar_k - G_k||_F^2 = e_k^H W_k e_k, with e_k user k's coefficient
 error and W_k its diagonal block of A^H A (see :class:`Trial`);
 :func:`reconstruct_G` and :func:`nmse` are the reference it is tested
-against.  Output is deterministic under a fixed (spec, seed): trials run
-in order on per-trial substreams with numpy's BLAS on one thread, rows
-appear in (snr, algorithm) order, and the wall-time column is written as
+against.  Output is deterministic under a fixed (spec, seed): the cells
+run in order, each building its N_sam trials on per-trial substreams and
+running every algorithm once over all of them in lockstep, with numpy's
+BLAS on one thread; a trial's result equals its run alone bit for bit.
+Rows appear in (snr, algorithm) order, and the wall-time column is written as
 0.0 unless timing is explicitly requested (measured times would break
 byte-identical reproducibility).
 """
@@ -37,7 +39,7 @@ from .bscm import (
     assemble_dense_A,
     geometry_from_config,
 )
-from .errors import ConfigError, DivergenceError, DomainError
+from .errors import ConfigError, DomainError
 from .estimators import MeasurementModel, _mmse_mean, mmse_estimate, modified_mmse_estimate
 from .report import EstimateReport
 from .scenario import (
@@ -185,39 +187,48 @@ def _truth_blocks(scn: BscmScenario, channels) -> tuple:
     return h, tuple(users)
 
 
-# -- estimator registry: name -> fn(trial, alpha, t_max, tol) -> EstimateReport.
-# ``alpha`` None keeps each iterative estimator's own default damping; the
-# direct solves ignore it.  Entries call library functions through module
-# globals at call time, so a patched or traced function is the one that runs.
+# -- estimator registry: name -> fn(trials, alpha, t_max, tol) -> one
+# EstimateReport per trial, which never raises DivergenceError: a diverged
+# run is a report with stop "diverged".  The iterative estimators run the
+# trials in lockstep.  ``alpha`` None keeps each iterative estimator's own
+# default damping; the direct solves ignore it.  Entries call library
+# functions through module globals at call time, so a patched or traced
+# function is the one that runs.
 
-def _solved(trial: Trial, mu, algorithm: str, t_start: float) -> EstimateReport:
-    """Report of a direct solve: no iterations, converged, and the relative
-    normal-equation residual of its mean."""
-    model = trial.model
-    residual = model.residual(mu, model.gram_apply(mu))
-    return EstimateReport(mu=mu, variances=None, residual_trace=[residual], iterations=0,
-                          converged=True, wall_time=time.perf_counter() - t_start,
-                          config={"algorithm": algorithm})
+def _solved(trials, solve, algorithm: str) -> list:
+    """Reports of the direct solve ``solve(model) -> mu`` of each trial: no
+    iterations, converged, and the relative normal-equation residual of its
+    mean."""
+    reports = []
+    for trial in trials:
+        t0 = time.perf_counter()
+        model = trial.model
+        mu = solve(model)
+        residual = model.residual(mu, model.gram_apply(mu))
+        reports.append(EstimateReport(
+            mu=mu, variances=None, residual_trace=[residual], iterations=0, converged=True,
+            stop="converged", wall_time=time.perf_counter() - t0,
+            config={"algorithm": algorithm}))
+    return reports
 
 
-def _run_mmse(trial, alpha, t_max, tol):
+def _run_mmse(trials, alpha, t_max, tol):
     # the sweep reads only the mean, so the covariance is never formed
-    t0 = time.perf_counter()
-    mu, _ = _mmse_mean(trial.model)
-    return _solved(trial, mu, "mmse", t0)
+    return _solved(trials, lambda model: _mmse_mean(model)[0], "mmse")
 
 
-def _run_modified_mmse(trial, alpha, t_max, tol):
-    t0 = time.perf_counter()
-    return _solved(trial, modified_mmse_estimate(trial.model), "modified_mmse", t0)
+def _run_modified_mmse(trials, alpha, t_max, tol):
+    return _solved(trials, modified_mmse_estimate, "modified_mmse")
 
 
-def _run_iga(trial, alpha, t_max, tol):
-    return _iga.run_iga(trial.model, alpha=alpha, t_max=t_max, tol=tol)
+def _run_iga(trials, alpha, t_max, tol):
+    return _iga.run_iga_batch([trial.model for trial in trials], alpha=alpha, t_max=t_max,
+                              tol=tol)
 
 
-def _run_ic(kind, trial, alpha, t_max, tol):
-    return _ic.run_estimator(kind, trial.model, alpha=alpha, t_max=t_max, tol=tol)
+def _run_ic(kind, trials, alpha, t_max, tol):
+    return _ic.run_estimator_batch(kind, [trial.model for trial in trials], alpha=alpha,
+                                   t_max=t_max, tol=tol)
 
 
 ESTIMATORS = {
@@ -275,45 +286,55 @@ class BenchmarkSpec:
             raise ConfigError(f"alpha (--alpha) must lie in (0, 1], got {self.alpha}")
 
 
-def _run_trial(spec: BenchmarkSpec, geometry, snr_index: int, trial: int):
-    """All algorithms on one generated scenario; returns per-algorithm stats."""
-    tr = build_trial(geometry, spec.scenario, spec.seed, spec.snr_list_db[snr_index],
-                     stream=(snr_index, trial))
+def _run_cell(spec: BenchmarkSpec, geometry, snr_index: int) -> dict:
+    """All algorithms on the N_sam trials of one SNR point.
+
+    Builds the cell's trials, trial t on substream (snr_index, t), runs each
+    algorithm once over all of them, and returns
+    {algorithm: [(per-user scores, iterations, converged, wall s), ...]}
+    with one entry per trial.  A trial's wall time is the algorithm's time
+    over the cell divided by N_sam.
+    """
+    trials = [build_trial(geometry, spec.scenario, spec.seed, spec.snr_list_db[snr_index],
+                          stream=(snr_index, t)) for t in range(spec.n_sam)]
     results = {}
     for alg in spec.algorithms:
         t0 = time.perf_counter()
-        try:
-            rep = ESTIMATORS[alg](tr, spec.alpha, spec.t_max, spec.tol)
-            mu, iterations, converged = rep.mu, rep.iterations, rep.converged
-        except DivergenceError:
-            # a diverged trial is a result, not a crash
-            mu = np.zeros(tr.model.n, dtype=np.complex128)
-            iterations = spec.t_max
-            converged = False
-        wall = time.perf_counter() - t0
-        results[alg] = (tr.score(mu), iterations, converged, wall)
+        reports = ESTIMATORS[alg](trials, spec.alpha, spec.t_max, spec.tol)
+        wall = (time.perf_counter() - t0) / len(trials)
+        runs = []
+        for tr, rep in zip(trials, reports):
+            if rep.stop == "diverged":
+                # a diverged trial is a result, not a crash: it scores the
+                # zero estimate at t_max iterations
+                runs.append((tr.score(np.zeros(tr.model.n, dtype=np.complex128)), spec.t_max,
+                             False, wall))
+            else:
+                runs.append((tr.score(rep.mu), rep.iterations, rep.converged, wall))
+        results[alg] = runs
     return results
 
 
 def run_benchmark(spec: BenchmarkSpec):
     """Sweep the spec; returns one row dict per (snr, algorithm) cell.
 
-    Trials run in order, each on its own substream, with numpy's BLAS on
-    the calling thread (:func:`igachan.blas.one_blas_thread`); every
-    algorithm in a cell sees the same data, so the rows depend only on the
-    spec and seed, and not on the host's core count.
+    Cells run in order, each algorithm over a cell's trials in lockstep,
+    every trial on its own substream, with numpy's BLAS on the calling
+    thread (:func:`igachan.blas.one_blas_thread`); every algorithm in a cell
+    sees the same data, so the rows depend only on the spec and seed, and
+    not on the host's core count.
     """
     geometry = geometry_from_config(spec.scenario)
     with one_blas_thread():
-        per_snr = [[_run_trial(spec, geometry, si, t) for t in range(spec.n_sam)]
-                   for si in range(len(spec.snr_list_db))]
+        cells = [_run_cell(spec, geometry, si) for si in range(len(spec.snr_list_db))]
     rows = []
-    for snr_db, trial_results in zip(spec.snr_list_db, per_snr):
+    for snr_db, cell in zip(spec.snr_list_db, cells):
         for alg in spec.algorithms:
-            ratios = [r for tr in trial_results for r in tr[alg][0]]
-            iters = [tr[alg][1] for tr in trial_results]
-            conv = [tr[alg][2] for tr in trial_results]
-            wall = [tr[alg][3] for tr in trial_results]
+            runs = cell[alg]
+            ratios = [r for run in runs for r in run[0]]
+            iters = [run[1] for run in runs]
+            conv = [run[2] for run in runs]
+            wall = [run[3] for run in runs]
             cell_nmse = float(np.mean(ratios))
             rows.append({
                 "snr_db": float(snr_db),

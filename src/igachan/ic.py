@@ -16,7 +16,9 @@ only the mean recursion, which is exactly damped Jacobi on the normal
 equations since diag(sigma2^{-1} A^H A + D^{-1}) = c.  At any fixed point of
 either recursion the mean solves the normal equations, i.e. equals the MMSE
 mean.  Every function takes the trial's :class:`MeasurementModel` and reads
-A^H y, the Gram apply, diag(A^H A), c and L from it.
+A^H y, the Gram apply, diag(A^H A), c and L from it; the private kernels
+take a model or a :class:`ModelBatch` alike, whose padded (B, N) rows they
+update in one pass (:func:`run_estimator_batch`).
 
 A dense-inversion oracle (:func:`mproj_belief_oracle`) rebuilds the
 per-coordinate auxiliary Gaussian literally, m-projects it through
@@ -27,13 +29,14 @@ owning coordinate; the vectorized kernels are tested against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .estimators import MeasurementModel
+from .estimators import MeasurementModel, ModelBatch
 from .gaussian import GaussianNatural, m_project_to_diag
-from .report import EstimateReport, iterate
+from .report import EstimateReport, iterate, rows_at_fault, single
 
 __all__ = [
     "IcState",
@@ -43,6 +46,7 @@ __all__ = [
     "ic_siga_step",
     "mproj_belief_oracle",
     "run_estimator",
+    "run_estimator_batch",
 ]
 
 DEFAULT_ALPHA = {"ic_iga": 0.45, "ic_siga": 0.25}
@@ -53,7 +57,8 @@ class IcState:
     """Diagonal natural parameters of the running estimate.
 
     Built from (lam, Lam) with Lam > 0 element-wise; the variances
-    v = 1 / Lam and the mean mu = lam / Lam are derived from them.
+    v = 1 / Lam and the mean mu = lam / Lam are derived from them.  The
+    arrays are (N,) for one model, or (B, N) for a :class:`ModelBatch`.
     """
 
     lam: np.ndarray
@@ -73,9 +78,9 @@ def initial_ic_state(n: int) -> IcState:
     return IcState(lam=np.zeros(n, dtype=np.complex128), Lam=np.ones(n, dtype=np.float64))
 
 
-def _interference_energy(model: MeasurementModel, v: np.ndarray) -> np.ndarray:
+def _interference_energy(model, v: np.ndarray) -> np.ndarray:
     """e_n = sigma2^{-2} c_n^{-1} sum_{j != n} |[A^H A]_nj|^2 v_j, from L."""
-    lv = model.gram_abs2 @ v - model.gram_diag**2 * v
+    lv = model.abs2_apply(v) - model.gram_diag**2 * v
     return lv / (model.sigma2**2 * model.c)
 
 
@@ -89,18 +94,19 @@ def ic_beliefs(model: MeasurementModel, state: IcState):
     return _beliefs(model, state, model.gram_apply(state.mu))
 
 
-def _mean_update(model: MeasurementModel, mu: np.ndarray, gram_mu: np.ndarray) -> np.ndarray:
+def _mean_update(model, mu: np.ndarray, gram_mu: np.ndarray) -> np.ndarray:
     """sigma2^{-1} c^{-1} (A^H y - A^H A mu + diag(A^H A) mu), given A^H A mu."""
     return (model.ahy - gram_mu + model.gram_diag * mu) / (model.sigma2 * model.c)
 
 
-def _beliefs(model: MeasurementModel, state: IcState, gram_mu: np.ndarray):
+def _beliefs(model, state: IcState, gram_mu: np.ndarray):
     """:func:`ic_beliefs` from the Gram product A^H A mu of the state's mean."""
     e = _interference_energy(model, state.v)
-    if np.any(1.0 + e <= 0):
+    corrupted = 1.0 + e <= 0
+    if corrupted.any():
         raise DivergenceError(
             "1 + e_n <= 0: interference energies must be nonnegative, "
-            "state is numerically corrupted"
+            "state is numerically corrupted", rows=rows_at_fault(corrupted)
         )
     r = model.c / (1.0 + e)
     return _mean_update(model, state.mu, gram_mu), r, e
@@ -131,8 +137,7 @@ def ic_siga_step(model: MeasurementModel, mu_t: np.ndarray, alpha: float) -> np.
     return _siga_update(model, mu_t, model.gram_apply(mu_t), alpha)
 
 
-def _siga_update(model: MeasurementModel, mu: np.ndarray, gram_mu: np.ndarray,
-                 alpha: float) -> np.ndarray:
+def _siga_update(model, mu: np.ndarray, gram_mu: np.ndarray, alpha: float) -> np.ndarray:
     """:func:`ic_siga_step` from the Gram product A^H A mu."""
     return alpha * _mean_update(model, mu, gram_mu) + (1 - alpha) * mu
 
@@ -174,14 +179,33 @@ def mproj_belief_oracle(model: MeasurementModel, state: IcState, n: int):
 
 def run_estimator(kind: str, model: MeasurementModel, alpha: float | None = None,
                   t_max: int = 100, tol: float = 1e-8) -> EstimateReport:
-    """Run IC-IGA or IC-SIGA to (approximate) equilibrium.
+    """Run IC-IGA or IC-SIGA on one model: :func:`run_estimator_batch` on the
+    batch of one, raising :class:`DivergenceError` (with the residual trace)
+    when the run diverges."""
+    return single(run_estimator_batch(kind, [model], alpha=alpha, t_max=t_max, tol=tol))
+
+
+class _IcPoint(NamedTuple):
+    """An IC-IGA iterate: the (B, N) state, and the r of the step that made
+    it (None at the start)."""
+
+    state: IcState
+    r: np.ndarray | None
+
+
+def run_estimator_batch(kind: str, models, alpha: float | None = None, t_max: int = 100,
+                        tol: float = 1e-8) -> list:
+    """Run IC-IGA or IC-SIGA to (approximate) equilibrium on every model,
+    in lockstep; returns one report per model, in order.
 
     Stop and divergence rules are those of :func:`igachan.report.iterate`,
-    which applies the Gram matrix once per iterate; its product A^H A mu
-    feeds both the residual and the next step.  IC-IGA reports variances
-    1/r at the final iterate and needs the model's L = |A^H A|.^2, which is
-    not formed above ``DENSE_ENTRY_CAP``; IC-SIGA is mean-only and runs at
-    any size.
+    which applies each model's Gram matrix once per iterate; its product
+    A^H A mu feeds both the residual and the next step.  A diverged run is
+    reported with ``stop == "diverged"`` and leaves the others unchanged.
+    Every report equals that of the model's run alone.  IC-IGA reports
+    variances 1/r at the final iterate and needs each model's
+    L = |A^H A|.^2, which is not formed above ``DENSE_ENTRY_CAP``; IC-SIGA
+    is mean-only and runs at any size.
     """
     if kind not in DEFAULT_ALPHA:
         raise DomainError(f"unknown estimator kind {kind!r}")
@@ -190,18 +214,19 @@ def run_estimator(kind: str, model: MeasurementModel, alpha: float | None = None
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
     config = {"algorithm": kind, "alpha": alpha, "t_max": t_max, "tol": tol}
+    batch = ModelBatch(models)
+    zeros = np.zeros((len(batch.models), batch.width), dtype=np.complex128)
     if kind == "ic_siga":
         # the iterate is the mean itself
-        return iterate(model, lambda mu, gram_mu: _siga_update(model, mu, gram_mu, alpha),
-                       lambda mu: mu, np.zeros(model.n, dtype=np.complex128), t_max, tol,
-                       config=config, variances=lambda mu: None)
+        return iterate(batch, lambda b, mu, gram_mu: _siga_update(b, mu, gram_mu, alpha),
+                       lambda mu: mu, zeros, t_max, tol, config=config,
+                       variances=lambda mu: None)
 
-    # an IC-IGA iterate is (IcState, r of the step that made it)
-    def step(point, gram_mu):
-        state = point[0]
-        beliefs = _beliefs(model, state, gram_mu)
-        return _ic_iga_update(state, beliefs, alpha), beliefs[1]
+    def step(b, point, gram_mu):
+        beliefs = _beliefs(b, point.state, gram_mu)
+        return _IcPoint(_ic_iga_update(point.state, beliefs, alpha), beliefs[1])
 
-    return iterate(model, step, lambda point: point[0].mu, (initial_ic_state(model.n), None),
-                   t_max, tol, config=config,
-                   variances=lambda point: None if point[1] is None else 1.0 / point[1])
+    return iterate(batch, step, lambda point: point.state.mu,
+                   _IcPoint(IcState(zeros, np.ones(zeros.shape)), None), t_max, tol,
+                   config=config,
+                   variances=lambda point: None if point.r is None else 1.0 / point.r)

@@ -38,8 +38,9 @@ O(N^2) per step (see :func:`_gram_stepper`): no A is formed and no (Q, N)
 array.  A Gaussian A keeps the O(Q N) rank-1 step.
 
 :func:`run_iga` takes the :class:`MeasurementModel`, as the IC estimators
-do.  The split's (N, N) precision is never formed to measure a run: the
-driver takes every residual from the model's one A^H A.
+do, and :func:`run_iga_batch` a list of them, whose Gram-domain runs step
+in lockstep.  The split's (N, N) precision is never formed to measure a
+run: the driver takes every residual from the model's one A^H A.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .estimators import MeasurementModel
-from .report import EstimateReport, iterate
+from .estimators import MeasurementModel, ModelBatch
+from .report import EstimateReport, iterate, rows_at_fault, single
 
 __all__ = [
     "SplitScheme",
@@ -61,6 +62,7 @@ __all__ = [
     "project_all",
     "update_points",
     "run_iga",
+    "run_iga_batch",
 ]
 
 DEFAULT_ALPHA = 0.05
@@ -230,45 +232,54 @@ def update_points(state: AuxiliaryState, xi: np.ndarray, Xi: np.ndarray,
     lam_q = np.subtract(lam0_new, xi)  # updated in place, as xi in project_all
     lam_q *= alpha
     lam_q += (1 - alpha) * state.lam_q
-    Lam0, Lam_q = _damped_precisions(state, Xi, xi.shape[0], alpha, lambda_c)
+    Lam0_new = Xi.sum(axis=0) * (xi.shape[0] / Xi.shape[0])
+    Lam0, Lam_q = _damped_precisions(state, Lam0_new, Xi, alpha, lambda_c)
     return AuxiliaryState(lam_q=lam_q, Lam_q=Lam_q, lam0=lam0, Lam0=Lam0)
 
 
-def _damped_precisions(state: AuxiliaryState, Xi: np.ndarray, q: int, alpha: float,
+def _damped_precisions(state, Lam0_new: np.ndarray, Xi: np.ndarray, alpha: float,
                        lambda_c: np.ndarray | None):
     """(Lambda_0, Lambda_q) after the damped exchange of the precision beliefs
-    ``Xi`` of Q = ``q`` points; with ``lambda_c``, a target precision that
-    loses positivity raises :class:`DivergenceError`."""
-    Lam0_new = Xi.sum(axis=0) * (q / Xi.shape[0])
+    ``Xi``, whose sum over the points is ``Lam0_new``; with ``lambda_c``, a
+    target precision that loses positivity raises :class:`DivergenceError`
+    naming the batch rows at fault."""
     Lam0 = alpha * Lam0_new + (1 - alpha) * state.Lam0
     Lam_q = alpha * (Lam0_new - Xi) + (1 - alpha) * state.Lam_q
-    if lambda_c is not None and (Lam0 + lambda_c <= 0).any():
-        raise DivergenceError(
-            "target precision lost positivity; reduce the damping coefficient alpha"
-        )
+    if lambda_c is not None:
+        lost = Lam0 + lambda_c <= 0
+        if lost.any():
+            raise DivergenceError(
+                "target precision lost positivity; reduce the damping coefficient alpha",
+                rows=rows_at_fault(lost))
     return Lam0, Lam_q
 
 
 class _GramPoint(NamedTuple):
-    """The state of :func:`_gram_stepper` on a shared precision row.
+    """The state of :func:`_gram_stepper` for B runs on shared precision rows,
+    zero-padded as their :class:`ModelBatch`.
 
-    Every lambda_q is ``u + g_q * (Psi_q X)``, with Psi_q = [beta_q,
-    conj(g_q)] the q-th row of the (Q, N + 1) basis Psi = [beta, conj(G)];
-    ``lam0``, ``Lam0`` and the (1, N) ``Lam_q`` are those of
-    :class:`AuxiliaryState`.
+    Every lambda_q of run b is ``u[b] + g_q * (Psi_q X[b])``, with Psi_q =
+    [beta_q, conj(g_q)] the q-th row of the (Q, N + 1) basis Psi = [beta,
+    conj(G)]; ``lam0``, ``Lam0`` and the shared row ``Lam_q`` are those of
+    :class:`AuxiliaryState`.  The last four fields are each run's constants,
+    carried in the point so that they leave the batch with their run.
     """
 
-    u: np.ndarray  # (N,) complex
-    X: np.ndarray  # (N + 1, N) complex
-    lam0: np.ndarray  # (N,) complex
-    Lam0: np.ndarray  # (N,) real
-    Lam_q: np.ndarray  # (1, N) real
+    u: np.ndarray  # (B, N) complex
+    X: np.ndarray  # (B, N + 1, N) complex
+    lam0: np.ndarray  # (B, N) complex
+    Lam0: np.ndarray  # (B, N) real
+    Lam_q: np.ndarray  # (B, N) real
+    abs2: np.ndarray  # (B, N) real: the shared row |g_q|^2, padded with 0
+    lc: np.ndarray  # (B, N) real: lambda_c = 1 / d, padded with 1
+    q: np.ndarray  # (B, 1) real: Q
+    gt_psi: np.ndarray  # (B, N, N + 1) complex: G^T Psi
 
 
-def _gram_stepper(model: MeasurementModel, abs2: np.ndarray, alpha: float):
+def _gram_stepper(batch: ModelBatch, abs2_rows, alpha: float):
     """(start, step): the damped project/update iteration of the rank-1 split
-    on a shared (1, N) precision row ``abs2`` = |g_q|^2, run from A^H A and
-    A^H y alone.
+    of every model of ``batch``, on its shared (1, N) precision row
+    ``abs2_rows[b]`` = |g_q|^2, run from A^H A and A^H y alone.
 
     With w, denom and R = r_over_denom * denom of :func:`project_all`
     shared by every point, and b_q = beta_q g_q, the mean belief is
@@ -293,91 +304,130 @@ def _gram_stepper(model: MeasurementModel, abs2: np.ndarray, alpha: float):
         X <- X diag(1 - alpha R) - c_gamma (alpha R)^T,
 
     O(N^2) with no (Q, N) array; the precisions update as in
-    :func:`update_points`.
+    :func:`update_points`.  The sum ``spread`` and the products with X and
+    G^T Psi run per run on its unpadded view, the rest once on the batch.
     """
-    q, n = model.m, model.n
-    lc = 1.0 / model.d
+    rows, width = len(batch.models), batch.width
+    abs2 = np.zeros((rows, width))
     # G^T Psi: the one product of the factors with the span
-    gt_psi = np.empty((n, n + 1), dtype=np.complex128)
-    gt_psi[:, 0] = model.ahy
-    gt_psi[:, 1:] = model.gram()
-    gt_psi /= model.sigma2
-    zero = np.zeros(n, dtype=np.complex128)
-    start = _GramPoint(u=zero, X=np.zeros((n + 1, n), dtype=np.complex128), lam0=zero,
-                       Lam0=np.zeros(n), Lam_q=np.zeros_like(abs2))
+    gt_psi = np.zeros((rows, width, width + 1), dtype=np.complex128)
+    for b, (model, row, n) in enumerate(zip(batch.models, abs2_rows, batch.sizes)):
+        abs2[b, :n] = row[0]
+        gt_psi[b, :n, 0] = model.ahy
+        gt_psi[b, :n, 1:n + 1] = model.gram()
+    gt_psi /= batch.sigma2[:, :1, None]
+    zero = np.zeros((rows, width), dtype=np.complex128)
+    start = _GramPoint(u=zero, X=np.zeros((rows, width + 1, width), dtype=np.complex128),
+                       lam0=zero, Lam0=np.zeros((rows, width)), Lam_q=np.zeros((rows, width)),
+                       abs2=abs2, lc=1.0 / batch.d,
+                       q=np.array([[float(model.m)] for model in batch.models]),
+                       gt_psi=gt_psi)
 
-    def step(point: _GramPoint, _gram_mu) -> _GramPoint:
-        w = point.Lam_q + lc
+    def step(b: ModelBatch, point: _GramPoint, _gram_mu) -> _GramPoint:
+        w = point.Lam_q + point.lc
         if (w <= 0).any():
             raise DomainError("auxiliary covariance lost positivity (Lambda_q + lambda_c <= 0)")
         inv_w = 1.0 / w
-        abs2_w = abs2 * inv_w
-        spread = abs2_w.sum(axis=1, keepdims=True)
+        abs2_w = point.abs2 * inv_w
+        spread = np.empty((len(b.sizes), 1))
+        c = np.empty((len(b.sizes), width + 1), dtype=np.complex128)
+        np.multiply(point.u, inv_w, out=c[:, 1:])
+        for j, n in enumerate(b.sizes):
+            spread[j, 0] = c[j, 0] = abs2_w[j, :n].sum()
+            c[j, :n + 1] += point.X[j, :n + 1, :n] @ abs2_w[j, :n]
         denom = 1.0 + spread
-        r_over_denom = w / (w * denom - abs2)
-        R = (r_over_denom * denom)[0]
-        c = np.empty(n + 1, dtype=np.complex128)
-        c[0] = spread[0, 0]
-        np.multiply(point.u, inv_w[0], out=c[1:])
-        c += point.X @ abs2_w[0]
-        c /= -denom[0, 0]
-        c[0] += 1.0
-        moved = alpha * ((R - 1) * ((q - 1) * point.lam0) + R * (gt_psi @ c))
+        r_over_denom = w / (w * denom - point.abs2)
+        R = r_over_denom * denom
+        c /= -denom
+        c[:, 0] += 1.0
+        gt_psi_c = np.zeros_like(point.u)
+        for j, n in enumerate(b.sizes):
+            gt_psi_c[j, :n] = point.gt_psi[j, :n, :n + 1] @ c[j, :n + 1]
+        moved = alpha * ((R - 1) * ((point.q - 1) * point.lam0) + R * gt_psi_c)
         alpha_r = alpha * R
         keep = 1 - alpha_r
-        X = point.X * keep
-        X -= np.multiply.outer(c, alpha_r)
-        Lam0, Lam_q = _damped_precisions(point, r_over_denom * abs2, q, alpha, lc)
-        return _GramPoint(u=keep * point.u + moved, X=X,
-                          lam0=moved + (1 - alpha) * point.lam0, Lam0=Lam0, Lam_q=Lam_q)
+        X = point.X * keep[:, None, :]
+        X -= c[:, :, None] * alpha_r[:, None, :]
+        Xi = r_over_denom * point.abs2
+        Lam0, Lam_q = _damped_precisions(point, Xi * point.q, Xi, alpha, point.lc)
+        return point._replace(u=keep * point.u + moved, X=X,
+                              lam0=moved + (1 - alpha) * point.lam0, Lam0=Lam0, Lam_q=Lam_q)
 
     return start, step
 
 
 def run_iga(model: MeasurementModel, alpha: float | None = None, t_max: int = 100,
             tol: float = 1e-8) -> EstimateReport:
-    """Iterate project/update on the model's rank-1 split until the target
-    mean settles.
+    """Run IGA on one model: :func:`run_iga_batch` on the batch of one,
+    raising :class:`DivergenceError` (with the residual trace) when the run
+    diverges."""
+    return single(run_iga_batch([model], alpha=alpha, t_max=t_max, tol=tol))
 
-    On a shared precision row the Gram-domain step of :func:`_gram_stepper`
-    runs from ``model.gram()`` and ``model.ahy``.  An operator's entries are
-    read as unit modulus, as every :class:`igachan.bscm.BscmScenario`'s are
-    by construction, so its row is 1 / sigma2 and no A is formed; a dense A
-    shares the row of its :func:`build_rank1_split`, or else runs
+
+def run_iga_batch(models, alpha: float | None = None, t_max: int = 100,
+                  tol: float = 1e-8) -> list:
+    """Iterate project/update on each model's rank-1 split until the target
+    mean settles; returns one report per model, in order.
+
+    Models with a shared precision row run in lockstep, in the Gram-domain
+    step of :func:`_gram_stepper`, from ``model.gram()`` and ``model.ahy``.
+    An operator's entries are read as unit modulus, as every
+    :class:`igachan.bscm.BscmScenario`'s are by construction, so its row is
+    1 / sigma2 and no A is formed; a dense A shares the row of its
+    :func:`build_rank1_split`, or else runs alone through
     :func:`project_all` and :func:`update_points` on (Q, N) precisions.
     Above ``bscm.DENSE_ENTRY_CAP`` on N^2 it raises :class:`DomainError`.
     The target mean is mu_0 = lambda_0 / (Lambda_0 + lambda_c) and the
     reported variances are 1 / (Lambda_0 + lambda_c).  ``alpha`` defaults to
     ``DEFAULT_ALPHA``.  The residual, stop and divergence rules are those of
     :func:`igachan.report.iterate`, which measures every iterate through
-    the model's Gram apply; the steps never read that product.
+    the model's Gram apply; the steps never read that product.  A diverged
+    run is reported with ``stop == "diverged"`` and leaves the others
+    unchanged; every report equals that of the model's run alone.
     """
     if alpha is None:
         alpha = DEFAULT_ALPHA
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
-    if not model._gram_fits():
-        raise DomainError("IGA runs from A^H A, which is not formed above DENSE_ENTRY_CAP")
-    lc = 1.0 / model.d
-    if model.is_dense:
+    config = {"algorithm": "iga", "alpha": alpha, "t_max": t_max, "tol": tol}
+    reports = [None] * len(models)
+    shared = []  # (index, shared precision row)
+    for i, model in enumerate(models):
+        if not model._gram_fits():
+            raise DomainError("IGA runs from A^H A, which is not formed above DENSE_ENTRY_CAP")
+        if not model.is_dense:
+            if not np.allclose(model.gram_diag, model.m, rtol=1e-12, atol=0.0):
+                raise DomainError("IGA on an operator needs unit-modulus entries "
+                                  "(diag(A^H A) = M)")
+            shared.append((i, np.full((1, model.n), 1.0 / model.sigma2)))
+            continue
         scheme = build_rank1_split(model)
-        abs2 = scheme.abs2
-    else:
-        if not np.allclose(model.gram_diag, model.m, rtol=1e-12, atol=0.0):
-            raise DomainError("IGA on an operator needs unit-modulus entries "
-                              "(diag(A^H A) = M)")
-        abs2 = np.full((1, model.n), 1.0 / model.sigma2)
+        if scheme.abs2.shape[0] == 1:
+            shared.append((i, scheme.abs2))
+        else:
+            reports[i] = _run_split(model, scheme, alpha, t_max, tol, config)
+    if shared:
+        batch = ModelBatch([models[i] for i, _ in shared])
+        start, step = _gram_stepper(batch, [row for _, row in shared], alpha)
+        runs = iterate(batch, step, lambda point: point.lam0 / (point.Lam0 + point.lc), start,
+                       t_max, tol, config=config,
+                       variances=lambda point: 1.0 / (point.Lam0 + point.lc))
+        for (i, _), rep in zip(shared, runs):
+            reports[i] = rep
+    return reports
 
-    if abs2.shape[0] == 1:
-        start, step = _gram_stepper(model, abs2, alpha)
-    else:
-        start = initial_state(scheme)
 
-        def step(state, _gram_mu):
-            xi, Xi = project_all(scheme, state)
-            return update_points(state, xi, Xi, alpha, lambda_c=lc)
+def _run_split(model: MeasurementModel, scheme: SplitScheme, alpha: float, t_max: int,
+               tol: float, config: dict) -> EstimateReport:
+    """The run of one model on (Q, N) precisions: the reference steps."""
+    lc = scheme.lambda_c
 
-    return iterate(model, step, lambda state: state.lam0 / (state.Lam0 + lc), start,
-                   t_max, tol,
-                   config={"algorithm": "iga", "alpha": alpha, "t_max": t_max, "tol": tol},
-                   variances=lambda state: 1.0 / (state.Lam0 + lc))
+    def step(_batch, state, _gram_mu):
+        xi, Xi = project_all(scheme, state)
+        return update_points(state, xi, Xi, alpha, lambda_c=lc)
+
+    (rep,) = iterate(ModelBatch([model]), step,
+                     lambda state: (state.lam0 / (state.Lam0 + lc))[None],
+                     initial_state(scheme), t_max, tol, config=config,
+                     variances=lambda state: (1.0 / (state.Lam0 + lc))[None])
+    return rep

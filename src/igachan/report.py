@@ -4,7 +4,7 @@ behind every iterative one."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -17,6 +17,7 @@ __all__ = ["EstimateReport"]
 # a residual this many times above its running minimum marks a diverging run
 DIVERGENCE_FACTOR = 1e6
 _EPS = float(np.finfo(np.float64).eps)
+STOPS = ("converged", "t_max", "diverged")
 
 
 @dataclass
@@ -26,9 +27,12 @@ class EstimateReport:
     ``residual_trace`` holds the relative normal-equation residual
     ||(sigma2^{-1} A^H A + D^{-1}) mu - sigma2^{-1} A^H y||_2 /
     ||sigma2^{-1} A^H y||_2 at initialization and after every iteration,
-    so its length is always ``iterations + 1``.  ``variances`` and ``nmse``
-    are optional: mean-only estimators report neither posterior variances
-    nor (on their own) a reconstruction error.
+    so its length is always ``iterations + 1``.  ``stop`` says why the run
+    ended: ``"converged"``, ``"t_max"`` or ``"diverged"``; a diverged run
+    keeps the :class:`DivergenceError` message in ``divergence`` and the
+    trace up to that point.  ``variances`` and ``nmse`` are optional:
+    mean-only estimators report neither posterior variances nor (on their
+    own) a reconstruction error.
     """
 
     mu: np.ndarray
@@ -36,10 +40,12 @@ class EstimateReport:
     residual_trace: list
     iterations: int
     converged: bool
+    stop: str
     wall_time: float
     nmse: float | None = None
     seed: int | None = None
     config: dict = field(default_factory=dict)
+    divergence: str | None = None
 
     def __post_init__(self):
         if len(self.residual_trace) != self.iterations + 1:
@@ -47,6 +53,9 @@ class EstimateReport:
                 "residual_trace must have length iterations + 1 "
                 f"({len(self.residual_trace)} != {self.iterations} + 1)"
             )
+        if self.stop not in STOPS or self.converged != (self.stop == "converged"):
+            raise ValueError(f"stop must be one of {STOPS} and agree with converged, "
+                             f"got {self.stop!r} with converged={self.converged}")
         if self.nmse is not None and self.nmse < 0:
             raise ValueError("nmse must be nonnegative")
 
@@ -55,6 +64,7 @@ class EstimateReport:
         out = {
             "iterations": self.iterations,
             "converged": self.converged,
+            "stop": self.stop,
             "wall_time": self.wall_time,
             "nmse": self.nmse,
             "seed": self.seed,
@@ -66,65 +76,123 @@ class EstimateReport:
         }
         if self.variances is not None:
             out["variances"] = np.asarray(self.variances).tolist()
+        if self.divergence is not None:
+            out["divergence"] = self.divergence
         return out
 
 
-def iterate(model, step, mean, point, t_max: int, tol: float, config: dict,
-            variances) -> EstimateReport:
-    """Advance ``point = step(point, A^H A mu)`` until the mean settles.
+def single(reports) -> EstimateReport:
+    """The report of a batch of one; a diverged run raises its
+    :class:`DivergenceError` again, with the message and the trace."""
+    (rep,) = reports
+    if rep.stop == "diverged":
+        raise DivergenceError(rep.divergence, trace=rep.residual_trace)
+    return rep
 
-    ``mean(point)`` is the point's mean mu.  The driver applies the model's
-    Gram matrix to it once, appends ``model.residual(mu, A^H A mu)`` to the
-    residual trace, which starts at the initial point, and hands the product
-    to the next step, which may read or ignore it.  Stops when the max
-    relative change of the mean drops below ``tol`` (converged) or after
-    ``t_max`` steps.  Raises :class:`DivergenceError` when the residual is
-    not finite or exceeds ``DIVERGENCE_FACTOR`` times its running minimum
-    (floored at machine epsilon), and attaches the trace so far to a
-    :class:`DivergenceError` raised inside a step.  A converging run may
-    plateau and rise for many steps, but not by that factor, so only a
-    run that blows up trips the rule.  ``variances(point)`` gives the
-    report's variances (or None) at the final point.
+
+def rows_at_fault(bad) -> list:
+    """Batch rows of a (B, N) mask with any entry set; an (N,) mask is one row."""
+    return np.flatnonzero(np.atleast_2d(bad).any(axis=-1)).tolist()
+
+
+def _take(point, keep):
+    """Rows ``keep`` of a point: an array, a dataclass built from arrays, or a
+    named tuple of those and Nones."""
+    if isinstance(point, np.ndarray):
+        return point[keep]
+    if is_dataclass(point):
+        return replace(point, **{f.name: _take(getattr(point, f.name), keep)
+                                 for f in fields(point) if f.init})
+    return type(point)(*(None if x is None else _take(x, keep) for x in point))
+
+
+def iterate(batch, step, mean, point, t_max: int, tol: float, config: dict,
+            variances) -> list:
+    """Advance every row of ``point = step(batch, point, A^H A mu)`` in
+    lockstep until its mean settles; returns one :class:`EstimateReport`
+    per model of ``batch``, a :class:`igachan.estimators.ModelBatch`.
+
+    A point holds the state of all B runs in zero-padded (B, width, ...)
+    arrays, as ``batch`` pads its models; ``mean(point)`` is the (B, width)
+    mean mu.  Every step, the driver applies each model's Gram matrix to its
+    row once, appends ``batch.residuals(mu, A^H A mu)`` to the row's residual
+    trace, which starts at the initial point, and hands the product to the
+    next step, which may read or ignore it.  A row stops ``"converged"``
+    when the max relative change of its mean drops below ``tol``, or at
+    ``"t_max"`` steps.  It stops ``"diverged"`` when its residual is not
+    finite or exceeds ``DIVERGENCE_FACTOR`` times its running minimum
+    (floored at machine epsilon), or when a step raises
+    :class:`DivergenceError` naming its row; the step then runs again on the
+    other rows, so a step must not change the point it is given.  A
+    converging run may plateau and rise for many steps, but not by that
+    factor, so only a run that blows up trips the rule.  A stopped row
+    leaves the batch, and the arrays are compressed only then.
+
+    Element-wise arithmetic and the stop rules run once per step over the
+    padded arrays; every product or sum over N runs per row, on the
+    unpadded view, so each row's result equals its run alone bit for bit.
+    ``variances(point)`` gives the (B, width) variances (or None) at the
+    final point.
     """
     if t_max < 0:
         raise DomainError("t_max must be nonnegative")
     t_start = time.perf_counter()
-    gram, residual = model.gram_apply, model.residual
+    reports = [None] * len(batch.models)
+    live = list(range(len(batch.models)))
     mu = mean(point)
-    gram_mu = gram(mu)
-    trace = [residual(mu, gram_mu)]
-    floor = trace[0]
-    converged = False
+    gram_mu = batch.gram_apply(mu)
+    traces = [[r] for r in batch.residuals(mu, gram_mu)]
+    floor = [trace[0] for trace in traces]
     iterations = 0
-    while iterations < t_max:
+
+    def finish(stops, why):
+        """Report the rows whose stop is set, and drop them from the batch."""
+        nonlocal batch, point, mu, gram_mu, floor, traces, live
+        var = variances(point)
+        now = time.perf_counter() - t_start
+        for j, stop in enumerate(stops):
+            if stop is not None:
+                n = batch.sizes[j]
+                reports[live[j]] = EstimateReport(
+                    mu=mu[j, :n].copy(), variances=None if var is None else var[j, :n].copy(),
+                    residual_trace=traces[j], iterations=len(traces[j]) - 1,
+                    converged=stop == "converged", stop=stop, wall_time=now,
+                    config=dict(config), divergence=why.get(j))
+        keep = [j for j, stop in enumerate(stops) if stop is None]
+        live = [live[j] for j in keep]
+        if keep:
+            batch, point, mu, gram_mu = (batch.take(keep), _take(point, keep), mu[keep],
+                                         gram_mu[keep])
+            floor, traces = [floor[j] for j in keep], [traces[j] for j in keep]
+
+    if t_max == 0:
+        finish(["t_max"] * len(live), {})
+    while live:
         try:
-            point = step(point, gram_mu)
+            new = step(batch, point, gram_mu)
         except DivergenceError as exc:
-            exc.trace = trace
-            raise
+            why = dict.fromkeys(exc.rows or range(len(live)), str(exc))
+            finish(["diverged" if j in why else None for j in range(len(live))], why)
+            continue
         iterations += 1
+        point = new
         mu_new = mean(point)
-        gram_mu = gram(mu_new)
-        res = residual(mu_new, gram_mu)
-        trace.append(res)
-        if res < floor:
-            floor = res
-        elif not res <= DIVERGENCE_FACTOR * max(floor, _EPS):  # NaN fails it too
-            raise DivergenceError(
-                f"residual {res:.3e} exceeds {DIVERGENCE_FACTOR:.0e} times its minimum "
-                f"{floor:.3e}", trace=trace
-            )
-        change = np.abs(mu_new - mu).max() / max(np.abs(mu_new).max(), 1e-300)
+        gram_mu = batch.gram_apply(mu_new)
+        # the rules run per row on floats; the max-abs reductions once
+        moved = np.abs(mu_new - mu).max(axis=1).tolist()
+        size = np.abs(mu_new).max(axis=1).tolist()
         mu = mu_new
-        if change < tol:
-            converged = True
-            break
-    return EstimateReport(
-        mu=mu,
-        variances=variances(point),
-        residual_trace=trace,
-        iterations=iterations,
-        converged=converged,
-        wall_time=time.perf_counter() - t_start,
-        config=config,
-    )
+        stops, why = [], {}
+        for j, res in enumerate(batch.residuals(mu, gram_mu)):
+            traces[j].append(res)
+            if res < floor[j]:
+                floor[j] = res
+            elif not res <= DIVERGENCE_FACTOR * max(floor[j], _EPS):  # NaN fails it too
+                why[j] = (f"residual {res:.3e} exceeds {DIVERGENCE_FACTOR:.0e} times its "
+                          f"minimum {floor[j]:.3e}")
+            stops.append("diverged" if j in why
+                         else "converged" if moved[j] / max(size[j], 1e-300) < tol
+                         else "t_max" if iterations == t_max else None)
+        if stops.count(None) < len(stops):
+            finish(stops, why)
+    return reports

@@ -39,7 +39,7 @@ def corrupt_e_diagonal(monkeypatch):
     from igachan import ic
 
     monkeypatch.setattr(ic, "_interference_energy",
-                        lambda model, v: (model.gram_abs2 @ v) / (model.sigma2**2 * model.c))
+                        lambda model, v: model.abs2_apply(v) / (model.sigma2**2 * model.c))
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from igachan.harness import (
     CSV_HEADER,
     ESTIMATORS,
     BenchmarkSpec,
-    _run_trial,
+    _run_cell,
     benchmark_csv_text,
     build_trial,
     nmse,
@@ -154,12 +154,15 @@ class TestBenchmark:
         # a diverged trial lowers converged_fraction and scores the zero
         # estimate instead of aborting the sweep
         from igachan import harness as h
-        from igachan.errors import DivergenceError
+        from igachan.report import EstimateReport
 
-        def explode(kind, model, **kwargs):
-            raise DivergenceError("forced", trace=[1.0])
+        def explode(kind, models, **kwargs):
+            return [EstimateReport(mu=np.ones(model.n, dtype=complex), variances=None,
+                                   residual_trace=[1.0], iterations=0, converged=False,
+                                   stop="diverged", wall_time=0.0, divergence="forced")
+                    for model in models]
 
-        monkeypatch.setattr(h._ic, "run_estimator", explode)
+        monkeypatch.setattr(h._ic, "run_estimator_batch", explode)
         spec = BenchmarkSpec(snr_list_db=(0.0,), algorithms=("mmse", "ic_siga"),
                              n_sam=2, scenario=small_spec.scenario, seed=5)
         rows = run_benchmark(spec)
@@ -205,15 +208,20 @@ def _counted(monkeypatch, owner, method):
     return calls
 
 
+# trials in the default cells of the per-trial counts below
+CELL = 2
+
+
 def _count_default_trial_calls(monkeypatch, method, algorithms=("mmse", "ic_iga", "ic_siga")):
-    """Calls of a BscmScenario method in one default _run_trial of ``algorithms``,
-    capped at 5 iterations."""
+    """Calls of a BscmScenario method per trial in one default _run_cell of
+    ``algorithms`` over CELL trials, capped at 5 iterations."""
     calls = _counted(monkeypatch, BscmScenario, method)
-    spec = BenchmarkSpec(snr_list_db=(10.0,), algorithms=algorithms, n_sam=1,
+    spec = BenchmarkSpec(snr_list_db=(10.0,), algorithms=algorithms, n_sam=CELL,
                          scenario=ScenarioConfig(), seed=0, t_max=5)
-    results = _run_trial(spec, geometry_from_config(spec.scenario), 0, 0)
+    results = _run_cell(spec, geometry_from_config(spec.scenario), 0)
     assert set(results) == set(algorithms)
-    return len(calls)
+    assert all(len(runs) == CELL for runs in results.values())
+    return len(calls) / CELL
 
 
 def test_one_rmatvec_per_default_trial(monkeypatch):
@@ -239,7 +247,7 @@ def test_one_model_and_one_gram_per_default_iga_trial(monkeypatch):
     precisions = _counted(monkeypatch, SplitScheme, "precision")
     assert _count_default_trial_calls(monkeypatch, "gram", ("mmse", "iga")) == 1
     assert len(precisions) == 0
-    assert len(models) == 1
+    assert len(models) / CELL == 1
 
 
 def test_one_residual_for_every_estimator(desk_config, desk_geometry):
@@ -247,7 +255,7 @@ def test_one_residual_for_every_estimator(desk_config, desk_geometry):
     trial = build_trial(desk_geometry, desk_config, desk_config.seed, 10.0, stream=(0, 0))
     model = trial.model
     for name, run in ESTIMATORS.items():
-        rep = run(trial, None, 50, 1e-8)
+        (rep,) = run([trial], None, 50, 1e-8)
         assert rep.residual_trace[-1] == model.residual(rep.mu, model.gram_apply(rep.mu)), name
 
 
@@ -262,10 +270,10 @@ def test_L_formed_at_most_once_per_default_trial(monkeypatch, algorithms, builds
     counted = functools.cached_property(lambda model: calls.append(1) or product.func(model))
     counted.__set_name__(MeasurementModel, "gram_abs2")
     monkeypatch.setattr(MeasurementModel, "gram_abs2", counted)
-    spec = BenchmarkSpec(snr_list_db=(10.0,), algorithms=algorithms, n_sam=1,
+    spec = BenchmarkSpec(snr_list_db=(10.0,), algorithms=algorithms, n_sam=CELL,
                          scenario=ScenarioConfig(), seed=0)
-    _run_trial(spec, geometry_from_config(spec.scenario), 0, 0)
-    assert len(calls) == builds
+    _run_cell(spec, geometry_from_config(spec.scenario), 0)
+    assert len(calls) / CELL == builds
 
 
 def test_iga_assembles_no_dense_A(small_spec, monkeypatch):
@@ -281,7 +289,7 @@ def test_iga_assembles_no_dense_A(small_spec, monkeypatch):
                             lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
     cfg = small_spec.scenario
     trial = build_trial(geometry_from_config(cfg), cfg, cfg.seed, 10.0, stream=(0, 0))
-    rep = ESTIMATORS["iga"](trial, 0.05, 2, 1e-8)
+    (rep,) = ESTIMATORS["iga"]([trial], 0.05, 2, 1e-8)
     assert rep.iterations == 2
     assert calls == []
 

@@ -7,7 +7,7 @@ import pytest
 from igachan import bscm
 from igachan.bscm import ScenarioConfig, assemble_dense_A, geometry_from_config
 from igachan.errors import DivergenceError, DomainError
-from igachan.estimators import MeasurementModel, mmse_estimate
+from igachan.estimators import MeasurementModel, ModelBatch, mmse_estimate
 from igachan.harness import build_trial
 from igachan.ic import (
     IcState,
@@ -18,7 +18,7 @@ from igachan.ic import (
     mproj_belief_oracle,
     run_estimator,
 )
-from igachan.report import DIVERGENCE_FACTOR, iterate
+from igachan.report import DIVERGENCE_FACTOR, iterate, single
 
 from conftest import random_model, random_y
 
@@ -324,9 +324,9 @@ class TestRunEstimator:
         # the driver's rule, on a step that makes the mean NaN at once
         model = random_model(rng, 6, 4)
         with pytest.raises(DivergenceError) as info:
-            iterate(model, lambda mu, _gram_mu: mu + np.nan, lambda mu: mu,
-                    np.zeros(4, dtype=complex), 10, 1e-8, config={},
-                    variances=lambda mu: None)
+            single(iterate(ModelBatch([model]), lambda _batch, mu, _gram_mu: mu + np.nan,
+                           lambda mu: mu, np.zeros((1, 4), dtype=complex), 10, 1e-8,
+                           config={}, variances=lambda mu: None))
         assert len(info.value.trace) == 2 and np.isnan(info.value.trace[-1])
 
     def test_default_scenario_diverges_undamped(self):

@@ -6,7 +6,7 @@ import pytest
 from igachan import bscm
 from igachan.bscm import ScenarioConfig, assemble_dense_A, geometry_from_config
 from igachan.errors import DivergenceError, DomainError
-from igachan.estimators import MeasurementModel, mmse_estimate
+from igachan.estimators import MeasurementModel, ModelBatch, mmse_estimate
 from igachan.gaussian import GaussianNatural, m_project_to_diag
 from igachan.harness import _rand_model, _rand_y, build_trial
 from igachan.iga import (
@@ -238,18 +238,19 @@ class TestGramStep:
         assert scheme.abs2.shape == (1, scheme.dim)
         exact = model.is_dense
         abs2 = scheme.abs2 if exact else np.full_like(scheme.abs2, 1.0 / model.sigma2)
-        point, step = _gram_stepper(model, abs2, alpha)
+        batch = ModelBatch([model])
+        point, step = _gram_stepper(batch, [abs2], alpha)
         psi = np.column_stack([scheme.beta, scheme.factors.conj()])
         ref = initial_state(scheme)
         for _ in range(5):
             xi, Xi = project_all(scheme, ref)
             ref = update_points(ref, xi, Xi, alpha, lambda_c=scheme.lambda_c)
-            point = step(point, None)
-            assert point.X.shape == (scheme.dim + 1, scheme.dim)
-            lam_q = point.u + scheme.factors * (psi @ point.X)
-            for got, want in ((lam_q, ref.lam_q), (point.lam0, ref.lam0)):
+            point = step(batch, point, None)
+            assert point.X.shape == (1, scheme.dim + 1, scheme.dim)
+            lam_q = point.u[0] + scheme.factors * (psi @ point.X[0])
+            for got, want in ((lam_q, ref.lam_q), (point.lam0[0], ref.lam0)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            for got, want in ((point.Lam_q, ref.Lam_q), (point.Lam0, ref.Lam0)):
+            for got, want in ((point.Lam_q, ref.Lam_q), (point.Lam0[0], ref.Lam0)):
                 if exact:
                     assert np.array_equal(got, want)
                 else:
