@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,6 @@ def largest_prime_below(n: int) -> int:
     if n <= 2:
         raise DomainError(f"no prime below {n}")
     for cand in range(n - 1, 1, -1):
-        if cand < 2:
-            break
         if all(cand % p for p in range(2, int(math.isqrt(cand)) + 1)):
             return cand
     raise DomainError(f"no prime below {n}")
@@ -478,15 +477,9 @@ class ScenarioConfig:
     seed: int = 0
 
 
-_SCENARIO_KEY_TYPES = {
-    "M_z": int, "M_x": int, "F_z": int, "F_x": int,
-    "N_c": int, "delta_f_hz": float, "M_p": int, "M_g": int, "F_p": int,
-    "K": int, "P": int, "seed": int,
-}
-
-
 def parse_scenario_config(text: str) -> ScenarioConfig:
     """Parse ``key = value`` lines; unknown keys are an error (catch typos)."""
+    key_types = typing.get_type_hints(ScenarioConfig)
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -497,12 +490,12 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key = key.strip()
         val = val.strip()
-        if key not in _SCENARIO_KEY_TYPES:
+        if key not in key_types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _SCENARIO_KEY_TYPES[key](val)
+            values[key] = key_types[key](val)
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: cannot parse value {val!r} for key {key!r}"

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -89,7 +90,10 @@ def _cmd_estimate(args) -> int:
     with one_blas_thread():
         trial = harness.build_trial(geometry_from_config(cfg), cfg, cfg.seed, snr_db,
                                     stream=(0, 0))
-        rep = single(harness.ESTIMATORS[alg]([trial], spec.alpha, spec.t_max, spec.tol))
+        t0 = time.perf_counter()
+        reports = harness.ESTIMATORS[alg]([trial], spec.alpha, spec.t_max, spec.tol)
+        wall_time = time.perf_counter() - t0
+    rep = single(reports)
     trial_nmse = float(np.mean(trial.score(rep.mu)))
 
     summary = {
@@ -108,12 +112,13 @@ def _cmd_estimate(args) -> int:
     print(json.dumps(summary, indent=2, sort_keys=True))
     if not rep.converged:
         print(f"warning: {alg} at {snr_db:g} dB did not converge within --max-iter "
-              f"{spec.t_max} (final residual {rep.residual_trace[-1]:.3e})", file=sys.stderr)
+              f"{spec.t_max} (final residual {rep.residual_trace[-1]:.3e}, "
+              f"nmse {trial_nmse:.3e})", file=sys.stderr)
     if args.out:
-        rep.nmse = trial_nmse
-        rep.seed = cfg.seed
-        payload = rep.to_dict()
-        payload["rng"] = scenario.RNG_FAMILY
+        # the report holds what the run knows; the score, the seed and the
+        # time are this command's
+        payload = {**rep.to_dict(), "nmse": trial_nmse, "seed": cfg.seed,
+                   "wall_time": wall_time, "rng": scenario.RNG_FAMILY}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
         print(f"wrote {args.out}", file=sys.stderr)

@@ -201,14 +201,11 @@ def _solved(trials, solve, algorithm: str) -> list:
     mean."""
     reports = []
     for trial in trials:
-        t0 = time.perf_counter()
         model = trial.model
         mu = solve(model)
-        residual = model.residual(mu, model.gram_apply(mu))
         reports.append(EstimateReport(
-            mu=mu, variances=None, residual_trace=[residual], iterations=0, converged=True,
-            stop="converged", wall_time=time.perf_counter() - t0,
-            config={"algorithm": algorithm}))
+            mu=mu, variances=None, residual_trace=[model.residual(mu, model.gram_apply(mu))],
+            stop="converged", config={"algorithm": algorithm}))
     return reports
 
 
@@ -286,37 +283,49 @@ class BenchmarkSpec:
             raise ConfigError(f"alpha (--alpha) must lie in (0, 1], got {self.alpha}")
 
 
-def _run_cell(spec: BenchmarkSpec, geometry, snr_index: int) -> dict:
-    """All algorithms on the N_sam trials of one SNR point.
+def _run_cell(spec: BenchmarkSpec, geometry, snr_index: int) -> list:
+    """The CSV rows of one SNR point, one per algorithm, in spec order.
 
-    Builds the cell's trials, trial t on substream (snr_index, t), runs each
-    algorithm once over all of them, and returns
-    {algorithm: [(per-user scores, iterations, converged, wall s), ...]}
-    with one entry per trial.  A trial's wall time is the algorithm's time
-    over the cell divided by N_sam.
+    Builds the cell's trials, trial t on substream (snr_index, t), and runs
+    each algorithm once over all of them.  A row's NMSE is the mean of the
+    per-user scores of every trial.  A diverged trial is a result, not a
+    crash: it scores the zero estimate at ``t_max`` iterations, unconverged.
+    Under ``spec.measure_time`` a row's wall time is the algorithm's time
+    over the cell divided by N_sam; otherwise it is 0.0.
     """
-    trials = [build_trial(geometry, spec.scenario, spec.seed, spec.snr_list_db[snr_index],
-                          stream=(snr_index, t)) for t in range(spec.n_sam)]
-    results = {}
+    snr_db = spec.snr_list_db[snr_index]
+    trials = [build_trial(geometry, spec.scenario, spec.seed, snr_db, stream=(snr_index, t))
+              for t in range(spec.n_sam)]
+    rows = []
     for alg in spec.algorithms:
         t0 = time.perf_counter()
         reports = ESTIMATORS[alg](trials, spec.alpha, spec.t_max, spec.tol)
-        wall = (time.perf_counter() - t0) / len(trials)
-        runs = []
-        for tr, rep in zip(trials, reports):
+        wall_ms = (time.perf_counter() - t0) * 1e3 / len(trials)
+        ratios, iters = [], []
+        for trial, rep in zip(trials, reports):
             if rep.stop == "diverged":
-                # a diverged trial is a result, not a crash: it scores the
-                # zero estimate at t_max iterations
-                runs.append((tr.score(np.zeros(tr.model.n, dtype=np.complex128)), spec.t_max,
-                             False, wall))
+                ratios += trial.score(np.zeros(trial.model.n, dtype=np.complex128))
+                iters.append(spec.t_max)
             else:
-                runs.append((tr.score(rep.mu), rep.iterations, rep.converged, wall))
-        results[alg] = runs
-    return results
+                ratios += trial.score(rep.mu)
+                iters.append(rep.iterations)
+        cell_nmse = float(np.mean(ratios))
+        rows.append({
+            "snr_db": snr_db,
+            "algorithm": alg,
+            "nmse": cell_nmse,
+            "nmse_db": 10.0 * math.log10(cell_nmse) if cell_nmse > 0 else float("-inf"),
+            "mean_iterations": float(np.mean(iters)),
+            "converged_fraction": float(np.mean([rep.converged for rep in reports])),
+            "wall_time_ms": wall_ms if spec.measure_time else 0.0,
+            "seed": spec.seed,
+        })
+    return rows
 
 
 def run_benchmark(spec: BenchmarkSpec):
-    """Sweep the spec; returns one row dict per (snr, algorithm) cell.
+    """Sweep the spec; returns one row dict per (snr, algorithm) cell, the
+    rows of :func:`_run_cell` joined in SNR order.
 
     Cells run in order, each algorithm over a cell's trials in lockstep,
     every trial on its own substream, with numpy's BLAS on the calling
@@ -326,27 +335,8 @@ def run_benchmark(spec: BenchmarkSpec):
     """
     geometry = geometry_from_config(spec.scenario)
     with one_blas_thread():
-        cells = [_run_cell(spec, geometry, si) for si in range(len(spec.snr_list_db))]
-    rows = []
-    for snr_db, cell in zip(spec.snr_list_db, cells):
-        for alg in spec.algorithms:
-            runs = cell[alg]
-            ratios = [r for run in runs for r in run[0]]
-            iters = [run[1] for run in runs]
-            conv = [run[2] for run in runs]
-            wall = [run[3] for run in runs]
-            cell_nmse = float(np.mean(ratios))
-            rows.append({
-                "snr_db": float(snr_db),
-                "algorithm": alg,
-                "nmse": cell_nmse,
-                "nmse_db": 10.0 * math.log10(cell_nmse) if cell_nmse > 0 else float("-inf"),
-                "mean_iterations": float(np.mean(iters)),
-                "converged_fraction": float(np.mean(conv)),
-                "wall_time_ms": float(np.mean(wall)) * 1e3 if spec.measure_time else 0.0,
-                "seed": spec.seed,
-            })
-    return rows
+        return [row for si in range(len(spec.snr_list_db))
+                for row in _run_cell(spec, geometry, si)]
 
 
 def _fmt(x) -> str:

@@ -158,17 +158,15 @@ def build_rank1_split(model: MeasurementModel) -> SplitScheme:
     if not model.is_dense:
         raise DomainError("the rank-1 split needs a dense A")
     sigma = np.sqrt(model.sigma2)
-    # row q is a_q^T; column-major, so broadcasts of a (Q,) or (N,) vector
-    # over the (Q, N) arrays of a step run along Q in memory
-    factors = np.conjugate(model.A, order="F")
-    factors /= sigma
-    return SplitScheme(beta=model.y / sigma, lambda_c=1.0 / model.d, factors=factors)
+    # row q is a_q^T
+    return SplitScheme(beta=model.y / sigma, lambda_c=1.0 / model.d,
+                       factors=np.conjugate(model.A) / sigma)
 
 
 def initial_state(scheme: SplitScheme) -> AuxiliaryState:
     """All-zero start: lambda_c alone carries the covariance, and the
-    e-condition holds trivially.  ``lam_q`` takes the shape and memory
-    layout of ``factors``, ``Lam_q`` those of ``abs2``."""
+    e-condition holds trivially.  ``lam_q`` takes the shape of ``factors``,
+    ``Lam_q`` that of ``abs2``."""
     n = scheme.dim
     return AuxiliaryState(
         lam_q=np.zeros_like(scheme.factors),
@@ -196,61 +194,51 @@ def project_all(scheme: SplitScheme, state: AuxiliaryState):
     if np.any(w <= 0):
         raise DomainError("auxiliary covariance lost positivity (Lambda_q + lambda_c <= 0)")
     g = scheme.factors
-    m = scheme.b
-    m += state.lam_q
+    m = scheme.b + state.lam_q
     inv_w = 1.0 / w
     denom = 1.0 + np.sum(scheme.abs2 * inv_w, axis=1, keepdims=True)
     r_over_denom = w / (w * denom - scheme.abs2)
-    # the (Q, N) steps reuse one buffer: at the default scenario each
-    # (Q, N) temporary would be a fresh 35 MB allocation
-    xi = np.conjugate(g)
-    xi *= m
-    xi *= inv_w
-    gHm_over_denom = xi.sum(axis=1, keepdims=True) / denom
-    np.multiply(g, gHm_over_denom, out=xi)
-    np.subtract(m, xi, out=xi)
-    xi *= r_over_denom * denom
-    xi -= state.lam_q
+    gHm_over_denom = np.sum(np.conjugate(g) * m * inv_w, axis=1, keepdims=True) / denom
+    xi = r_over_denom * denom * (m - g * gHm_over_denom) - state.lam_q
     Xi = r_over_denom * scheme.abs2
     return xi, Xi
 
 
 def update_points(state: AuxiliaryState, xi: np.ndarray, Xi: np.ndarray,
-                  alpha: float, lambda_c: np.ndarray | None = None) -> AuxiliaryState:
+                  alpha: float, lambda_c: np.ndarray) -> AuxiliaryState:
     """Damped belief exchange.
 
     Undamped: lambda_0 <- sum_q xi_q, Lambda_0 <- sum_q Xi_q, and
     lambda_q <- lambda_0 - xi_q (likewise for precisions).  With damping
     alpha each parameter moves only a fraction alpha of the way; since both
     endpoints satisfy the e-condition, so does the combination.  A shared
-    (1, N) ``Xi`` stands for Q equal rows, so its sum is scaled by Q.
+    (1, N) ``Xi`` stands for Q equal rows, so its sum is scaled by Q.  A
+    target precision Lambda_0 + ``lambda_c`` that loses positivity raises
+    :class:`DivergenceError`.
     """
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
     lam0_new = xi.sum(axis=0)
     lam0 = alpha * lam0_new + (1 - alpha) * state.lam0
-    lam_q = np.subtract(lam0_new, xi)  # updated in place, as xi in project_all
-    lam_q *= alpha
-    lam_q += (1 - alpha) * state.lam_q
+    lam_q = alpha * (lam0_new - xi) + (1 - alpha) * state.lam_q
     Lam0_new = Xi.sum(axis=0) * (xi.shape[0] / Xi.shape[0])
     Lam0, Lam_q = _damped_precisions(state, Lam0_new, Xi, alpha, lambda_c)
     return AuxiliaryState(lam_q=lam_q, Lam_q=Lam_q, lam0=lam0, Lam0=Lam0)
 
 
 def _damped_precisions(state, Lam0_new: np.ndarray, Xi: np.ndarray, alpha: float,
-                       lambda_c: np.ndarray | None):
+                       lambda_c: np.ndarray):
     """(Lambda_0, Lambda_q) after the damped exchange of the precision beliefs
-    ``Xi``, whose sum over the points is ``Lam0_new``; with ``lambda_c``, a
-    target precision that loses positivity raises :class:`DivergenceError`
-    naming the batch rows at fault."""
+    ``Xi``, whose sum over the points is ``Lam0_new``; a target precision
+    Lambda_0 + ``lambda_c`` that loses positivity raises
+    :class:`DivergenceError` naming the batch rows at fault."""
     Lam0 = alpha * Lam0_new + (1 - alpha) * state.Lam0
     Lam_q = alpha * (Lam0_new - Xi) + (1 - alpha) * state.Lam_q
-    if lambda_c is not None:
-        lost = Lam0 + lambda_c <= 0
-        if lost.any():
-            raise DivergenceError(
-                "target precision lost positivity; reduce the damping coefficient alpha",
-                rows=rows_at_fault(lost))
+    lost = Lam0 + lambda_c <= 0
+    if lost.any():
+        raise DivergenceError(
+            "target precision lost positivity; reduce the damping coefficient alpha",
+            rows=rows_at_fault(lost))
     return Lam0, Lam_q
 
 

@@ -3,7 +3,6 @@ behind every iterative one."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -22,42 +21,38 @@ STOPS = ("converged", "t_max", "diverged")
 
 @dataclass
 class EstimateReport:
-    """Outcome of one estimator run.
+    """Outcome of one estimator run: what the run itself knows.
 
     ``residual_trace`` holds the relative normal-equation residual
     ||(sigma2^{-1} A^H A + D^{-1}) mu - sigma2^{-1} A^H y||_2 /
     ||sigma2^{-1} A^H y||_2 at initialization and after every iteration,
-    so its length is always ``iterations + 1``.  ``stop`` says why the run
+    so ``iterations`` is its length less one.  ``stop`` says why the run
     ended: ``"converged"``, ``"t_max"`` or ``"diverged"``; a diverged run
     keeps the :class:`DivergenceError` message in ``divergence`` and the
-    trace up to that point.  ``variances`` and ``nmse`` are optional:
-    mean-only estimators report neither posterior variances nor (on their
-    own) a reconstruction error.
+    trace up to that point.  ``variances`` is None for a mean-only
+    estimator.  What a caller measures about the run (its time, its score
+    against a truth, the seed of its data) stays with the caller: the CLI
+    adds those keys to :meth:`to_dict`'s output.
     """
 
     mu: np.ndarray
     variances: np.ndarray | None
     residual_trace: list
-    iterations: int
-    converged: bool
     stop: str
-    wall_time: float
-    nmse: float | None = None
-    seed: int | None = None
     config: dict = field(default_factory=dict)
     divergence: str | None = None
 
     def __post_init__(self):
-        if len(self.residual_trace) != self.iterations + 1:
-            raise ValueError(
-                "residual_trace must have length iterations + 1 "
-                f"({len(self.residual_trace)} != {self.iterations} + 1)"
-            )
-        if self.stop not in STOPS or self.converged != (self.stop == "converged"):
-            raise ValueError(f"stop must be one of {STOPS} and agree with converged, "
-                             f"got {self.stop!r} with converged={self.converged}")
-        if self.nmse is not None and self.nmse < 0:
-            raise ValueError("nmse must be nonnegative")
+        if self.stop not in STOPS:
+            raise ValueError(f"stop must be one of {STOPS}, got {self.stop!r}")
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_trace) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
     def to_dict(self) -> dict:
         """JSON-serializable view of the report."""
@@ -65,9 +60,6 @@ class EstimateReport:
             "iterations": self.iterations,
             "converged": self.converged,
             "stop": self.stop,
-            "wall_time": self.wall_time,
-            "nmse": self.nmse,
-            "seed": self.seed,
             "config": dict(self.config),
             "final_residual": float(self.residual_trace[-1]),
             "residual_trace": [float(r) for r in self.residual_trace],
@@ -118,8 +110,9 @@ def iterate(batch, step, mean, point, t_max: int, tol: float, config: dict,
     row once, appends ``batch.residuals(mu, A^H A mu)`` to the row's residual
     trace, which starts at the initial point, and hands the product to the
     next step, which may read or ignore it.  A row stops ``"converged"``
-    when the max relative change of its mean drops below ``tol``, or at
-    ``"t_max"`` steps.  It stops ``"diverged"`` when its residual is not
+    when its mean is nonzero and the max relative change of the mean drops
+    below ``tol`` (a mean that stays zero has not settled on anything), or
+    at ``"t_max"`` steps.  It stops ``"diverged"`` when its residual is not
     finite or exceeds ``DIVERGENCE_FACTOR`` times its running minimum
     (floored at machine epsilon), or when a step raises
     :class:`DivergenceError` naming its row; the step then runs again on the
@@ -132,11 +125,11 @@ def iterate(batch, step, mean, point, t_max: int, tol: float, config: dict,
     padded arrays; every product or sum over N runs per row, on the
     unpadded view, so each row's result equals its run alone bit for bit.
     ``variances(point)`` gives the (B, width) variances (or None) at the
-    final point.
+    final point.  The driver keeps no clock: a caller that wants a run's
+    time measures the call.
     """
     if t_max < 0:
         raise DomainError("t_max must be nonnegative")
-    t_start = time.perf_counter()
     reports = [None] * len(batch.models)
     live = list(range(len(batch.models)))
     mu = mean(point)
@@ -149,15 +142,13 @@ def iterate(batch, step, mean, point, t_max: int, tol: float, config: dict,
         """Report the rows whose stop is set, and drop them from the batch."""
         nonlocal batch, point, mu, gram_mu, floor, traces, live
         var = variances(point)
-        now = time.perf_counter() - t_start
         for j, stop in enumerate(stops):
             if stop is not None:
                 n = batch.sizes[j]
                 reports[live[j]] = EstimateReport(
                     mu=mu[j, :n].copy(), variances=None if var is None else var[j, :n].copy(),
-                    residual_trace=traces[j], iterations=len(traces[j]) - 1,
-                    converged=stop == "converged", stop=stop, wall_time=now,
-                    config=dict(config), divergence=why.get(j))
+                    residual_trace=traces[j], stop=stop, config=dict(config),
+                    divergence=why.get(j))
         keep = [j for j, stop in enumerate(stops) if stop is None]
         live = [live[j] for j in keep]
         if keep:
@@ -191,7 +182,7 @@ def iterate(batch, step, mean, point, t_max: int, tol: float, config: dict,
                 why[j] = (f"residual {res:.3e} exceeds {DIVERGENCE_FACTOR:.0e} times its "
                           f"minimum {floor[j]:.3e}")
             stops.append("diverged" if j in why
-                         else "converged" if moved[j] / max(size[j], 1e-300) < tol
+                         else "converged" if size[j] > 0 and moved[j] / size[j] < tol
                          else "t_max" if iterations == t_max else None)
         if stops.count(None) < len(stops):
             finish(stops, why)

@@ -61,6 +61,17 @@ def test_estimate_mmse_has_no_iterations(tiny_config, tmp_path, capsys):
     assert payload["final_residual"] <= 1e-10
 
 
+def test_estimate_mean_stuck_at_zero_is_not_converged(tiny_config, capsys):
+    # at 200 dB IGA's first step rounds the mean to exactly zero; that is
+    # no sign of convergence, so the run goes on to --max-iter and warns
+    assert main(["estimate", "--config", str(tiny_config), "--snr=200",
+                 "--alg", "iga"]) == 0
+    out = capsys.readouterr()
+    summary = json.loads(out.out)
+    assert not summary["converged"] and summary["stop"] == "t_max"
+    assert "did not converge" in out.err and "final residual" in out.err
+
+
 @pytest.mark.parametrize("alg", ALGORITHMS)
 def test_estimate_negative_max_iter_exits_2(tiny_config, capsys, alg):
     assert main(["estimate", "--config", str(tiny_config), "--snr", "0",
@@ -171,11 +182,23 @@ def test_validate_failure_exits_one(capsys, corrupt_e_diagonal):
 
 
 @pytest.mark.parametrize("alg", ALGORITHMS)
-def test_estimate_covers_every_algorithm(tiny_config, capsys, alg):
+def test_estimate_covers_every_algorithm(tiny_config, tmp_path, capsys, alg):
+    out = tmp_path / "report.json"
     assert main(["estimate", "--config", str(tiny_config), "--snr", "5",
-                 "--alg", alg, "--max-iter", "400"]) == 0
+                 "--alg", alg, "--max-iter", "400", "--out", str(out)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["algorithm"] == alg and summary["nmse"] >= 0
+    # --out writes the run's report plus the command's score, seed, time
+    # and generator
+    payload = json.loads(out.read_text())
+    keys = {"config", "converged", "final_residual", "iterations", "mu_im", "mu_re", "nmse",
+            "residual_trace", "rng", "seed", "stop", "wall_time"}
+    if alg in ("iga", "ic_iga"):
+        keys.add("variances")
+    assert set(payload) == keys
+    assert payload["iterations"] == len(payload["residual_trace"]) - 1
+    assert payload["converged"] == (payload["stop"] == "converged")
+    assert payload["nmse"] == summary["nmse"] and payload["seed"] == summary["seed"]
     # estimate and a one-SNR, one-trial benchmark draw the same data and
     # run the same estimator, so they score the same NMSE bit for bit
     cfg = parse_scenario_config(TINY)

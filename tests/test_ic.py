@@ -329,6 +329,17 @@ class TestRunEstimator:
                            config={}, variances=lambda mu: None))
         assert len(info.value.trace) == 2 and np.isnan(info.value.trace[-1])
 
+    def test_a_mean_that_stays_zero_does_not_converge(self, rng):
+        # a mean that is zero before and after a step has settled on nothing:
+        # with A^H y nonzero the run goes on to t_max
+        model = random_model(rng, 6, 4)
+        assert np.abs(model.ahy).max() > 0
+        rep = single(iterate(ModelBatch([model]),
+                             lambda _batch, mu, _gram_mu: np.zeros_like(mu),
+                             lambda mu: mu, np.zeros((1, 4), dtype=complex), 10, 1e-8,
+                             config={}, variances=lambda mu: None))
+        assert (rep.stop, rep.converged, rep.iterations) == ("t_max", False, 10)
+
     def test_default_scenario_diverges_undamped(self):
         # IC-SIGA is damped Jacobi: at alpha = 1 the default scenario's
         # largest Jacobi-scaled eigenvalue (about 3.1 > 2) blows it up

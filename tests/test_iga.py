@@ -191,7 +191,7 @@ class TestUpdate:
                                lam0=np.zeros(1, dtype=complex), Lam0=np.zeros(1))
         xi = np.array([[1.0], [2.0]], dtype=complex)
         Xi = np.array([[1.0], [1.0]])
-        new = update_points(state, xi, Xi, alpha=1.0)
+        new = update_points(state, xi, Xi, alpha=1.0, lambda_c=np.ones(1))
         assert new.lam0[0] == 3.0 and new.Lam0[0] == 2.0
         assert new.lam_q[0, 0] == 2.0 and new.lam_q[1, 0] == 1.0
 
@@ -218,7 +218,8 @@ class TestUpdate:
                                Lam_q=np.zeros((1, 1)),
                                lam0=np.zeros(1, dtype=complex), Lam0=np.zeros(1))
         with pytest.raises(DomainError):
-            update_points(state, np.zeros((1, 1)), np.zeros((1, 1)), alpha=0.0)
+            update_points(state, np.zeros((1, 1)), np.zeros((1, 1)), alpha=0.0,
+                          lambda_c=np.ones(1))
 
 
 class TestGramStep:
