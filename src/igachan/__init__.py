@@ -66,7 +66,9 @@ from .scenario import (
     extraction_from_powers,
     gen_power_matrices,
     sample_channels,
+    sample_extracted,
     substream,
+    synthesize_ahy,
     synthesize_rx,
 )
 from .harness import (

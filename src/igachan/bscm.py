@@ -379,8 +379,15 @@ class BscmScenario:
         return np.full(self.extraction.n, float(self.array.M_r * self.ofdm.M_p))
 
     def gram(self) -> np.ndarray:
-        """A^H A over the extracted columns: :meth:`gram_block` on every position."""
-        return self.gram_block(slice(None))
+        """A^H A over the extracted columns: :meth:`gram_block` on every
+        position, built at the first call and shared read-only after."""
+        return self._gram
+
+    @functools.cached_property
+    def _gram(self) -> np.ndarray:
+        G = self.gram_block(slice(None))
+        G.flags.writeable = False
+        return G
 
     def gram_block(self, positions) -> np.ndarray:
         """Rows and columns ``positions`` (an index array or slice into the
@@ -426,6 +433,11 @@ class BscmScenario:
         pad = np.zeros((self.array.M_r, o.N_p), dtype=np.complex128)
         pad[:, : o.N_f] = X
         return np.fft.fft(pad, axis=1)[:, : o.M_p]
+
+
+def gram_fits(n: int) -> bool:
+    """Whether an (n, n) Gram matrix is within ``DENSE_ENTRY_CAP`` entries."""
+    return n * n <= DENSE_ENTRY_CAP
 
 
 def _refuse_above_cap(what: str, rows: int, cols: int) -> None:

@@ -14,14 +14,14 @@ hollow (zero-diagonal) Gram matrix T and the diagonal matrix Upsilon,
 
 which has the same mean as MMSE.  Both are desk-scale oracles: every
 iterative estimator in this package is validated against them.  Each
-takes one :class:`MeasurementModel`, which carries y and forms A^H y once,
-and owns every product of A^H A the estimators read.
+takes one :class:`MeasurementModel`, which carries A^H y, formed once from
+y or given as drawn, and owns every product of A^H A the estimators read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,7 +42,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """One draw of the linear-Gaussian measurement model: (A, D, sigma2, y).
+    """One draw of the linear-Gaussian measurement model: (A, D, sigma2, y),
+    or (A, D, sigma2, A^H y).
 
     ``A`` is either a dense (M, N) complex matrix or a matrix-free operator
     exposing ``shape``, ``matvec``, ``rmatvec``, ``gram_diag`` and ``gram``
@@ -50,8 +51,13 @@ class MeasurementModel:
     operator's rows: IGA takes its entries to have modulus 1, as a
     ``BscmScenario``'s do, and runs from :meth:`gram` and ``ahy``.  ``d`` is
     the diagonal of D.
-    ``ahy`` = A^H y is formed once here, by one dense product or one operator
-    ``rmatvec``; every estimator reads it.
+
+    Every estimator reads the data only through ``ahy`` = A^H y, a
+    sufficient statistic for h.  Given ``y``, the model forms ``ahy`` from
+    it once, by one dense product or one operator ``rmatvec``; a passed
+    ``ahy`` is then ignored, so ``dataclasses.replace(model, y=...)`` forms
+    it anew.  Given only ``ahy`` (of length N), the model holds no y, and
+    only the dense rank-1 IGA reference, which splits y, refuses it.
 
     It owns every product of A^H A the estimators read: :meth:`gram`,
     ``gram_apply``, ``gram_diag``, ``c`` and ``gram_abs2``, each built at
@@ -65,8 +71,8 @@ class MeasurementModel:
     A: object
     d: np.ndarray
     sigma2: float
-    y: np.ndarray
-    ahy: np.ndarray = field(init=False)
+    y: np.ndarray | None = None
+    ahy: np.ndarray | None = None
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=np.float64).reshape(-1)
@@ -85,15 +91,23 @@ class MeasurementModel:
             raise DomainError(
                 f"inconsistent dimensions: A is {A.shape}, d has length {d.size}"
             )
-        y = np.asarray(self.y, dtype=np.complex128).reshape(-1)
-        if y.size != m:
-            raise DomainError(f"y has length {y.size}, expected {m}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "sigma2", sigma2)
-        object.__setattr__(self, "y", y)
-        # (y^H A)^H makes no conjugate copy of A
-        object.__setattr__(self, "ahy", (y.conj() @ A).conj() if self.is_dense else A.rmatvec(y))
+        if self.y is not None:
+            y = np.asarray(self.y, dtype=np.complex128).reshape(-1)
+            if y.size != m:
+                raise DomainError(f"y has length {y.size}, expected {m}")
+            object.__setattr__(self, "y", y)
+            # (y^H A)^H makes no conjugate copy of A
+            ahy = (y.conj() @ A).conj() if self.is_dense else A.rmatvec(y)
+        elif self.ahy is not None:
+            ahy = np.asarray(self.ahy, dtype=np.complex128).reshape(-1)
+            if ahy.size != n:
+                raise DomainError(f"ahy has length {ahy.size}, expected {n}")
+        else:
+            raise DomainError("a measurement model needs y or A^H y")
+        object.__setattr__(self, "ahy", ahy)
 
     @property
     def m(self) -> int:
@@ -119,8 +133,9 @@ class MeasurementModel:
         return G
 
     def _gram_fits(self) -> bool:
-        """Whether N^2 <= ``bscm.DENSE_ENTRY_CAP``; above it a dense ``A`` is refused."""
-        if self.n ** 2 <= bscm.DENSE_ENTRY_CAP:
+        """Whether N^2 <= ``bscm.DENSE_ENTRY_CAP`` (:func:`igachan.bscm.gram_fits`);
+        above it a dense ``A`` is refused."""
+        if bscm.gram_fits(self.n):
             return True
         if self.is_dense:
             raise DomainError("N^2 exceeds DENSE_ENTRY_CAP: pass a matrix-free operator, "
@@ -161,11 +176,6 @@ class MeasurementModel:
     def abs2_apply(self, v: np.ndarray) -> np.ndarray:
         """v -> L v, with L = ``gram_abs2``."""
         return self.gram_abs2.dot(v)
-
-    @cached_property
-    def _theta(self) -> tuple:
-        theta = self.ahy / self.sigma2
-        return theta, float(np.linalg.norm(theta)) or 1.0
 
     def residual(self, mu: np.ndarray, gram_mu: np.ndarray) -> float:
         """||(sigma2^{-1} A^H A + D^{-1}) mu - theta|| / ||theta||, theta = sigma2^{-1} A^H y,
@@ -241,18 +251,35 @@ class ModelBatch:
 
     @cached_property
     def _residual_parts(self) -> tuple:
-        """theta = sigma2^{-1} A^H y, ||theta|| per row, and a (B, width)
-        buffer for the residual vectors with the real and imaginary views of
-        each row's unpadded part."""
+        """Row b's sigma2, d and theta = sigma2^{-1} A^H y divided by a power
+        of two 2^e_b near its largest |theta|, ||theta|| scaled so, and a
+        (B, width) buffer for the residual vectors with the real and
+        imaginary views of each row's unpadded part.
+
+        The scaled terms are O(1), so squaring them cannot overflow however
+        small sigma2 is, and 2^e_b is formed from the exponents of sigma2
+        and max |A^H y| alone.  A power of two scales exactly, so each
+        residual equals the unscaled one bit for bit wherever that one is
+        finite.  A row with theta = 0 keeps e_b = 0 and the norm 1.
+        """
+        exps = np.array([[np.frexp(np.abs(model.ahy).max())[1] - np.frexp(model.sigma2)[1]
+                          if model.ahy.any() else 0] for model in self.models])
+        # d 2^e overflows only where mu / d is below 2^-1000 of theta
+        with np.errstate(over="ignore"):
+            sigma2, d = np.ldexp(self.sigma2, exps), np.ldexp(self.d, exps)
+        for n, sigma2_row, d_row in zip(self.sizes, sigma2, d):
+            sigma2_row[n:] = d_row[n:] = 1.0
+        theta = self.ahy / sigma2
+        norms = [float(np.linalg.norm(row[:n])) or 1.0 for row, n in zip(theta, self.sizes)]
         buf = np.zeros((len(self.models), self.width), dtype=np.complex128)
         views = [(buf[j, :n].real, buf[j, :n].imag) for j, n in enumerate(self.sizes)]
-        return self.ahy / self.sigma2, [model._theta[1] for model in self.models], buf, views
+        return sigma2, d, theta, norms, buf, views
 
     def residuals(self, mu: np.ndarray, gram_mu: np.ndarray) -> list:
         """Each row's :meth:`MeasurementModel.residual`, as a list of floats."""
-        theta, norms, diff, views = self._residual_parts
-        np.divide(gram_mu, self.sigma2, out=diff)
-        diff += mu / self.d
+        sigma2, d, theta, norms, diff, views = self._residual_parts
+        np.divide(gram_mu, sigma2, out=diff)
+        diff += mu / d
         diff -= theta
         # np.linalg.norm of a complex vector, without its argument handling
         return [math.sqrt(re.dot(re) + im.dot(im)) / norm

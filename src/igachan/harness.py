@@ -38,6 +38,7 @@ from .bscm import (
     ScenarioConfig,
     assemble_dense_A,
     geometry_from_config,
+    gram_fits,
 )
 from .errors import ConfigError, DomainError
 from .estimators import MeasurementModel, _mmse_mean, mmse_estimate, modified_mmse_estimate
@@ -46,8 +47,10 @@ from .scenario import (
     build_prior,
     extraction_from_powers,
     gen_power_matrices,
-    sample_channels,
+    sample_extracted,
+    synthesize_ahy,
     synthesize_rx,
+    user_slices,
 )
 
 # build_trial stays out of __all__: outside-in tracers start a trial at a
@@ -149,8 +152,12 @@ def build_trial(geometry, cfg: ScenarioConfig, seed: int, snr_db: float,
                 stream: tuple) -> Trial:
     """Draw powers, channels and noise for one trial from substream ``stream``.
 
-    The truth is gathered on the extraction once, and y is synthesized
-    from that vector; no stacked grid is formed.
+    The truth h is drawn on the extraction only (:func:`sample_extracted`).
+    Where A^H A fits under ``bscm.DENSE_ENTRY_CAP``, it is formed once, in
+    closed form, and the model is built from A^H y = A^H A h + A^H z drawn
+    from it (:func:`synthesize_ahy`): no FFT runs and no y is formed.  Above
+    the cap, y is synthesized by FFT from the same h and the model forms
+    A^H y with one ``rmatvec``.  Both give A^H y the same law.
     """
     array, ofdm, plan = geometry
     sigma2 = sigma2_of_snr(snr_db)
@@ -158,33 +165,32 @@ def build_trial(geometry, cfg: ScenarioConfig, seed: int, snr_db: float,
     extraction = extraction_from_powers(powers, array, ofdm, plan)
     d = build_prior(powers, extraction, array, ofdm, plan)
     scn = BscmScenario(array, ofdm, plan, extraction)
-    h, users = _truth_blocks(scn, sample_channels(powers, seed, stream=stream))
-    y = synthesize_rx(scn, h, sigma2, seed, stream=stream)
-    return Trial(MeasurementModel(scn, d, sigma2, y), h, users)
+    slices = user_slices(extraction, array, plan)
+    h = sample_extracted(d, slices, seed, stream=stream)
+    if gram_fits(extraction.n):
+        G = scn.gram()
+        model = MeasurementModel(scn, d, sigma2, ahy=synthesize_ahy(G, h, sigma2, seed, stream))
+    else:
+        G = None
+        model = MeasurementModel(scn, d, sigma2, synthesize_rx(scn, h, sigma2, seed, stream))
+    return Trial(model, h, _truth_blocks(scn, h, slices, G))
 
 
-def _truth_blocks(scn: BscmScenario, channels) -> tuple:
-    """The truth h on the extraction, and (slice, W_k, ||G_k||_F^2) per user.
+def _truth_blocks(scn: BscmScenario, h: np.ndarray, slices, G) -> tuple:
+    """(slice, W_k, ||G_k||_F^2) per user of the truth h on the extraction.
 
-    User k's beam matrix fills the stacked positions first_k + vec(H_k), so
-    its extracted coefficients are gathered from H_k without stacking.
+    W_k is user k's diagonal block of A^H A: a view of ``G`` where the
+    caller formed it, else :meth:`BscmScenario.gram_block` (the same
+    entries).
     """
-    idx = scn.extraction.indices
-    h = np.zeros(idx.size, dtype=np.complex128)
     users = []
-    for k, ch in enumerate(channels, start=1):
-        first = scn.plan.user_columns(k).start * scn.array.N_r
-        s = slice(*np.searchsorted(idx, (first, first + ch.H.size)).tolist())
-        h[s] = ch.H.reshape(-1, order="F")[idx[s] - first]
-        if np.count_nonzero(h[s]) != np.count_nonzero(ch.H):
-            raise DomainError(f"the channel draw of user {k} has a nonzero coefficient "
-                              "outside the extraction")
-        W = scn.gram_block(s)
+    for k, s in enumerate(slices, start=1):
+        W = scn.gram_block(s) if G is None else G[s, s]
         g2 = float(np.vdot(h[s], W @ h[s]).real)
         if not g2 > 0:
             raise DomainError(f"truth of user {k} has zero norm")
         users.append((s, W, g2))
-    return h, tuple(users)
+    return tuple(users)
 
 
 # -- estimator registry: name -> fn(trials, alpha, t_max, tol) -> one
@@ -687,6 +693,39 @@ def _check_noise_statistics():
     )
 
 
+def _check_statistic_noise():
+    """A^H y drawn from A^H A with h = 0 has E|v^H A^H y|^2 = sigma2 v^H G v,
+    on one tiny extraction whose G Cholesky factors and one whose singular
+    G it refuses, so both factors of :func:`gram_factor` are drawn from."""
+    from .scenario import gen_power_matrices as gpm, synthesize_ahy
+
+    cfg, array, ofdm, plan, _ = _tiny_scenario()
+    sigma2, draws = 0.7, 12_500
+    rng = np.random.default_rng(111)
+    worst_sigmas, worst_rel, factors = 0.0, 0.0, []
+    for power_seed in (18, 10):
+        extraction = extraction_from_powers(gpm(cfg, seed=power_seed), array, ofdm, plan)
+        G = BscmScenario(array, ofdm, plan, extraction).gram()
+        try:
+            np.linalg.cholesky(G)
+            factors.append("cholesky")
+        except np.linalg.LinAlgError:
+            factors.append("eigh")
+        n = extraction.n
+        V = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        stats = np.array([synthesize_ahy(G, np.zeros(n), sigma2, seed=17, stream=(t,))
+                          for t in range(draws)])
+        emp = np.mean(np.abs(stats @ V.conj()) ** 2, axis=0)
+        target = sigma2 * np.einsum("ij,ik,kj->j", V.conj(), G, V).real
+        rel = np.abs(emp - target) / target
+        # |v^H A^H y|^2 is exponential: sd of the mean estimate is target / sqrt(draws)
+        worst_rel = max(worst_rel, float(rel.max()))
+        worst_sigmas = max(worst_sigmas, float(rel.max() * np.sqrt(draws)))
+    ok = worst_sigmas <= 5.5 and worst_rel <= 0.05 and factors == ["cholesky", "eigh"]
+    return ok, (f"factors {'/'.join(factors)}, worst rel err {worst_rel:.4f} = "
+                f"{worst_sigmas:.2f} sigma (tol 5.5 sigma and 5%)")
+
+
 _QUICK_CHECKS = [
     ("gaussian_round_trip", _check_gaussian_round_trip),
     ("kl_properties", _check_kl_properties),
@@ -705,6 +744,7 @@ _FULL_CHECKS = _QUICK_CHECKS + [
     ("channel_entry_statistics", _check_channel_statistics),
     ("space_frequency_energy", _check_frobenius_energy),
     ("noise_statistics", _check_noise_statistics),
+    ("statistic_noise_statistics", _check_statistic_noise),
 ]
 
 

@@ -153,10 +153,12 @@ def build_rank1_split(model: MeasurementModel) -> SplitScheme:
     Lambda_c = D^{-1}; the split identities then hold exactly by
     construction.  C_q is kept in factored form g_q = a_q / sigma_z, and
     b_q = beta_q g_q with beta_q = y_q / sigma_z.  An operator model has no
-    rows to split: :func:`run_iga` runs it in the Gram domain.
+    rows to split, and a model given only A^H y has no y_q:
+    :func:`run_iga` runs a model with a shared precision row in the Gram
+    domain.
     """
-    if not model.is_dense:
-        raise DomainError("the rank-1 split needs a dense A")
+    if not model.is_dense or model.y is None:
+        raise DomainError("the rank-1 split needs a dense A and y")
     sigma = np.sqrt(model.sigma2)
     # row q is a_q^T
     return SplitScheme(beta=model.y / sigma, lambda_c=1.0 / model.d,

@@ -1,10 +1,15 @@
 """Synthetic scenario generation: sparse beam-domain power maps, channel
-draws, and received pilot signals.
+draws, and received pilot signals or their sufficient statistic.
 
 Power maps are built from a few rectangular clusters on the N_r x N_f beam
 grid with lognormal relative powers, normalized so every user's variances
 sum to one; beam coefficients are then independent zero-mean complex
-Gaussians with those variances.  Everything is drawn from named substreams
+Gaussians with those variances.  :func:`sample_channels` draws a user's
+whole grid; :func:`sample_extracted` draws only the coefficients on the
+extraction, which is all a trial reads.  :func:`synthesize_rx` forms
+y = A h + z by FFT; :func:`synthesize_ahy` draws A^H y = A^H A h + A^H z
+from A^H A alone, with the same distribution, which is all an estimator
+reads of y.  Everything is drawn from named substreams
 of a counter-based Philox generator, so any (config, seed) pair reproduces
 bit-identical data and trials can be generated independently in any order.
 """
@@ -34,11 +39,15 @@ __all__ = [
     "substream",
     "gen_power_matrices",
     "sample_channels",
+    "user_slices",
+    "sample_extracted",
     "stack_powers",
     "stack_channels",
     "extraction_from_powers",
     "build_prior",
     "synthesize_rx",
+    "gram_factor",
+    "synthesize_ahy",
     "save_power_matrices",
     "load_power_matrices",
     "save_channels",
@@ -157,12 +166,45 @@ def sample_channels(powers: list[PowerMatrix], seed: int,
     return out
 
 
+def user_slices(extraction: ExtractionMap, array: ArrayConfig,
+                plan: PilotPlan) -> list[slice]:
+    """User k's coefficients in extraction order, one slice per user.
+
+    User k's beam matrix fills the stacked positions first_k + vec(H_k), and
+    the extraction is sorted, so its extracted coefficients are contiguous.
+    """
+    out = []
+    for k in range(1, plan.K + 1):
+        cols = plan.user_columns(k)
+        ends = (cols.start * array.N_r, cols.stop * array.N_r)
+        out.append(slice(*np.searchsorted(extraction.indices, ends).tolist()))
+    return out
+
+
+def sample_extracted(d: np.ndarray, slices: list[slice], seed: int,
+                     stream: tuple = ()) -> np.ndarray:
+    """h ~ CN(0, diag(d)) on the extraction, user k's slice ``slices[k-1]``
+    drawn from the same "channels" substream as :func:`sample_channels`.
+
+    It has the law of :func:`sample_channels` gathered on the extraction,
+    but draws only n normals, not a full grid per user.
+    """
+    h = np.empty(d.size, dtype=np.complex128)
+    for k, s in enumerate(slices, start=1):
+        rng = substream(seed, "channels", *stream, k)
+        size = s.stop - s.start
+        g = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+        h[s] = np.sqrt(d[s]) * g
+    return h
+
+
 def stack_powers(powers: list[PowerMatrix], array: ArrayConfig, ofdm: OfdmConfig,
                  plan: PilotPlan) -> np.ndarray:
     """Variances of the stacked beam vector, in stacking order (length Q N_p N_r)."""
     if len(powers) != plan.K:
         raise DomainError(f"expected {plan.K} power maps, got {len(powers)}")
-    grid = np.zeros((array.N_r, plan.Q * ofdm.N_p), dtype=np.float64)
+    # column-major, so the stacking reshape below is a view, not a copy
+    grid = np.zeros((array.N_r, plan.Q * ofdm.N_p), dtype=np.float64, order="F")
     for k in range(1, plan.K + 1):
         grid[:, plan.user_columns(k)] = powers[k - 1].omega
     return grid.reshape(-1, order="F")
@@ -173,7 +215,8 @@ def stack_channels(channels: list[BeamChannel], array: ArrayConfig,
     """Stacked beam vector: users land in their root/shift column blocks."""
     if len(channels) != plan.K:
         raise DomainError(f"expected {plan.K} channels, got {len(channels)}")
-    grid = np.zeros((array.N_r, plan.Q * ofdm.N_p), dtype=np.complex128)
+    # column-major, so the stacking reshape below is a view, not a copy
+    grid = np.zeros((array.N_r, plan.Q * ofdm.N_p), dtype=np.complex128, order="F")
     for k in range(1, plan.K + 1):
         grid[:, plan.user_columns(k)] = channels[k - 1].H
     return grid.reshape(-1, order="F")
@@ -222,6 +265,39 @@ def synthesize_rx(scenario: BscmScenario, h: np.ndarray, sigma2: float, seed: in
         z = rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
         y = y + np.sqrt(sigma2 / 2.0) * z
     return y
+
+
+def gram_factor(G: np.ndarray) -> np.ndarray:
+    """F with F F^H = G for a Hermitian positive semidefinite G.
+
+    The Cholesky factor; where Cholesky refuses a singular G, V sqrt(max(lambda, 0))
+    from ``eigh``, which costs about ten times more.
+    """
+    try:
+        return np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        lam, V = np.linalg.eigh(G)
+        return V * np.sqrt(np.maximum(lam, 0.0))
+
+
+def synthesize_ahy(G: np.ndarray, h: np.ndarray, sigma2: float, seed: int,
+                   stream: tuple = ()) -> np.ndarray:
+    """A^H y = G h + A^H z drawn from G = A^H A, without forming y.
+
+    A^H z ~ CN(0, sigma2 G) is drawn as sqrt(sigma2) F w with F F^H = G
+    (:func:`gram_factor`) and w ~ CN(0, I_n) from the "noise" substream
+    (real and imaginary parts of variance 1/2), so the result has the law
+    of ``A^H synthesize_rx(...)``, though not its values.  ``sigma2 = 0``
+    gives the noise-free G h.
+    """
+    if sigma2 < 0:
+        raise DomainError("sigma2 must be nonnegative")
+    ahy = G @ h
+    if sigma2 > 0:
+        rng = substream(seed, "noise", *stream)
+        w = rng.standard_normal(h.size) + 1j * rng.standard_normal(h.size)
+        ahy = ahy + np.sqrt(sigma2 / 2.0) * (gram_factor(G) @ w)
+    return ahy
 
 
 # ---------------------------------------------------------------------------

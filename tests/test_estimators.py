@@ -7,6 +7,7 @@ from igachan.bscm import assemble_dense_A
 from igachan.errors import DomainError
 from igachan.estimators import (
     MeasurementModel,
+    ModelBatch,
     build_modified_form,
     mmse_estimate,
     modified_mmse_estimate,
@@ -66,6 +67,22 @@ class TestMmse:
             MeasurementModel(np.eye(2), np.ones(2), 0.0, np.zeros(2))
         with pytest.raises(DomainError):
             MeasurementModel(np.eye(2), np.ones(3), 1.0, np.zeros(2))
+
+    def test_model_from_the_statistic(self, rng):
+        # given A^H y alone, a model holds no y and estimates as the model of y
+        model = random_model(rng, 10, 6)
+        stat = MeasurementModel(model.A, model.d, model.sigma2, ahy=model.ahy)
+        assert stat.y is None and np.array_equal(stat.ahy, model.ahy)
+        assert np.array_equal(mmse_estimate(stat)[0], mmse_estimate(model)[0])
+        assert np.array_equal(dataclasses.replace(stat, sigma2=0.3).ahy, model.ahy)
+        # given y, a passed A^H y is formed anew from it
+        doubled = dataclasses.replace(model, y=2.0 * model.y)
+        assert np.array_equal(doubled.ahy, MeasurementModel(model.A, model.d, model.sigma2,
+                                                            2.0 * model.y).ahy)
+        with pytest.raises(DomainError, match="needs y or A\\^H y"):
+            MeasurementModel(model.A, model.d, model.sigma2)
+        with pytest.raises(DomainError, match="ahy has length"):
+            MeasurementModel(model.A, model.d, model.sigma2, ahy=np.zeros(7))
 
     def test_exact_estimators_match_on_scenario_model(self, tiny_scenario, rng):
         # the scenario model supplies the closed-form Gram matrix and FFT A^H y;
@@ -158,3 +175,31 @@ class TestModifiedEquivalence:
             h = modified_mmse_estimate(model)
             worst = max(worst, np.linalg.norm(h - mu) / np.linalg.norm(mu))
         assert worst <= 1e-10
+
+
+class TestResidual:
+    def test_scaled_residual_equals_the_plain_formula(self, rng):
+        # the residual's terms are scaled by a power of two, which is exact:
+        # wherever the plain formula is finite, the two agree bit for bit
+        models = [random_model(rng, 12, n, sigma2=sigma2)
+                  for n, sigma2 in ((8, 1e-3), (5, 0.7), (8, 40.0), (3, 1e-9))]
+        models.append(dataclasses.replace(models[0], y=1e-150 * models[0].y))
+        batch = ModelBatch(models)
+        mu = np.zeros((len(models), batch.width), dtype=complex)
+        gram_mu = np.zeros_like(mu)
+        for j, model in enumerate(models):
+            mu[j, :model.n] = rng.standard_normal(model.n) + 1j * rng.standard_normal(model.n)
+            gram_mu[j, :model.n] = model.gram_apply(mu[j, :model.n])
+        for j, (model, res) in enumerate(zip(models, batch.residuals(mu, gram_mu))):
+            n = model.n
+            theta = model.ahy / model.sigma2
+            plain = gram_mu[j, :n] / model.sigma2 + mu[j, :n] / model.d - theta
+            assert res == np.linalg.norm(plain) / np.linalg.norm(theta)
+            assert res == model.residual(mu[j, :n], gram_mu[j, :n])
+
+    def test_zero_statistic_reads_the_plain_norm(self, rng):
+        model = random_model(rng, 6, 4)
+        zero = dataclasses.replace(model, y=np.zeros(6))
+        mu = np.ones(4, dtype=complex)
+        gram_mu = zero.gram_apply(mu)
+        assert zero.residual(mu, gram_mu) == np.linalg.norm(gram_mu / zero.sigma2 + mu / zero.d)

@@ -20,6 +20,7 @@ from igachan.iga import (
     update_points,
 )
 from igachan.report import DIVERGENCE_FACTOR
+from igachan.scenario import synthesize_rx
 
 from conftest import random_model, random_y
 
@@ -42,13 +43,17 @@ def unit_modulus_model(rng, m, n, sigma2=2.0):
 
 @pytest.fixture(scope="module")
 def desk_operator_case(desk_config, desk_geometry):
-    """The operator model of one desk trial."""
-    return build_trial(desk_geometry, desk_config, desk_config.seed, 0.0, stream=(0, 0)).model
+    """The operator model of one desk trial's truth, with y synthesized by
+    FFT: a trial's own model holds A^H y only, and the dense split needs y."""
+    trial = build_trial(desk_geometry, desk_config, desk_config.seed, 0.0, stream=(0, 0))
+    model = trial.model
+    y = synthesize_rx(model.A, trial.h, model.sigma2, desk_config.seed, stream=(0, 0))
+    return MeasurementModel(model.A, model.d, model.sigma2, y)
 
 
 @pytest.fixture(scope="module")
 def desk_case(desk_operator_case):
-    """The dense beam-domain model of one desk trial."""
+    """The dense beam-domain model of the same y."""
     model, scn = desk_operator_case, desk_operator_case.A
     A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
     return MeasurementModel(A, model.d, model.sigma2, model.y)
@@ -112,6 +117,13 @@ class TestSplit:
         scheme = build_rank1_split(model)
         theta = (model.A.conj().T @ model.y) / model.sigma2
         assert np.abs(scheme.beta @ scheme.factors - theta).max() <= 1e-12 * np.abs(theta).max()
+
+    def test_refuses_a_model_without_y(self, rng):
+        # the split has one piece per sample of y; A^H y alone does not give them
+        model = random_model(rng, 10, 6)
+        stat = MeasurementModel(model.A, model.d, model.sigma2, ahy=model.ahy)
+        with pytest.raises(DomainError, match="needs a dense A and y"):
+            build_rank1_split(stat)
 
     def test_precision_split_identity(self, rng):
         model = random_model(rng, 10, 6)

@@ -96,9 +96,9 @@ def test_gram_block_score_equals_space_frequency_nmse(cfg, seed):
     geometry = geometry_from_config(cfg)
     trial = build_trial(geometry, cfg, seed, 10.0, stream=(0, 0))
     scn = trial.model.A
-    channels = sample_channels(gen_power_matrices(cfg, seed, stream=(0, 0)), seed, stream=(0, 0))
-    assert np.array_equal(trial.h, stack_channels(channels, *geometry)[scn.extraction.indices])
-    truths = [scn.beam_to_space_freq(ch.H) for ch in channels]
+    # the truth is drawn on the extraction, so its space-frequency matrices
+    # are those of trial.h scattered back to the grid
+    truths = reconstruct_G(trial.h, scn)
     rng = np.random.default_rng(seed)
     n = trial.model.n
     noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)

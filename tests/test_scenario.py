@@ -9,15 +9,19 @@ from igachan.scenario import (
     build_prior,
     extraction_from_powers,
     gen_power_matrices,
+    gram_factor,
     load_channels,
     load_power_matrices,
     sample_channels,
+    sample_extracted,
     save_channels,
     save_power_matrices,
     stack_channels,
     stack_powers,
     substream,
+    synthesize_ahy,
     synthesize_rx,
+    user_slices,
 )
 
 
@@ -95,6 +99,62 @@ class TestChannels:
         ])
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - target) <= 5 * se
+
+
+class TestExtractedChannels:
+    def test_user_slices_match_the_stacked_layout(self, cfg, parts):
+        array, ofdm, plan = parts
+        extraction = extraction_from_powers(gen_power_matrices(cfg, seed=6), array, ofdm, plan)
+        slices = user_slices(extraction, array, plan)
+        assert slices[0].start == 0 and slices[-1].stop == extraction.n
+        for k, s in enumerate(slices, start=1):
+            cols = plan.user_columns(k)
+            pos = extraction.indices[s]
+            assert np.all((pos >= cols.start * array.N_r) & (pos < cols.stop * array.N_r))
+
+    def test_draw_on_the_extraction_has_the_prior_variances(self, cfg, parts):
+        # |h_i|^2 / d_i is exponential with mean 1 per coordinate, so its
+        # mean over R draws has standard error 1 / sqrt(R)
+        array, ofdm, plan = parts
+        powers = gen_power_matrices(cfg, seed=6)
+        extraction = extraction_from_powers(powers, array, ofdm, plan)
+        d = build_prior(powers, extraction, array, ofdm, plan)
+        slices = user_slices(extraction, array, plan)
+        draws = 400
+        h = np.array([sample_extracted(d, slices, seed=21, stream=(t,)) for t in range(draws)])
+        assert h.shape == (draws, extraction.n)
+        ratio = (np.abs(h) ** 2 / d).mean(axis=0)
+        assert np.abs(ratio - 1.0).max() <= 5.5 / np.sqrt(draws)
+        # the same substream, so a user's draw does not depend on the others'
+        alone = sample_extracted(d[slices[1]], [slice(0, 0), slice(0, d[slices[1]].size)],
+                                 seed=21, stream=(0,))
+        assert np.array_equal(alone, h[0, slices[1]])
+
+
+class TestStatisticDraw:
+    @pytest.fixture(scope="class")
+    def singular(self, parts):
+        from igachan.bscm import full_extraction
+
+        G = BscmScenario(*parts, full_extraction(*parts)).gram()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(G)
+        return G
+
+    def test_factor_of_a_singular_gram(self, singular):
+        F = gram_factor(singular)
+        assert np.abs(F @ F.conj().T - singular).max() <= 1e-12 * np.abs(singular).max()
+
+    def test_factor_of_a_regular_gram_is_cholesky(self, rng):
+        B = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        G = B @ B.conj().T
+        assert np.array_equal(gram_factor(G), np.linalg.cholesky(G))
+
+    def test_noise_free_statistic_is_gram_times_truth(self, singular, rng):
+        h = rng.standard_normal(singular.shape[0]) + 1j * rng.standard_normal(singular.shape[0])
+        assert np.array_equal(synthesize_ahy(singular, h, 0.0, seed=0), singular @ h)
+        with pytest.raises(DomainError):
+            synthesize_ahy(singular, h, -1.0, seed=0)
 
 
 class TestStackingAndPrior:
