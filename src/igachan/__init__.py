@@ -31,7 +31,6 @@ from .iga import (
     build_rank1_split,
     project_all,
     run_iga,
-    run_iga_batch,
     update_points,
 )
 from .ic import (
@@ -42,7 +41,6 @@ from .ic import (
     initial_ic_state,
     mproj_belief_oracle,
     run_estimator,
-    run_estimator_batch,
 )
 from .bscm import (
     ArrayConfig,

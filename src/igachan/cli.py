@@ -91,7 +91,7 @@ def _cmd_estimate(args) -> int:
         trial = harness.build_trial(geometry_from_config(cfg), cfg, cfg.seed, snr_db,
                                     stream=(0, 0))
         t0 = time.perf_counter()
-        reports = harness.ESTIMATORS[alg]([trial], spec.alpha, spec.t_max, spec.tol)
+        reports = harness.run_algorithm(alg, [trial.model], spec.alpha, spec.t_max, spec.tol)
         wall_time = time.perf_counter() - t0
     rep = single(reports)
     trial_nmse = float(np.mean(trial.score(rep.mu)))

@@ -167,6 +167,14 @@ class MeasurementModel:
         return c
 
     @cached_property
+    def sigma4_c(self) -> tuple:
+        """sigma2^2 c as (f^2 c, -2k), sigma2 = f 2^k: ``np.ldexp(x / f2c, shift)``
+        cannot underflow however small sigma2 is, and equals x / (sigma2^2 c)
+        bit for bit wherever sigma2^2 is a normal float."""
+        f, k = np.frexp(self.sigma2)
+        return f * f * self.c, -2 * k
+
+    @cached_property
     def gram_abs2(self) -> np.ndarray:
         """L = |A^H A|.^2, formed only at or below the cap."""
         if not self._gram_fits():
@@ -234,6 +242,12 @@ class ModelBatch:
     @cached_property
     def c(self) -> np.ndarray:
         return self._pad("c", 1.0, np.float64)
+
+    @cached_property
+    def sigma4_c(self) -> tuple:
+        """:attr:`MeasurementModel.sigma4_c` of the padded rows."""
+        f, k = np.frexp(self.sigma2)
+        return f * f * self.c, -2 * k
 
     def _per_model(self, product: str, v: np.ndarray) -> np.ndarray:
         out = np.zeros(v.shape, v.dtype)

@@ -22,7 +22,6 @@ byte-identical reproducibility).
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import time
@@ -42,7 +41,7 @@ from .bscm import (
 )
 from .errors import ConfigError, DomainError
 from .estimators import MeasurementModel, _mmse_mean, mmse_estimate, modified_mmse_estimate
-from .report import EstimateReport
+from .report import EstimateReport, Iterative, run
 from .scenario import (
     build_prior,
     extraction_from_powers,
@@ -59,6 +58,7 @@ __all__ = [
     "ALGORITHMS",
     "ESTIMATORS",
     "CSV_HEADER",
+    "run_algorithm",
     "BenchmarkSpec",
     "reconstruct_G",
     "nmse",
@@ -193,55 +193,35 @@ def _truth_blocks(scn: BscmScenario, h: np.ndarray, slices, G) -> tuple:
     return tuple(users)
 
 
-# -- estimator registry: name -> fn(trials, alpha, t_max, tol) -> one
-# EstimateReport per trial, which never raises DivergenceError: a diverged
-# run is a report with stop "diverged".  The iterative estimators run the
-# trials in lockstep.  ``alpha`` None keeps each iterative estimator's own
-# default damping; the direct solves ignore it.  Entries call library
-# functions through module globals at call time, so a patched or traced
-# function is the one that runs.
-
-def _solved(trials, solve, algorithm: str) -> list:
-    """Reports of the direct solve ``solve(model) -> mu`` of each trial: no
-    iterations, converged, and the relative normal-equation residual of its
-    mean."""
-    reports = []
-    for trial in trials:
-        model = trial.model
-        mu = solve(model)
-        reports.append(EstimateReport(
-            mu=mu, variances=None, residual_trace=[model.residual(mu, model.gram_apply(mu))],
-            stop="converged", config={"algorithm": algorithm}))
-    return reports
-
-
-def _run_mmse(trials, alpha, t_max, tol):
-    # the sweep reads only the mean, so the covariance is never formed
-    return _solved(trials, lambda model: _mmse_mean(model)[0], "mmse")
-
-
-def _run_modified_mmse(trials, alpha, t_max, tol):
-    return _solved(trials, modified_mmse_estimate, "modified_mmse")
-
-
-def _run_iga(trials, alpha, t_max, tol):
-    return _iga.run_iga_batch([trial.model for trial in trials], alpha=alpha, t_max=t_max,
-                              tol=tol)
-
-
-def _run_ic(kind, trials, alpha, t_max, tol):
-    return _ic.run_estimator_batch(kind, [trial.model for trial in trials], alpha=alpha,
-                                   t_max=t_max, tol=tol)
-
-
+# -- estimator registry: name -> an iterative record (igachan.report.Iterative)
+# or a direct solve model -> mu
 ESTIMATORS = {
-    "mmse": _run_mmse,
-    "modified_mmse": _run_modified_mmse,
-    "iga": _run_iga,
-    "ic_iga": functools.partial(_run_ic, "ic_iga"),
-    "ic_siga": functools.partial(_run_ic, "ic_siga"),
+    # the sweep reads only the mean, so the covariance is never formed
+    "mmse": lambda model: _mmse_mean(model)[0],
+    "modified_mmse": modified_mmse_estimate,
+    "iga": _iga.IGA,
+    "ic_iga": _ic.IC_IGA,
+    "ic_siga": _ic.IC_SIGA,
 }
 ALGORITHMS = tuple(ESTIMATORS)
+
+
+def run_algorithm(name: str, models, alpha: float | None = None, t_max: int = 100,
+                  tol: float = 1e-8) -> list:
+    """One report per model from the registry's estimator ``name``; a
+    diverged run is a report with stop "diverged", never a raise.  An
+    iterative estimator runs the models in lockstep; a direct solve ignores
+    ``alpha``, ``t_max`` and ``tol`` and reports its mean's residual."""
+    estimator = ESTIMATORS[name]
+    if isinstance(estimator, Iterative):
+        return run(estimator, models, alpha, t_max, tol)
+    reports = []
+    for model in models:
+        mu = estimator(model)
+        reports.append(EstimateReport(
+            mu=mu, variances=None, residual_trace=[model.residual(mu, model.gram_apply(mu))],
+            stop="converged", config={"algorithm": name}))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -302,10 +282,11 @@ def _run_cell(spec: BenchmarkSpec, geometry, snr_index: int) -> list:
     snr_db = spec.snr_list_db[snr_index]
     trials = [build_trial(geometry, spec.scenario, spec.seed, snr_db, stream=(snr_index, t))
               for t in range(spec.n_sam)]
+    models = [trial.model for trial in trials]
     rows = []
     for alg in spec.algorithms:
         t0 = time.perf_counter()
-        reports = ESTIMATORS[alg](trials, spec.alpha, spec.t_max, spec.tol)
+        reports = run_algorithm(alg, models, spec.alpha, spec.t_max, spec.tol)
         wall_ms = (time.perf_counter() - t0) * 1e3 / len(trials)
         ratios, iters = [], []
         for trial, rep in zip(trials, reports):

@@ -18,7 +18,9 @@ either recursion the mean solves the normal equations, i.e. equals the MMSE
 mean.  Every function takes the trial's :class:`MeasurementModel` and reads
 A^H y, the Gram apply, diag(A^H A), c and L from it; the private kernels
 take a model or a :class:`ModelBatch` alike, whose padded (B, N) rows they
-update in one pass (:func:`run_estimator_batch`).
+update in one pass.  :data:`IC_IGA` and :data:`IC_SIGA` describe the two
+recursions as :class:`igachan.report.Iterative` records, which
+:func:`igachan.report.run` drives on a list of models in lockstep.
 
 A dense-inversion oracle (:func:`mproj_belief_oracle`) rebuilds the
 per-coordinate auxiliary Gaussian literally, m-projects it through
@@ -34,11 +36,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .estimators import MeasurementModel, ModelBatch
+from .estimators import MeasurementModel
 from .gaussian import GaussianNatural, m_project_to_diag
-from .report import EstimateReport, iterate, rows_at_fault, single
+from .report import EstimateReport, Iterative, rows_at_fault, run, single
 
 __all__ = [
+    "IC_IGA",
+    "IC_SIGA",
     "IcState",
     "initial_ic_state",
     "ic_beliefs",
@@ -46,10 +50,7 @@ __all__ = [
     "ic_siga_step",
     "mproj_belief_oracle",
     "run_estimator",
-    "run_estimator_batch",
 ]
-
-DEFAULT_ALPHA = {"ic_iga": 0.45, "ic_siga": 0.25}
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,11 @@ def initial_ic_state(n: int) -> IcState:
 
 
 def _interference_energy(model, v: np.ndarray) -> np.ndarray:
-    """e_n = sigma2^{-2} c_n^{-1} sum_{j != n} |[A^H A]_nj|^2 v_j, from L."""
+    """e_n = sigma2^{-2} c_n^{-1} sum_{j != n} |[A^H A]_nj|^2 v_j, from L; the
+    division by sigma2^2 c cannot underflow (``sigma4_c``)."""
     lv = model.abs2_apply(v) - model.gram_diag**2 * v
-    return lv / (model.sigma2**2 * model.c)
+    f2c, shift = model.sigma4_c
+    return np.ldexp(lv / f2c, shift)
 
 
 def ic_beliefs(model: MeasurementModel, state: IcState):
@@ -177,14 +180,6 @@ def mproj_belief_oracle(model: MeasurementModel, state: IcState, n: int):
     return proj.mean[n], proj.Lam[n], xi, Xi
 
 
-def run_estimator(kind: str, model: MeasurementModel, alpha: float | None = None,
-                  t_max: int = 100, tol: float = 1e-8) -> EstimateReport:
-    """Run IC-IGA or IC-SIGA on one model: :func:`run_estimator_batch` on the
-    batch of one, raising :class:`DivergenceError` (with the residual trace)
-    when the run diverges."""
-    return single(run_estimator_batch(kind, [model], alpha=alpha, t_max=t_max, tol=tol))
-
-
 class _IcPoint(NamedTuple):
     """An IC-IGA iterate: the (B, N) state, and the r of the step that made
     it (None at the start)."""
@@ -193,40 +188,37 @@ class _IcPoint(NamedTuple):
     r: np.ndarray | None
 
 
-def run_estimator_batch(kind: str, models, alpha: float | None = None, t_max: int = 100,
-                        tol: float = 1e-8) -> list:
-    """Run IC-IGA or IC-SIGA to (approximate) equilibrium on every model,
-    in lockstep; returns one report per model, in order.
-
-    Stop and divergence rules are those of :func:`igachan.report.iterate`,
-    which applies each model's Gram matrix once per iterate; its product
-    A^H A mu feeds both the residual and the next step.  A diverged run is
-    reported with ``stop == "diverged"`` and leaves the others unchanged.
-    Every report equals that of the model's run alone.  IC-IGA reports
-    variances 1/r at the final iterate and needs each model's
-    L = |A^H A|.^2, which is not formed above ``DENSE_ENTRY_CAP``; IC-SIGA
-    is mean-only and runs at any size.
-    """
-    if kind not in DEFAULT_ALPHA:
-        raise DomainError(f"unknown estimator kind {kind!r}")
-    if alpha is None:
-        alpha = DEFAULT_ALPHA[kind]
-    if not (0 < alpha <= 1):
-        raise DomainError("alpha must lie in (0, 1]")
-    config = {"algorithm": kind, "alpha": alpha, "t_max": t_max, "tol": tol}
-    batch = ModelBatch(models)
-    zeros = np.zeros((len(batch.models), batch.width), dtype=np.complex128)
-    if kind == "ic_siga":
-        # the iterate is the mean itself
-        return iterate(batch, lambda b, mu, gram_mu: _siga_update(b, mu, gram_mu, alpha),
-                       lambda mu: mu, zeros, t_max, tol, config=config,
-                       variances=lambda mu: None)
-
+def _ic_iga_start(batch, alpha: float):
     def step(b, point, gram_mu):
         beliefs = _beliefs(b, point.state, gram_mu)
         return _IcPoint(_ic_iga_update(point.state, beliefs, alpha), beliefs[1])
 
-    return iterate(batch, step, lambda point: point.state.mu,
-                   _IcPoint(IcState(zeros, np.ones(zeros.shape)), None), t_max, tol,
-                   config=config,
+    shape = (len(batch.models), batch.width)
+    return _IcPoint(IcState(np.zeros(shape, dtype=np.complex128), np.ones(shape)), None), step
+
+
+def _ic_siga_start(batch, alpha: float):
+    # the iterate is the mean itself
+    return (np.zeros((len(batch.models), batch.width), dtype=np.complex128),
+            lambda b, mu, gram_mu: _siga_update(b, mu, gram_mu, alpha))
+
+
+# IC-IGA reports the variances 1/r of its last step and needs each model's
+# L = |A^H A|.^2, which is not formed above DENSE_ENTRY_CAP; IC-SIGA is
+# mean-only and runs at any size
+IC_IGA = Iterative("ic_iga", 0.45, _ic_iga_start, mean=lambda point: point.state.mu,
                    variances=lambda point: None if point.r is None else 1.0 / point.r)
+IC_SIGA = Iterative("ic_siga", 0.25, _ic_siga_start, mean=lambda mu: mu,
+                    variances=lambda mu: None)
+
+
+def run_estimator(kind: str, model: MeasurementModel, alpha: float | None = None,
+                  t_max: int = 100, tol: float = 1e-8) -> EstimateReport:
+    """Run IC-IGA (``kind`` "ic_iga") or IC-SIGA ("ic_siga") on one model
+    to (approximate) equilibrium, raising :class:`DivergenceError` (with the
+    residual trace) when the run diverges: :func:`igachan.report.run` on the
+    batch of one."""
+    estimator = {"ic_iga": IC_IGA, "ic_siga": IC_SIGA}.get(kind)
+    if estimator is None:
+        raise DomainError(f"unknown estimator kind {kind!r}")
+    return single(run(estimator, [model], alpha, t_max, tol))

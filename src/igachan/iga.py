@@ -37,10 +37,12 @@ so :func:`run_iga` runs the whole iteration from A^H A and A^H y in
 O(N^2) per step (see :func:`_gram_stepper`): no A is formed and no (Q, N)
 array.  A Gaussian A keeps the O(Q N) rank-1 step.
 
-:func:`run_iga` takes the :class:`MeasurementModel`, as the IC estimators
-do, and :func:`run_iga_batch` a list of them, whose Gram-domain runs step
-in lockstep.  The split's (N, N) precision is never formed to measure a
-run: the driver takes every residual from the model's one A^H A.
+:data:`IGA` describes that Gram-domain iteration as an
+:class:`igachan.report.Iterative` record, which :func:`igachan.report.run`
+drives on a list of models in lockstep.  :func:`run_iga` takes one
+:class:`MeasurementModel`, as :func:`igachan.ic.run_estimator` does.  The
+split's (N, N) precision is never formed to measure a run: the driver takes
+every residual from the model's one A^H A.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError
 from .estimators import MeasurementModel, ModelBatch
-from .report import EstimateReport, iterate, rows_at_fault, single
+from .report import EstimateReport, Iterative, rows_at_fault, run, single
 
 __all__ = [
+    "IGA",
     "SplitScheme",
     "AuxiliaryState",
     "build_rank1_split",
@@ -62,10 +65,7 @@ __all__ = [
     "project_all",
     "update_points",
     "run_iga",
-    "run_iga_batch",
 ]
-
-DEFAULT_ALPHA = 0.05
 
 
 @dataclass(frozen=True)
@@ -266,10 +266,10 @@ class _GramPoint(NamedTuple):
     gt_psi: np.ndarray  # (B, N, N + 1) complex: G^T Psi
 
 
-def _gram_stepper(batch: ModelBatch, abs2_rows, alpha: float):
+def _gram_stepper(batch: ModelBatch, alpha: float):
     """(start, step): the damped project/update iteration of the rank-1 split
     of every model of ``batch``, on its shared (1, N) precision row
-    ``abs2_rows[b]`` = |g_q|^2, run from A^H A and A^H y alone.
+    |g_q|^2 (:func:`_shared_row`), run from A^H A and A^H y alone.
 
     With w, denom and R = r_over_denom * denom of :func:`project_all`
     shared by every point, and b_q = beta_q g_q, the mean belief is
@@ -301,7 +301,11 @@ def _gram_stepper(batch: ModelBatch, abs2_rows, alpha: float):
     abs2 = np.zeros((rows, width))
     # G^T Psi: the one product of the factors with the span
     gt_psi = np.zeros((rows, width, width + 1), dtype=np.complex128)
-    for b, (model, row, n) in enumerate(zip(batch.models, abs2_rows, batch.sizes)):
+    for b, (model, n) in enumerate(zip(batch.models, batch.sizes)):
+        row = _shared_row(model)
+        if row is None:
+            raise DomainError("IGA's Gram-domain step needs one shared precision row; "
+                              "run_iga runs a dense A whose |A|^2 rows differ")
         abs2[b, :n] = row[0]
         gt_psi[b, :n, 0] = model.ahy
         gt_psi[b, :n, 1:n + 1] = model.gram()
@@ -346,78 +350,52 @@ def _gram_stepper(batch: ModelBatch, abs2_rows, alpha: float):
     return start, step
 
 
+def _shared_row(model: MeasurementModel):
+    """The (1, N) precision row |g_q|^2 shared by every point of the model's
+    rank-1 split, or None for a dense A whose |A|^2 rows differ.  An
+    operator's entries are read as unit modulus, as a
+    :class:`igachan.bscm.BscmScenario`'s are, so its row is 1 / sigma2."""
+    if not model._gram_fits():
+        raise DomainError("IGA runs from A^H A, which is not formed above DENSE_ENTRY_CAP")
+    if model.is_dense:
+        abs2 = build_rank1_split(model).abs2
+        return abs2 if abs2.shape[0] == 1 else None
+    if not np.allclose(model.gram_diag, model.m, rtol=1e-12, atol=0.0):
+        raise DomainError("IGA on an operator needs unit-modulus entries (diag(A^H A) = M)")
+    return np.full((1, model.n), 1.0 / model.sigma2)
+
+
+# the target mean is mu_0 = lambda_0 / (Lambda_0 + lambda_c) and the reported
+# variances are 1 / (Lambda_0 + lambda_c)
+IGA = Iterative("iga", 0.05, _gram_stepper,
+                mean=lambda point: point.lam0 / (point.Lam0 + point.lc),
+                variances=lambda point: 1.0 / (point.Lam0 + point.lc))
+
+
 def run_iga(model: MeasurementModel, alpha: float | None = None, t_max: int = 100,
             tol: float = 1e-8) -> EstimateReport:
-    """Run IGA on one model: :func:`run_iga_batch` on the batch of one,
-    raising :class:`DivergenceError` (with the residual trace) when the run
-    diverges."""
-    return single(run_iga_batch([model], alpha=alpha, t_max=t_max, tol=tol))
+    """Iterate project/update on the model's rank-1 split until the target
+    mean settles: :func:`igachan.report.run` on the batch of one, raising
+    :class:`DivergenceError` (with the residual trace) when it diverges.
+    A dense A whose |A|^2 rows differ runs the reference steps on (Q, N)
+    precisions, any other model :data:`IGA`; above
+    ``bscm.DENSE_ENTRY_CAP`` on N^2 it raises :class:`DomainError`."""
+    shared = _shared_row(model) is not None
+    estimator = IGA if shared else _split_reference(build_rank1_split(model))
+    return single(run(estimator, [model], alpha, t_max, tol))
 
 
-def run_iga_batch(models, alpha: float | None = None, t_max: int = 100,
-                  tol: float = 1e-8) -> list:
-    """Iterate project/update on each model's rank-1 split until the target
-    mean settles; returns one report per model, in order.
-
-    Models with a shared precision row run in lockstep, in the Gram-domain
-    step of :func:`_gram_stepper`, from ``model.gram()`` and ``model.ahy``.
-    An operator's entries are read as unit modulus, as every
-    :class:`igachan.bscm.BscmScenario`'s are by construction, so its row is
-    1 / sigma2 and no A is formed; a dense A shares the row of its
-    :func:`build_rank1_split`, or else runs alone through
-    :func:`project_all` and :func:`update_points` on (Q, N) precisions.
-    Above ``bscm.DENSE_ENTRY_CAP`` on N^2 it raises :class:`DomainError`.
-    The target mean is mu_0 = lambda_0 / (Lambda_0 + lambda_c) and the
-    reported variances are 1 / (Lambda_0 + lambda_c).  ``alpha`` defaults to
-    ``DEFAULT_ALPHA``.  The residual, stop and divergence rules are those of
-    :func:`igachan.report.iterate`, which measures every iterate through
-    the model's Gram apply; the steps never read that product.  A diverged
-    run is reported with ``stop == "diverged"`` and leaves the others
-    unchanged; every report equals that of the model's run alone.
-    """
-    if alpha is None:
-        alpha = DEFAULT_ALPHA
-    if not (0 < alpha <= 1):
-        raise DomainError("alpha must lie in (0, 1]")
-    config = {"algorithm": "iga", "alpha": alpha, "t_max": t_max, "tol": tol}
-    reports = [None] * len(models)
-    shared = []  # (index, shared precision row)
-    for i, model in enumerate(models):
-        if not model._gram_fits():
-            raise DomainError("IGA runs from A^H A, which is not formed above DENSE_ENTRY_CAP")
-        if not model.is_dense:
-            if not np.allclose(model.gram_diag, model.m, rtol=1e-12, atol=0.0):
-                raise DomainError("IGA on an operator needs unit-modulus entries "
-                                  "(diag(A^H A) = M)")
-            shared.append((i, np.full((1, model.n), 1.0 / model.sigma2)))
-            continue
-        scheme = build_rank1_split(model)
-        if scheme.abs2.shape[0] == 1:
-            shared.append((i, scheme.abs2))
-        else:
-            reports[i] = _run_split(model, scheme, alpha, t_max, tol, config)
-    if shared:
-        batch = ModelBatch([models[i] for i, _ in shared])
-        start, step = _gram_stepper(batch, [row for _, row in shared], alpha)
-        runs = iterate(batch, step, lambda point: point.lam0 / (point.Lam0 + point.lc), start,
-                       t_max, tol, config=config,
-                       variances=lambda point: 1.0 / (point.Lam0 + point.lc))
-        for (i, _), rep in zip(shared, runs):
-            reports[i] = rep
-    return reports
-
-
-def _run_split(model: MeasurementModel, scheme: SplitScheme, alpha: float, t_max: int,
-               tol: float, config: dict) -> EstimateReport:
-    """The run of one model on (Q, N) precisions: the reference steps."""
+def _split_reference(scheme: SplitScheme) -> Iterative:
+    """IGA on one model's (Q, N) precisions: the reference steps."""
     lc = scheme.lambda_c
 
-    def step(_batch, state, _gram_mu):
-        xi, Xi = project_all(scheme, state)
-        return update_points(state, xi, Xi, alpha, lambda_c=lc)
+    def start(_batch, alpha):
+        def step(_b, state, _gram_mu):
+            xi, Xi = project_all(scheme, state)
+            return update_points(state, xi, Xi, alpha, lambda_c=lc)
 
-    (rep,) = iterate(ModelBatch([model]), step,
-                     lambda state: (state.lam0 / (state.Lam0 + lc))[None],
-                     initial_state(scheme), t_max, tol, config=config,
+        return initial_state(scheme), step
+
+    return Iterative(IGA.name, IGA.alpha, start,
+                     mean=lambda state: (state.lam0 / (state.Lam0 + lc))[None],
                      variances=lambda state: (1.0 / (state.Lam0 + lc))[None])
-    return rep

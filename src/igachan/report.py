@@ -1,17 +1,19 @@
-"""Per-run result record shared by all estimators, and the iteration driver
-behind every iterative one."""
+"""Per-run result record shared by all estimators, the record that describes
+an iterative estimator, and the one driver that runs every such record."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .errors import DivergenceError, DomainError
+from .estimators import ModelBatch
 
 # ``iterate`` stays out of __all__: outside-in tracers time the public names,
-# and the driver's loop belongs to the estimator that runs it
-__all__ = ["EstimateReport"]
+# and the driver's loop belongs to the run that calls it
+__all__ = ["EstimateReport", "Iterative", "run"]
 
 # a residual this many times above its running minimum marks a diverging run
 DIVERGENCE_FACTOR = 1e6
@@ -71,6 +73,36 @@ class EstimateReport:
         if self.divergence is not None:
             out["divergence"] = self.divergence
         return out
+
+
+@dataclass(frozen=True)
+class Iterative:
+    """An iterative estimator: its name, its default damping ``alpha``, and
+    ``start(batch, alpha) -> (point, step)``, the zero-padded starting point
+    of a :class:`ModelBatch` and its step (see :func:`iterate`), whose
+    (B, width) mean and variances (or None) ``mean`` and ``variances`` read.
+    """
+
+    name: str
+    alpha: float
+    start: Callable
+    mean: Callable
+    variances: Callable
+
+
+def run(estimator: Iterative, models, alpha: float | None = None, t_max: int = 100,
+        tol: float = 1e-8) -> list:
+    """:func:`iterate` ``estimator`` on every model, at damping ``alpha``
+    (None: the estimator's own); one report per model, in order."""
+    if alpha is None:
+        alpha = estimator.alpha
+    if not (0 < alpha <= 1):
+        raise DomainError("alpha must lie in (0, 1]")
+    config = {"algorithm": estimator.name, "alpha": alpha, "t_max": t_max, "tol": tol}
+    batch = ModelBatch(models)
+    point, step = estimator.start(batch, alpha)
+    return iterate(batch, step, estimator.mean, point, t_max, tol, config,
+                   estimator.variances)
 
 
 def single(reports) -> EstimateReport:

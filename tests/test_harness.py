@@ -1,10 +1,11 @@
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
 from igachan.bscm import BscmScenario, ScenarioConfig, build_steering, geometry_from_config
-from igachan.errors import ConfigError, DomainError
+from igachan.errors import ConfigError, DivergenceError, DomainError
 from igachan.estimators import MeasurementModel
 from igachan.harness import (
     ALGORITHMS,
@@ -18,12 +19,14 @@ from igachan.harness import (
     build_trial,
     nmse,
     reconstruct_G,
+    run_algorithm,
     run_benchmark,
     sigma2_of_snr,
     validate_suite,
     write_benchmark_csv,
 )
 from igachan.iga import SplitScheme
+from igachan.report import Iterative
 from igachan.scenario import (
     build_prior,
     extraction_from_powers,
@@ -161,14 +164,15 @@ class TestBenchmark:
         # a diverged trial lowers converged_fraction and scores the zero
         # estimate instead of aborting the sweep
         from igachan import harness as h
-        from igachan.report import EstimateReport
 
-        def explode(kind, models, **kwargs):
-            return [EstimateReport(mu=np.ones(model.n, dtype=complex), variances=None,
-                                   residual_trace=[1.0], stop="diverged", divergence="forced")
-                    for model in models]
+        def explode(batch, alpha):
+            def step(b, point, gram_mu):
+                raise DivergenceError("forced")
 
-        monkeypatch.setattr(h._ic, "run_estimator_batch", explode)
+            return np.ones((len(batch.models), batch.width), dtype=complex), step
+
+        monkeypatch.setitem(h.ESTIMATORS, "ic_siga",
+                            dataclasses.replace(h.ESTIMATORS["ic_siga"], start=explode))
         spec = BenchmarkSpec(snr_list_db=(0.0,), algorithms=("mmse", "ic_siga"),
                              n_sam=2, scenario=small_spec.scenario, seed=5)
         rows = run_benchmark(spec)
@@ -263,9 +267,21 @@ def test_one_residual_for_every_estimator(desk_config, desk_geometry):
     # the driver and the direct solves all measure through the model
     trial = build_trial(desk_geometry, desk_config, desk_config.seed, 10.0, stream=(0, 0))
     model = trial.model
-    for name, run in ESTIMATORS.items():
-        (rep,) = run([trial], None, 50, 1e-8)
+    for name in ESTIMATORS:
+        (rep,) = run_algorithm(name, [model], None, 50, 1e-8)
         assert rep.residual_trace[-1] == model.residual(rep.mu, model.gram_apply(rep.mu)), name
+
+
+@pytest.mark.parametrize("name", [name for name, estimator in ESTIMATORS.items()
+                                  if isinstance(estimator, Iterative)])
+def test_every_record_resolves_and_checks_its_damping(desk_config, desk_geometry, name):
+    model = build_trial(desk_geometry, desk_config, desk_config.seed, 10.0, stream=(0, 0)).model
+    (rep,) = run_algorithm(name, [model], None, 3, 1e-8)
+    assert rep.config == {"algorithm": name, "alpha": ESTIMATORS[name].alpha, "t_max": 3,
+                          "tol": 1e-8}
+    for alpha in (0.0, 1.5, float("nan")):
+        with pytest.raises(DomainError, match="alpha"):
+            run_algorithm(name, [model], alpha, 3, 1e-8)
 
 
 @pytest.mark.parametrize("algorithms, builds", [
@@ -298,7 +314,7 @@ def test_iga_assembles_no_dense_A(small_spec, monkeypatch):
                             lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
     cfg = small_spec.scenario
     trial = build_trial(geometry_from_config(cfg), cfg, cfg.seed, 10.0, stream=(0, 0))
-    (rep,) = ESTIMATORS["iga"]([trial], 0.05, 2, 1e-8)
+    (rep,) = run_algorithm("iga", [trial.model], 0.05, 2, 1e-8)
     assert rep.iterations == 2
     assert calls == []
 
@@ -353,7 +369,7 @@ def test_statistic_draw_matches_y_domain_nmse(desk_config, desk_geometry, snr_db
         vals = []
         for t in range(trials):
             trial = build(desk_geometry, desk_config, seed, snr_db, stream=(0, t))
-            (rep,) = ESTIMATORS["mmse"]([trial], None, 0, 0.0)
+            (rep,) = run_algorithm("mmse", [trial.model], None, 0, 0.0)
             vals.append(np.mean(trial.score(rep.mu)))
         return np.mean(vals), np.var(vals, ddof=1) / trials
 
@@ -369,13 +385,17 @@ def test_residual_does_not_overflow_at_extreme_snr(snr_db):
     cfg = ScenarioConfig(M_z=2, M_x=2, F_z=2, F_x=2, N_c=64, delta_f_hz=30e3,
                          M_p=8, M_g=8, F_p=2, K=4, P=2, seed=9)
     trial = build_trial(geometry_from_config(cfg), cfg, cfg.seed, snr_db, stream=(0, 0))
-    (rep,) = ESTIMATORS["mmse"]([trial], None, 0, 0.0)
+    (rep,) = run_algorithm("mmse", [trial.model], None, 0, 0.0)
     assert np.isfinite(rep.residual_trace[0]) and rep.residual_trace[0] <= 1e-10
-    # at the start the mean is zero; no step is taken, since IC-IGA's
-    # sigma2^2 underflows at 2000 dB
+    # at the start the mean is zero
     for alg in ("iga", "ic_iga", "ic_siga"):
-        (rep,) = ESTIMATORS[alg]([trial], None, 0, 1e-8)
+        (rep,) = run_algorithm(alg, [trial.model], None, 0, 1e-8)
         assert rep.residual_trace == [1.0], alg
+    # IC-IGA's sigma2^2 is below the smallest normal float at both SNRs, and
+    # 0 at 2000 dB: its steps apply it as a mantissa and a power of two
+    (rep,) = run_algorithm("ic_iga", [trial.model], None, 100, 1e-8)
+    assert rep.iterations > 0 and np.isfinite(rep.residual_trace).all()
+    assert rep.residual_trace[-1] < rep.residual_trace[0] and np.isfinite(rep.variances).all()
 
 
 class TestValidateSuite:

@@ -10,9 +10,9 @@ from igachan.estimators import MeasurementModel, ModelBatch, mmse_estimate
 from igachan.gaussian import GaussianNatural, m_project_to_diag
 from igachan.harness import _rand_model, _rand_y, build_trial
 from igachan.iga import (
+    IGA,
     AuxiliaryState,
     SplitScheme,
-    _gram_stepper,
     build_rank1_split,
     initial_state,
     project_all,
@@ -239,9 +239,10 @@ class TestGramStep:
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_matches_project_and_update(self, request, rng, case, alpha):
         # the same states as the reference pair, step by step, with every
-        # lambda_q rebuilt as u + g_q * (Psi_q X).  Fed the scheme's abs2
-        # row, the precisions take the same arithmetic, so they agree
-        # exactly; the operator's row is 1 / sigma2, the dense row to round-off
+        # lambda_q rebuilt as u + g_q * (Psi_q X).  A dense model's step reads
+        # the scheme's abs2 row, so the precisions take the same arithmetic
+        # and agree exactly; the operator's row is 1 / sigma2, the dense row
+        # to round-off
         if case == "unit_modulus":
             model = dense = unit_modulus_model(rng, 12, 8)
         else:
@@ -250,9 +251,8 @@ class TestGramStep:
         scheme = build_rank1_split(dense)
         assert scheme.abs2.shape == (1, scheme.dim)
         exact = model.is_dense
-        abs2 = scheme.abs2 if exact else np.full_like(scheme.abs2, 1.0 / model.sigma2)
         batch = ModelBatch([model])
-        point, step = _gram_stepper(batch, [abs2], alpha)
+        point, step = IGA.start(batch, alpha)
         psi = np.column_stack([scheme.beta, scheme.factors.conj()])
         ref = initial_state(scheme)
         for _ in range(5):

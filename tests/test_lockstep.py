@@ -7,17 +7,13 @@ import numpy as np
 import pytest
 
 from igachan.errors import DivergenceError
-from igachan.harness import build_trial
-from igachan.ic import run_estimator, run_estimator_batch
-from igachan.iga import run_iga_batch
+from igachan.harness import ESTIMATORS, build_trial
+from igachan.ic import IC_IGA, IC_SIGA, run_estimator
+from igachan.report import Iterative, run
 
 # trial seed of the desk scenario whose extractions differ in size (n 20-24)
 SEED = 7
-RUNS = {
-    "iga": run_iga_batch,
-    "ic_iga": functools.partial(run_estimator_batch, "ic_iga"),
-    "ic_siga": functools.partial(run_estimator_batch, "ic_siga"),
-}
+ITERATIVE = [estimator for estimator in ESTIMATORS.values() if isinstance(estimator, Iterative)]
 
 
 @pytest.fixture(scope="module")
@@ -40,17 +36,17 @@ def assert_same_run(rep, ref):
     assert rep.divergence == ref.divergence
 
 
-@pytest.mark.parametrize("alg, alpha", [
-    ("iga", 0.5), ("iga", 1.0), ("ic_iga", None), ("ic_siga", None), ("ic_siga", 1.0),
-])
-def test_lockstep_equals_single_runs(desk_models, alg, alpha):
+@pytest.mark.parametrize("alpha", [None, 0.5, 1.0])
+@pytest.mark.parametrize("estimator", ITERATIVE, ids=lambda estimator: estimator.name)
+def test_lockstep_equals_single_runs(desk_models, estimator, alpha):
     # rows stop at different steps, converged, at t_max or diverged, so the
-    # batch is compressed several times while the others run on
-    run = functools.partial(RUNS[alg], alpha=alpha, t_max=300, tol=1e-10)
-    reports = run(desk_models)
+    # batch is compressed several times while the others run on; the cap
+    # lets IGA's slow default damping converge on some rows
+    run_all = functools.partial(run, estimator, alpha=alpha, t_max=2000, tol=1e-10)
+    reports = run_all(desk_models)
     assert len({rep.iterations for rep in reports}) >= 3
     for model, rep in zip(desk_models, reports):
-        (ref,) = run([model])
+        (ref,) = run_all([model])
         assert rep.mu.shape == (model.n,)
         assert_same_run(rep, ref)
 
@@ -61,8 +57,8 @@ def test_a_diverging_step_leaves_the_other_rows_unchanged(desk_models):
     broken = dataclasses.replace(desk_models[1])
     object.__setattr__(broken, "gram_abs2", -np.ones((broken.n, broken.n)))
     models = [desk_models[0], broken, *desk_models[2:]]
-    run = functools.partial(run_estimator_batch, "ic_iga", t_max=300, tol=1e-10)
-    reports = run(models)
+    run_all = functools.partial(run, IC_IGA, t_max=300, tol=1e-10)
+    reports = run_all(models)
     rep = reports[1]
     assert (rep.stop, rep.converged, rep.iterations) == ("diverged", False, 0)
     assert "1 + e_n <= 0" in rep.divergence
@@ -70,7 +66,7 @@ def test_a_diverging_step_leaves_the_other_rows_unchanged(desk_models):
     for model, rep in zip(models, reports):
         if model is not broken:
             assert rep.stop != "diverged"
-            assert_same_run(rep, run([model])[0])
+            assert_same_run(rep, run_all([model])[0])
     # alone, the run raises with the same message and trace
     with pytest.raises(DivergenceError, match=r"1 \+ e_n <= 0") as info:
         run_estimator("ic_iga", broken, t_max=300, tol=1e-10)
@@ -78,13 +74,13 @@ def test_a_diverging_step_leaves_the_other_rows_unchanged(desk_models):
 
 
 def test_stop_reasons_are_reported(desk_models):
-    reports = run_estimator_batch("ic_siga", desk_models, alpha=1.0, t_max=300, tol=1e-10)
+    reports = run(IC_SIGA, desk_models, alpha=1.0, t_max=300, tol=1e-10)
     stops = {rep.stop for rep in reports}
     assert stops == {"converged", "diverged"}
     for rep in reports:
         assert rep.converged == (rep.stop == "converged")
         assert (rep.divergence is not None) == (rep.stop == "diverged")
         assert rep.to_dict()["stop"] == rep.stop
-    short = run_estimator_batch("ic_siga", desk_models, t_max=3)
+    short = run(IC_SIGA, desk_models, t_max=3)
     assert {rep.stop for rep in short} == {"t_max"}
     assert all(rep.iterations == 3 for rep in short)
