@@ -11,8 +11,8 @@ beam-domain A, all pieces share one precision row.
 
 import numpy as np
 
-from igachan import MeasurementModel, mmse_estimate
-from igachan.iga import build_rank1_split, initial_state, project_all, run_iga, update_points
+from igachan import MeasurementModel, mmse_estimate, run_algorithm
+from igachan.iga import build_rank1_split, initial_state, project_all, update_points
 
 rng = np.random.default_rng(2)
 
@@ -42,10 +42,11 @@ for it in range(1, 6):
     res = model.residual(mu, model.gram_apply(mu))
     print(f"  {it:3d}   {state.e_condition_residual():.3e}     {res:.3e}")
 
-# the packaged runner splits the model itself; the usual conservative damping
-report = run_iga(model, alpha=0.05, t_max=5000, tol=1e-10)
+# the registry's "iga" splits the model itself: a Gaussian A runs these same
+# steps, a unit-modulus A the Gram-domain ones; the usual conservative damping
+(report,) = run_algorithm("iga", [model], alpha=0.05, t_max=5000, tol=1e-10)
 err = np.linalg.norm(report.mu - mu_mmse) / np.linalg.norm(mu_mmse)
-print(f"\nrun_iga: {report.iterations} iterations, converged={report.converged}")
+print(f"\niga: {report.iterations} iterations, stop={report.stop}")
 print(f"distance to the MMSE mean: {err:.2e}")
 print("residual trace (every 200th):",
       [f"{r:.1e}" for r in report.residual_trace[::200]])

@@ -8,13 +8,8 @@ equations.  Both share their fixed point with the exact MMSE mean.
 
 import numpy as np
 
-from igachan import MeasurementModel, mmse_estimate
-from igachan.ic import (
-    IcState,
-    ic_beliefs,
-    mproj_belief_oracle,
-    run_estimator,
-)
+from igachan import MeasurementModel, mmse_estimate, run_algorithm
+from igachan.ic import IcState, ic_beliefs, mproj_belief_oracle
 
 rng = np.random.default_rng(3)
 
@@ -40,11 +35,11 @@ print("belief support (nonzero entries of xi_0):", int(np.sum(np.abs(xi) > 1e-12
 print("interference energies e_n are nonnegative:", bool(np.all(e >= 0)))
 
 for kind, alpha in (("ic_iga", 0.45), ("ic_siga", 0.25)):
-    rep = run_estimator(kind, model, alpha=alpha, t_max=2000, tol=1e-10)
+    (rep,) = run_algorithm(kind, [model], alpha=alpha, t_max=2000, tol=1e-10)
     err = np.linalg.norm(rep.mu - mu_mmse) / np.linalg.norm(mu_mmse)
     extras = "" if rep.variances is None else \
         f", posterior variances in [{rep.variances.min():.3f}, {rep.variances.max():.3f}]"
     print(f"\n{kind}: {rep.iterations} iterations (alpha={alpha}), "
-          f"converged={rep.converged}")
+          f"stop={rep.stop}")
     print(f"  distance to MMSE mean {err:.2e}, final residual "
           f"{rep.residual_trace[-1]:.2e}{extras}")

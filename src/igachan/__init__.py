@@ -30,7 +30,6 @@ from .iga import (
     SplitScheme,
     build_rank1_split,
     project_all,
-    run_iga,
     update_points,
 )
 from .ic import (
@@ -40,7 +39,6 @@ from .ic import (
     ic_siga_step,
     initial_ic_state,
     mproj_belief_oracle,
-    run_estimator,
 )
 from .bscm import (
     ArrayConfig,
@@ -74,6 +72,7 @@ from .harness import (
     BenchmarkSpec,
     nmse,
     reconstruct_G,
+    run_algorithm,
     run_benchmark,
     validate_suite,
     write_benchmark_csv,

@@ -18,7 +18,6 @@ from . import harness, scenario
 from .blas import one_blas_thread
 from .bscm import ScenarioConfig, geometry_from_config, load_scenario_config
 from .errors import ConfigError, DivergenceError, DomainError
-from .report import single
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILURE = 1
@@ -91,9 +90,10 @@ def _cmd_estimate(args) -> int:
         trial = harness.build_trial(geometry_from_config(cfg), cfg, cfg.seed, snr_db,
                                     stream=(0, 0))
         t0 = time.perf_counter()
-        reports = harness.run_algorithm(alg, [trial.model], spec.alpha, spec.t_max, spec.tol)
+        (rep,) = harness.run_algorithm(alg, [trial.model], spec.alpha, spec.t_max, spec.tol)
         wall_time = time.perf_counter() - t0
-    rep = single(reports)
+    if rep.stop == "diverged":
+        raise DivergenceError(rep.divergence)
     trial_nmse = float(np.mean(trial.score(rep.mu)))
 
     summary = {

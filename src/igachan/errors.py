@@ -12,11 +12,10 @@ class ConfigError(ValueError):
 class DivergenceError(RuntimeError):
     """An iterative estimator diverged.
 
-    Carries the residual trace observed so far in ``trace``.  A step of a
-    batch of runs names the batch rows at fault in ``rows`` (None or empty: every row).
+    A step of a batch of runs names the batch rows at fault in ``rows``
+    (None or empty: every row); the driver reports those runs as diverged.
     """
 
-    def __init__(self, message, trace=None, rows=None):
+    def __init__(self, message, rows=None):
         super().__init__(message)
-        self.trace = list(trace) if trace is not None else []
         self.rows = rows

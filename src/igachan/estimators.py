@@ -295,9 +295,11 @@ class ModelBatch:
         np.divide(gram_mu, sigma2, out=diff)
         diff += mu / d
         diff -= theta
-        # np.linalg.norm of a complex vector, without its argument handling
-        return [math.sqrt(re.dot(re) + im.dot(im)) / norm
-                for (re, im), norm in zip(views, norms)]
+        # np.linalg.norm of a complex vector, without its argument handling;
+        # a blown-up row's norm reads inf, which the driver's rule reports
+        with np.errstate(over="ignore"):
+            return [math.sqrt(re.dot(re) + im.dot(im)) / norm
+                    for (re, im), norm in zip(views, norms)]
 
 
 @dataclass(frozen=True)

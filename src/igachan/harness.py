@@ -208,11 +208,14 @@ ALGORITHMS = tuple(ESTIMATORS)
 
 def run_algorithm(name: str, models, alpha: float | None = None, t_max: int = 100,
                   tol: float = 1e-8) -> list:
-    """One report per model from the registry's estimator ``name``; a
-    diverged run is a report with stop "diverged", never a raise.  An
-    iterative estimator runs the models in lockstep; a direct solve ignores
-    ``alpha``, ``t_max`` and ``tol`` and reports its mean's residual."""
-    estimator = ESTIMATORS[name]
+    """One report per model from the registry's estimator ``name``: the one
+    way to run an estimator by name.  A diverged run is a report with stop
+    "diverged", never a raise.  An iterative estimator runs the models in
+    lockstep; a direct solve ignores ``alpha``, ``t_max`` and ``tol`` and
+    reports its mean's residual."""
+    estimator = ESTIMATORS.get(name)
+    if estimator is None:
+        raise DomainError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
     if isinstance(estimator, Iterative):
         return run(estimator, models, alpha, t_max, tol)
     reports = []
@@ -460,7 +463,7 @@ def _check_ic_equilibria():
     msgs = []
     ok = True
     for kind in ("ic_iga", "ic_siga"):
-        rep = _ic.run_estimator(kind, model, t_max=2000, tol=1e-12)
+        (rep,) = run_algorithm(kind, [model], None, 2000, 1e-12)
         err = float(np.linalg.norm(rep.mu - mu_m) / np.linalg.norm(mu_m))
         res = rep.residual_trace[-1]
         ok = ok and err <= 1e-6 and res <= 1e-8
@@ -489,7 +492,7 @@ def _check_iga_framework():
     ok = True
     for label, model in cases:
         mu_m, _ = mmse_estimate(model)
-        rep = _iga.run_iga(model, alpha=0.05, t_max=5000, tol=1e-11)
+        (rep,) = run_algorithm("iga", [model], 0.05, 5000, 1e-11)
         scheme = _iga.build_rank1_split(model)
         err = float(np.linalg.norm(rep.mu - mu_m) / np.linalg.norm(mu_m))
         # rank-1 fast projection against the dense gaussian-module path,

@@ -20,7 +20,8 @@ A^H y, the Gram apply, diag(A^H A), c and L from it; the private kernels
 take a model or a :class:`ModelBatch` alike, whose padded (B, N) rows they
 update in one pass.  :data:`IC_IGA` and :data:`IC_SIGA` describe the two
 recursions as :class:`igachan.report.Iterative` records, which
-:func:`igachan.report.run` drives on a list of models in lockstep.
+:func:`igachan.harness.run_algorithm` runs by the names "ic_iga" and
+"ic_siga" on a list of models in lockstep.
 
 A dense-inversion oracle (:func:`mproj_belief_oracle`) rebuilds the
 per-coordinate auxiliary Gaussian literally, m-projects it through
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import DivergenceError, DomainError
 from .estimators import MeasurementModel
 from .gaussian import GaussianNatural, m_project_to_diag
-from .report import EstimateReport, Iterative, rows_at_fault, run, single
+from .report import Iterative, rows_at_fault
 
 __all__ = [
     "IC_IGA",
@@ -49,7 +50,6 @@ __all__ = [
     "ic_iga_step",
     "ic_siga_step",
     "mproj_belief_oracle",
-    "run_estimator",
 ]
 
 
@@ -211,14 +211,3 @@ IC_IGA = Iterative("ic_iga", 0.45, _ic_iga_start, mean=lambda point: point.state
 IC_SIGA = Iterative("ic_siga", 0.25, _ic_siga_start, mean=lambda mu: mu,
                     variances=lambda mu: None)
 
-
-def run_estimator(kind: str, model: MeasurementModel, alpha: float | None = None,
-                  t_max: int = 100, tol: float = 1e-8) -> EstimateReport:
-    """Run IC-IGA (``kind`` "ic_iga") or IC-SIGA ("ic_siga") on one model
-    to (approximate) equilibrium, raising :class:`DivergenceError` (with the
-    residual trace) when the run diverges: :func:`igachan.report.run` on the
-    batch of one."""
-    estimator = {"ic_iga": IC_IGA, "ic_siga": IC_SIGA}.get(kind)
-    if estimator is None:
-        raise DomainError(f"unknown estimator kind {kind!r}")
-    return single(run(estimator, [model], alpha, t_max, tol))

@@ -33,16 +33,16 @@ one shared (1, N) row; otherwise they are a full (Q, N) array.
 :func:`project_all` and :func:`update_points` run both shapes and are the
 reference.  On the shared row every lambda_q stays in the span of the
 N + 1 columns of Psi = [beta, conj(G)], G the (Q, N) matrix of rows g_q,
-so :func:`run_iga` runs the whole iteration from A^H A and A^H y in
-O(N^2) per step (see :func:`_gram_stepper`): no A is formed and no (Q, N)
-array.  A Gaussian A keeps the O(Q N) rank-1 step.
+so the whole iteration runs from A^H A and A^H y in O(N^2) per step (see
+:func:`_gram_stepper`): no A is formed and no (Q, N) array.
 
-:data:`IGA` describes that Gram-domain iteration as an
-:class:`igachan.report.Iterative` record, which :func:`igachan.report.run`
-drives on a list of models in lockstep.  :func:`run_iga` takes one
-:class:`MeasurementModel`, as :func:`igachan.ic.run_estimator` does.  The
-split's (N, N) precision is never formed to measure a run: the driver takes
-every residual from the model's one A^H A.
+:data:`IGA` describes the iteration as an :class:`igachan.report.Iterative`
+record, which :func:`igachan.harness.run_algorithm` runs by the name "iga".
+Its start takes the Gram-domain step when every model of the batch has a
+shared precision row, and the reference steps on a lone dense model whose
+|A|^2 rows differ (a Gaussian A), in O(Q N) per step.  The split's (N, N)
+precision is never formed to measure a run: the driver takes every residual
+from the model's one A^H A.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError
 from .estimators import MeasurementModel, ModelBatch
-from .report import EstimateReport, Iterative, rows_at_fault, run, single
+from .report import Iterative, rows_at_fault
 
 __all__ = [
     "IGA",
@@ -64,7 +64,6 @@ __all__ = [
     "initial_state",
     "project_all",
     "update_points",
-    "run_iga",
 ]
 
 
@@ -153,9 +152,8 @@ def build_rank1_split(model: MeasurementModel) -> SplitScheme:
     Lambda_c = D^{-1}; the split identities then hold exactly by
     construction.  C_q is kept in factored form g_q = a_q / sigma_z, and
     b_q = beta_q g_q with beta_q = y_q / sigma_z.  An operator model has no
-    rows to split, and a model given only A^H y has no y_q:
-    :func:`run_iga` runs a model with a shared precision row in the Gram
-    domain.
+    rows to split, and a model given only A^H y has no y_q: :data:`IGA`
+    runs a model with a shared precision row in the Gram domain.
     """
     if not model.is_dense or model.y is None:
         raise DomainError("the rank-1 split needs a dense A and y")
@@ -266,10 +264,11 @@ class _GramPoint(NamedTuple):
     gt_psi: np.ndarray  # (B, N, N + 1) complex: G^T Psi
 
 
-def _gram_stepper(batch: ModelBatch, alpha: float):
+def _gram_stepper(batch: ModelBatch, alpha: float, shared: list):
     """(start, step): the damped project/update iteration of the rank-1 split
     of every model of ``batch``, on its shared (1, N) precision row
-    |g_q|^2 (:func:`_shared_row`), run from A^H A and A^H y alone.
+    |g_q|^2 in ``shared`` (:func:`_shared_row`), run from A^H A and A^H y
+    alone.
 
     With w, denom and R = r_over_denom * denom of :func:`project_all`
     shared by every point, and b_q = beta_q g_q, the mean belief is
@@ -301,11 +300,7 @@ def _gram_stepper(batch: ModelBatch, alpha: float):
     abs2 = np.zeros((rows, width))
     # G^T Psi: the one product of the factors with the span
     gt_psi = np.zeros((rows, width, width + 1), dtype=np.complex128)
-    for b, (model, n) in enumerate(zip(batch.models, batch.sizes)):
-        row = _shared_row(model)
-        if row is None:
-            raise DomainError("IGA's Gram-domain step needs one shared precision row; "
-                              "run_iga runs a dense A whose |A|^2 rows differ")
+    for b, (model, n, row) in enumerate(zip(batch.models, batch.sizes, shared)):
         abs2[b, :n] = row[0]
         gt_psi[b, :n, 0] = model.ahy
         gt_psi[b, :n, 1:n + 1] = model.gram()
@@ -365,37 +360,44 @@ def _shared_row(model: MeasurementModel):
     return np.full((1, model.n), 1.0 / model.sigma2)
 
 
+class _SplitPoint(NamedTuple):
+    """The reference iterate of one model whose |A|^2 rows differ: its
+    :class:`AuxiliaryState` and lambda_c, read as (1, N) rows as a
+    :class:`_GramPoint` is."""
+
+    state: AuxiliaryState
+    lc: np.ndarray  # (1, N) real
+
+    @property
+    def lam0(self) -> np.ndarray:
+        return self.state.lam0[None]
+
+    @property
+    def Lam0(self) -> np.ndarray:
+        return self.state.Lam0[None]
+
+
+def _iga_start(batch: ModelBatch, alpha: float):
+    """(start, step) of IGA on ``batch``: the Gram-domain step when every
+    model has a shared precision row, else the reference steps on (Q, N)
+    precisions, which run one model at a time."""
+    rows = [_shared_row(model) for model in batch.models]
+    if all(row is not None for row in rows):
+        return _gram_stepper(batch, alpha, rows)
+    if len(rows) > 1:
+        raise DomainError("IGA runs a dense A whose |A|^2 rows differ one model at a time")
+    scheme = build_rank1_split(batch.models[0])
+
+    def step(_b, point: _SplitPoint, _gram_mu) -> _SplitPoint:
+        xi, Xi = project_all(scheme, point.state)
+        return point._replace(state=update_points(point.state, xi, Xi, alpha,
+                                                  lambda_c=scheme.lambda_c))
+
+    return _SplitPoint(initial_state(scheme), scheme.lambda_c[None]), step
+
+
 # the target mean is mu_0 = lambda_0 / (Lambda_0 + lambda_c) and the reported
 # variances are 1 / (Lambda_0 + lambda_c)
-IGA = Iterative("iga", 0.05, _gram_stepper,
+IGA = Iterative("iga", 0.05, _iga_start,
                 mean=lambda point: point.lam0 / (point.Lam0 + point.lc),
                 variances=lambda point: 1.0 / (point.Lam0 + point.lc))
-
-
-def run_iga(model: MeasurementModel, alpha: float | None = None, t_max: int = 100,
-            tol: float = 1e-8) -> EstimateReport:
-    """Iterate project/update on the model's rank-1 split until the target
-    mean settles: :func:`igachan.report.run` on the batch of one, raising
-    :class:`DivergenceError` (with the residual trace) when it diverges.
-    A dense A whose |A|^2 rows differ runs the reference steps on (Q, N)
-    precisions, any other model :data:`IGA`; above
-    ``bscm.DENSE_ENTRY_CAP`` on N^2 it raises :class:`DomainError`."""
-    shared = _shared_row(model) is not None
-    estimator = IGA if shared else _split_reference(build_rank1_split(model))
-    return single(run(estimator, [model], alpha, t_max, tol))
-
-
-def _split_reference(scheme: SplitScheme) -> Iterative:
-    """IGA on one model's (Q, N) precisions: the reference steps."""
-    lc = scheme.lambda_c
-
-    def start(_batch, alpha):
-        def step(_b, state, _gram_mu):
-            xi, Xi = project_all(scheme, state)
-            return update_points(state, xi, Xi, alpha, lambda_c=lc)
-
-        return initial_state(scheme), step
-
-    return Iterative(IGA.name, IGA.alpha, start,
-                     mean=lambda state: (state.lam0 / (state.Lam0 + lc))[None],
-                     variances=lambda state: (1.0 / (state.Lam0 + lc))[None])

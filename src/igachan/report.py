@@ -1,5 +1,8 @@
 """Per-run result record shared by all estimators, the record that describes
-an iterative estimator, and the one driver that runs every such record."""
+an iterative estimator, and the one driver that runs every such record.
+
+:func:`igachan.harness.run_algorithm` runs an estimator by name; every run
+ends in an :class:`EstimateReport`, a diverged one too."""
 
 from __future__ import annotations
 
@@ -103,15 +106,6 @@ def run(estimator: Iterative, models, alpha: float | None = None, t_max: int = 1
     point, step = estimator.start(batch, alpha)
     return iterate(batch, step, estimator.mean, point, t_max, tol, config,
                    estimator.variances)
-
-
-def single(reports) -> EstimateReport:
-    """The report of a batch of one; a diverged run raises its
-    :class:`DivergenceError` again, with the message and the trace."""
-    (rep,) = reports
-    if rep.stop == "diverged":
-        raise DivergenceError(rep.divergence, trace=rep.residual_trace)
-    return rep
 
 
 def rows_at_fault(bad) -> list:

@@ -22,7 +22,7 @@ from igachan.bscm import (
 )
 from igachan.cli import main as cli_main
 from igachan.estimators import MeasurementModel, mmse_estimate, modified_mmse_estimate
-from igachan.harness import BenchmarkSpec, run_benchmark
+from igachan.harness import BenchmarkSpec, run_algorithm, run_benchmark
 
 from conftest import random_y
 
@@ -103,7 +103,7 @@ def test_criterion_3_ic_equilibria():
         model = _well_conditioned_model(rng, n)
         mu_mmse, _ = mmse_estimate(model)
         for kind, alpha in (("ic_iga", 0.45), ("ic_siga", 0.25)):
-            rep = ic.run_estimator(kind, model, alpha=alpha, t_max=2000, tol=1e-12)
+            (rep,) = run_algorithm(kind, [model], alpha=alpha, t_max=2000, tol=1e-12)
             err = float(np.linalg.norm(rep.mu - mu_mmse) / np.linalg.norm(mu_mmse))
             worst_err = max(worst_err, err)
             worst_res = max(worst_res, rep.residual_trace[-1])

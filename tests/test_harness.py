@@ -6,7 +6,7 @@ import pytest
 
 from igachan.bscm import BscmScenario, ScenarioConfig, build_steering, geometry_from_config
 from igachan.errors import ConfigError, DivergenceError, DomainError
-from igachan.estimators import MeasurementModel
+from igachan.estimators import MeasurementModel, mmse_estimate
 from igachan.harness import (
     ALGORITHMS,
     CSV_HEADER,
@@ -26,7 +26,7 @@ from igachan.harness import (
     write_benchmark_csv,
 )
 from igachan.iga import SplitScheme
-from igachan.report import Iterative
+from igachan.report import DIVERGENCE_FACTOR, Iterative
 from igachan.scenario import (
     build_prior,
     extraction_from_powers,
@@ -36,6 +36,8 @@ from igachan.scenario import (
     synthesize_rx,
     user_slices,
 )
+
+from conftest import random_model
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +274,17 @@ def test_one_residual_for_every_estimator(desk_config, desk_geometry):
         assert rep.residual_trace[-1] == model.residual(rep.mu, model.gram_apply(rep.mu)), name
 
 
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_every_algorithm_runs_a_gaussian_model(rng, name):
+    # the registry is the one front door: a dense Gaussian A, whose |A|^2
+    # rows differ, runs through it under every name and lands on MMSE
+    model = random_model(rng, 32, 16)
+    mu_mmse, _ = mmse_estimate(model)
+    (rep,) = run_algorithm(name, [model], None, 5000, 1e-11)
+    assert rep.stop == "converged", name
+    assert np.linalg.norm(rep.mu - mu_mmse) <= 1e-8 * np.linalg.norm(mu_mmse), name
+
+
 @pytest.mark.parametrize("name", [name for name, estimator in ESTIMATORS.items()
                                   if isinstance(estimator, Iterative)])
 def test_every_record_resolves_and_checks_its_damping(desk_config, desk_geometry, name):
@@ -396,6 +409,11 @@ def test_residual_does_not_overflow_at_extreme_snr(snr_db):
     (rep,) = run_algorithm("ic_iga", [trial.model], None, 100, 1e-8)
     assert rep.iterations > 0 and np.isfinite(rep.residual_trace).all()
     assert rep.residual_trace[-1] < rep.residual_trace[0] and np.isfinite(rep.variances).all()
+    # IGA at its default damping blows up here: the driver's rule reports the
+    # run, whose residual may read inf, with no overflow warning on the way
+    (rep,) = run_algorithm("iga", [trial.model], None, 100, 1e-8)
+    assert rep.stop == "diverged"
+    assert rep.residual_trace[-1] > DIVERGENCE_FACTOR * min(rep.residual_trace[:-1])
 
 
 class TestValidateSuite:

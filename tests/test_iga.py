@@ -5,10 +5,10 @@ import pytest
 
 from igachan import bscm
 from igachan.bscm import ScenarioConfig, assemble_dense_A, geometry_from_config
-from igachan.errors import DivergenceError, DomainError
+from igachan.errors import DomainError
 from igachan.estimators import MeasurementModel, ModelBatch, mmse_estimate
 from igachan.gaussian import GaussianNatural, m_project_to_diag
-from igachan.harness import _rand_model, _rand_y, build_trial
+from igachan.harness import _rand_model, _rand_y, build_trial, run_algorithm
 from igachan.iga import (
     IGA,
     AuxiliaryState,
@@ -16,7 +16,6 @@ from igachan.iga import (
     build_rank1_split,
     initial_state,
     project_all,
-    run_iga,
     update_points,
 )
 from igachan.report import DIVERGENCE_FACTOR
@@ -270,7 +269,7 @@ class TestGramStep:
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_operator_row_is_unit_modulus(self, desk_operator_case):
-        # run_iga reads a BscmScenario's |A|^2 rows as 1 / sigma2 without
+        # IGA reads a BscmScenario's |A|^2 rows as 1 / sigma2 without
         # forming A: every assembled entry has modulus 1
         scn = desk_operator_case.A
         A = assemble_dense_A(scn.array, scn.ofdm, scn.plan, scn.extraction)
@@ -284,8 +283,8 @@ class TestGramStep:
     @pytest.mark.parametrize("alpha,t_max,tol", [(0.5, 1000, 1e-8), (0.05, 500, 1e-10)])
     def test_operator_run_matches_dense_run(self, desk_case, desk_operator_case,
                                             alpha, t_max, tol):
-        rep = run_iga(desk_operator_case, alpha=alpha, t_max=t_max, tol=tol)
-        ref = run_iga(desk_case, alpha=alpha, t_max=t_max, tol=tol)
+        (rep,) = run_algorithm("iga", [desk_operator_case], alpha=alpha, t_max=t_max, tol=tol)
+        (ref,) = run_algorithm("iga", [desk_case], alpha=alpha, t_max=t_max, tol=tol)
         assert rep.iterations == ref.iterations
         assert np.linalg.norm(rep.mu - ref.mu) <= 1e-12 * np.linalg.norm(ref.mu)
         assert np.abs(rep.variances - ref.variances).max() <= 1e-12 * ref.variances.max()
@@ -303,7 +302,7 @@ class TestGramStep:
         model.gram()
         tracemalloc.start()
         try:
-            rep = run_iga(model, t_max=5)
+            (rep,) = run_algorithm("iga", [model], t_max=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -327,7 +326,7 @@ class TestGramStep:
 
         model = MeasurementModel(Operator(), dense.d, dense.sigma2, dense.y)
         with pytest.raises(DomainError, match="unit-modulus"):
-            run_iga(model, t_max=5)
+            run_algorithm("iga", [model], t_max=5)
 
     def test_refused_above_cap(self, tiny_scenario, rng, monkeypatch):
         scn = tiny_scenario
@@ -335,13 +334,13 @@ class TestGramStep:
                                  random_y(rng, scn.shape[0]))
         monkeypatch.setattr(bscm, "DENSE_ENTRY_CAP", scn.shape[1] ** 2 - 1)
         with pytest.raises(DomainError, match="DENSE_ENTRY_CAP"):
-            run_iga(model, t_max=5)
+            run_algorithm("iga", [model], t_max=5)
 
 
 class TestRun:
     def test_identity_model(self):
         model = MeasurementModel(np.eye(2, dtype=complex), np.ones(2), 1.0, np.array([2.0, 4.0]))
-        rep = run_iga(model, alpha=1.0)
+        (rep,) = run_algorithm("iga", [model], alpha=1.0)
         assert np.abs(rep.mu - np.array([1.0, 2.0])).max() <= 1e-12
         assert rep.converged
 
@@ -349,7 +348,7 @@ class TestRun:
         # disjoint column supports decouple the auxiliaries completely
         model = orthogonal_disjoint_model(rng)
         mu_mmse, _ = mmse_estimate(model)
-        rep = run_iga(model, alpha=1.0, t_max=10, tol=1e-12)
+        (rep,) = run_algorithm("iga", [model], alpha=1.0, t_max=10, tol=1e-12)
         assert rep.iterations <= 3
         assert rep.residual_trace[-1] <= 1e-10
         assert np.linalg.norm(rep.mu - mu_mmse) / np.linalg.norm(mu_mmse) <= 1e-10
@@ -357,7 +356,7 @@ class TestRun:
     def test_random_instance_reaches_mmse(self, rng):
         model = random_model(rng, 16, 8)
         mu_mmse, _ = mmse_estimate(model)
-        rep = run_iga(model, alpha=0.05, t_max=5000, tol=1e-11)
+        (rep,) = run_algorithm("iga", [model], alpha=0.05, t_max=5000, tol=1e-11)
         assert rep.converged
         assert np.linalg.norm(rep.mu - mu_mmse) / np.linalg.norm(mu_mmse) <= 1e-6
         assert len(rep.residual_trace) == rep.iterations + 1
@@ -391,14 +390,42 @@ class TestRun:
     def test_desk_trial_matches_reference_loop(self, desk_case, alpha, t_max, tol):
         scheme = build_rank1_split(desk_case)
         assert scheme.abs2.shape == (1, scheme.dim)
-        rep = run_iga(desk_case, alpha=alpha, t_max=t_max, tol=tol)
+        (rep,) = run_algorithm("iga", [desk_case], alpha=alpha, t_max=t_max, tol=tol)
         mu_ref, iterations, residual = parent_run_iga(scheme, alpha, t_max, tol)
         assert rep.iterations == iterations
         assert np.linalg.norm(rep.mu - mu_ref) <= 1e-12 * np.linalg.norm(mu_ref)
         assert rep.residual_trace[-1] == pytest.approx(residual, rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_gaussian_model_matches_project_and_update(self, rng, alpha):
+        # a Gaussian A's |A|^2 rows differ: the registry runs the reference
+        # steps on (Q, N) precisions, as a hand loop of the public pair does
+        model = random_model(rng, 16, 8)
+        scheme = build_rank1_split(model)
+        assert scheme.abs2.shape == (16, 8)
+        t_max, tol = 1000, 1e-10
+        (rep,) = run_algorithm("iga", [model], alpha, t_max, tol)
+        state, mu = initial_state(scheme), np.zeros(scheme.dim, dtype=complex)
+        for t in range(1, t_max + 1):
+            xi, Xi = project_all(scheme, state)
+            state = update_points(state, xi, Xi, alpha, lambda_c=scheme.lambda_c)
+            mu_new = state.lam0 / (state.Lam0 + scheme.lambda_c)
+            change = np.abs(mu_new - mu).max() / np.abs(mu_new).max()
+            mu = mu_new
+            if change < tol:
+                break
+        assert rep.converged and rep.iterations == t
+        assert np.abs(rep.mu - mu).max() <= 1e-12 * np.abs(mu).max()
+        assert np.abs(rep.variances - 1.0 / (state.Lam0 + scheme.lambda_c)).max() <= 1e-12
+
+    def test_gaussian_models_run_one_at_a_time(self, rng):
+        # the reference steps hold one model's (Q, N) precisions
+        models = [random_model(rng, 12, 8), random_model(rng, 12, 8)]
+        with pytest.raises(DomainError, match="one model at a time"):
+            run_algorithm("iga", models)
+
     def test_t_max_zero_returns_initialization(self, rng):
-        rep = run_iga(random_model(rng, 6, 4), alpha=0.1, t_max=0)
+        (rep,) = run_algorithm("iga", [random_model(rng, 6, 4)], alpha=0.1, t_max=0)
         assert rep.iterations == 0 and not rep.converged
         assert np.all(rep.mu == 0)
         assert len(rep.residual_trace) == 1
@@ -407,9 +434,9 @@ class TestRun:
         # three identical columns with a huge prior: undamped updates blow up
         A = np.ones((4, 3), dtype=complex)
         model = MeasurementModel(A, np.full(3, 100.0), 0.01, np.ones(4, dtype=complex))
-        with pytest.raises(DivergenceError) as info:
-            run_iga(model, alpha=1.0, t_max=300)
-        trace = info.value.trace
+        (rep,) = run_algorithm("iga", [model], alpha=1.0, t_max=300)
+        assert rep.stop == "diverged"
+        trace = rep.residual_trace
         assert trace[-1] > DIVERGENCE_FACTOR * min(trace[:-1])
 
     def test_plateau_is_not_divergence(self):
@@ -419,7 +446,7 @@ class TestRun:
         _rand_model(rng, 24, 12)
         phases = np.exp(2j * np.pi * rng.random((24, 12)))
         model = MeasurementModel(phases, rng.uniform(0.2, 3.0, 12), 0.5, _rand_y(rng, 24))
-        rep = run_iga(model, alpha=0.05, t_max=5000, tol=1e-11)
+        (rep,) = run_algorithm("iga", [model], alpha=0.05, t_max=5000, tol=1e-11)
         rises = longest = 0
         for before, after in zip(rep.residual_trace, rep.residual_trace[1:]):
             rises = rises + 1 if after > before else 0
