@@ -20,7 +20,6 @@ from .gaussian import (
 from .estimators import (
     MeasurementModel,
     ModelBatch,
-    ModifiedForm,
     build_modified_form,
     mmse_estimate,
     modified_mmse_estimate,
@@ -74,9 +73,9 @@ from .harness import (
     reconstruct_G,
     run_algorithm,
     run_benchmark,
-    validate_suite,
     write_benchmark_csv,
 )
 from .report import EstimateReport
+from .validate import validate_suite
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from . import harness, scenario
+from . import harness, scenario, validate
 from .blas import one_blas_thread
 from .bscm import ScenarioConfig, geometry_from_config, load_scenario_config
 from .errors import ConfigError, DivergenceError, DomainError
@@ -141,7 +141,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    results = harness.validate_suite(level=args.level)
+    results = validate.validate_suite(level=args.level)
     return EXIT_OK if all(ok for ok, _ in results.values()) else EXIT_VALIDATION_FAILURE
 
 

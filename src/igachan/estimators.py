@@ -33,7 +33,6 @@ from .gaussian import _cho_solve
 __all__ = [
     "MeasurementModel",
     "ModelBatch",
-    "ModifiedForm",
     "mmse_estimate",
     "build_modified_form",
     "modified_mmse_estimate",

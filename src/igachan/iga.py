@@ -267,7 +267,7 @@ class _GramPoint(NamedTuple):
 def _gram_stepper(batch: ModelBatch, alpha: float, shared: list):
     """(start, step): the damped project/update iteration of the rank-1 split
     of every model of ``batch``, on its shared (1, N) precision row
-    |g_q|^2 in ``shared`` (:func:`_shared_row`), run from A^H A and A^H y
+    |g_q|^2 in ``shared`` (see :func:`_iga_start`), run from A^H A and A^H y
     alone.
 
     With w, denom and R = r_over_denom * denom of :func:`project_all`
@@ -345,16 +345,10 @@ def _gram_stepper(batch: ModelBatch, alpha: float, shared: list):
     return start, step
 
 
-def _shared_row(model: MeasurementModel):
-    """The (1, N) precision row |g_q|^2 shared by every point of the model's
-    rank-1 split, or None for a dense A whose |A|^2 rows differ.  An
-    operator's entries are read as unit modulus, as a
-    :class:`igachan.bscm.BscmScenario`'s are, so its row is 1 / sigma2."""
-    if not model._gram_fits():
-        raise DomainError("IGA runs from A^H A, which is not formed above DENSE_ENTRY_CAP")
-    if model.is_dense:
-        abs2 = build_rank1_split(model).abs2
-        return abs2 if abs2.shape[0] == 1 else None
+def _shared_row(model: MeasurementModel) -> np.ndarray:
+    """The (1, N) precision row |g_q|^2 shared by every point of an
+    operator model's rank-1 split.  Its entries are read as unit modulus, as
+    a :class:`igachan.bscm.BscmScenario`'s are, so its row is 1 / sigma2."""
     if not np.allclose(model.gram_diag, model.m, rtol=1e-12, atol=0.0):
         raise DomainError("IGA on an operator needs unit-modulus entries (diag(A^H A) = M)")
     return np.full((1, model.n), 1.0 / model.sigma2)
@@ -379,14 +373,19 @@ class _SplitPoint(NamedTuple):
 
 def _iga_start(batch: ModelBatch, alpha: float):
     """(start, step) of IGA on ``batch``: the Gram-domain step when every
-    model has a shared precision row, else the reference steps on (Q, N)
-    precisions, which run one model at a time."""
-    rows = [_shared_row(model) for model in batch.models]
-    if all(row is not None for row in rows):
+    model has a shared (1, N) precision row, else the reference steps on
+    (Q, N) precisions, one model at a time.  A dense model's precisions are
+    read from its rank-1 split, built once, on which those steps also run."""
+    if not all(model._gram_fits() for model in batch.models):
+        raise DomainError("IGA runs from A^H A, which is not formed above DENSE_ENTRY_CAP")
+    schemes = [build_rank1_split(model) if model.is_dense else None for model in batch.models]
+    rows = [_shared_row(model) if scheme is None else scheme.abs2
+            for model, scheme in zip(batch.models, schemes)]
+    if all(row.shape[0] == 1 for row in rows):
         return _gram_stepper(batch, alpha, rows)
     if len(rows) > 1:
         raise DomainError("IGA runs a dense A whose |A|^2 rows differ one model at a time")
-    scheme = build_rank1_split(batch.models[0])
+    (scheme,) = schemes
 
     def step(_b, point: _SplitPoint, _gram_mu) -> _SplitPoint:
         xi, Xi = project_all(scheme, point.state)

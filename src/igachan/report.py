@@ -1,8 +1,7 @@
 """Per-run result record shared by all estimators, the record that describes
-an iterative estimator, and the one driver that runs every such record.
-
-:func:`igachan.harness.run_algorithm` runs an estimator by name; every run
-ends in an :class:`EstimateReport`, a diverged one too."""
+an iterative estimator, and :func:`run`, the one driver of every such record;
+:func:`igachan.harness.run_algorithm` runs an estimator by name through it.
+Every run ends in an :class:`EstimateReport`, a diverged one too."""
 
 from __future__ import annotations
 
@@ -14,8 +13,6 @@ import numpy as np
 from .errors import DivergenceError, DomainError
 from .estimators import ModelBatch
 
-# ``iterate`` stays out of __all__: outside-in tracers time the public names,
-# and the driver's loop belongs to the run that calls it
 __all__ = ["EstimateReport", "Iterative", "run"]
 
 # a residual this many times above its running minimum marks a diverging run
@@ -82,7 +79,7 @@ class EstimateReport:
 class Iterative:
     """An iterative estimator: its name, its default damping ``alpha``, and
     ``start(batch, alpha) -> (point, step)``, the zero-padded starting point
-    of a :class:`ModelBatch` and its step (see :func:`iterate`), whose
+    of a :class:`ModelBatch` and its step (see :func:`run`), whose
     (B, width) mean and variances (or None) ``mean`` and ``variances`` read.
     """
 
@@ -91,21 +88,6 @@ class Iterative:
     start: Callable
     mean: Callable
     variances: Callable
-
-
-def run(estimator: Iterative, models, alpha: float | None = None, t_max: int = 100,
-        tol: float = 1e-8) -> list:
-    """:func:`iterate` ``estimator`` on every model, at damping ``alpha``
-    (None: the estimator's own); one report per model, in order."""
-    if alpha is None:
-        alpha = estimator.alpha
-    if not (0 < alpha <= 1):
-        raise DomainError("alpha must lie in (0, 1]")
-    config = {"algorithm": estimator.name, "alpha": alpha, "t_max": t_max, "tol": tol}
-    batch = ModelBatch(models)
-    point, step = estimator.start(batch, alpha)
-    return iterate(batch, step, estimator.mean, point, t_max, tol, config,
-                   estimator.variances)
 
 
 def rows_at_fault(bad) -> list:
@@ -124,38 +106,43 @@ def _take(point, keep):
     return type(point)(*(None if x is None else _take(x, keep) for x in point))
 
 
-def iterate(batch, step, mean, point, t_max: int, tol: float, config: dict,
-            variances) -> list:
-    """Advance every row of ``point = step(batch, point, A^H A mu)`` in
-    lockstep until its mean settles; returns one :class:`EstimateReport`
-    per model of ``batch``, a :class:`igachan.estimators.ModelBatch`.
+def run(estimator: Iterative, models, alpha: float | None = None, t_max: int = 100,
+        tol: float = 1e-8) -> list:
+    """Run ``estimator`` on every model at damping ``alpha`` (None: its
+    own), in lockstep; returns one :class:`EstimateReport` per model, in order.
 
-    A point holds the state of all B runs in zero-padded (B, width, ...)
-    arrays, as ``batch`` pads its models; ``mean(point)`` is the (B, width)
-    mean mu.  Every step, the driver applies each model's Gram matrix to its
-    row once, appends ``batch.residuals(mu, A^H A mu)`` to the row's residual
-    trace, which starts at the initial point, and hands the product to the
-    next step, which may read or ignore it.  A row stops ``"converged"``
-    when its mean is nonzero and the max relative change of the mean drops
-    below ``tol`` (a mean that stays zero has not settled on anything), or
-    at ``"t_max"`` steps.  It stops ``"diverged"`` when its residual is not
-    finite or exceeds ``DIVERGENCE_FACTOR`` times its running minimum
-    (floored at machine epsilon), or when a step raises
+    ``estimator.start`` gives the point, the state of all B runs in
+    zero-padded (B, width, ...) arrays as a :class:`ModelBatch` of the models
+    pads them, and each step advances it as ``point = step(batch, point,
+    A^H A mu)``, ``estimator.mean(point)`` the (B, width) mean mu.  Every
+    step, the driver applies each model's Gram matrix to its row once,
+    appends ``batch.residuals(mu, A^H A mu)`` to the row's residual trace,
+    which starts at the initial point, and hands the product to the next
+    step.  A row stops ``"converged"`` when its mean is nonzero and its max
+    relative change drops below ``tol`` (a mean that stays zero has settled
+    on nothing), or at ``"t_max"`` steps.  It stops ``"diverged"`` when its
+    residual is not finite or exceeds ``DIVERGENCE_FACTOR`` times its running
+    minimum (floored at machine epsilon), so a run that plateaus and rises
+    for many steps does not trip it, or when a step raises
     :class:`DivergenceError` naming its row; the step then runs again on the
-    other rows, so a step must not change the point it is given.  A
-    converging run may plateau and rise for many steps, but not by that
-    factor, so only a run that blows up trips the rule.  A stopped row
-    leaves the batch, and the arrays are compressed only then.
+    other rows, so a step must not change the point it is given.  A stopped
+    row leaves the batch, and the arrays are compressed only then.
 
     Element-wise arithmetic and the stop rules run once per step over the
-    padded arrays; every product or sum over N runs per row, on the
-    unpadded view, so each row's result equals its run alone bit for bit.
-    ``variances(point)`` gives the (B, width) variances (or None) at the
-    final point.  The driver keeps no clock: a caller that wants a run's
-    time measures the call.
+    padded arrays; every product or sum over N runs per row, on the unpadded
+    view, so each row's result equals its run alone bit for bit.  The driver
+    keeps no clock: a caller that wants a run's time measures the call.
     """
+    if alpha is None:
+        alpha = estimator.alpha
+    if not (0 < alpha <= 1):
+        raise DomainError("alpha must lie in (0, 1]")
     if t_max < 0:
         raise DomainError("t_max must be nonnegative")
+    config = {"algorithm": estimator.name, "alpha": alpha, "t_max": t_max, "tol": tol}
+    batch = ModelBatch(models)
+    point, step = estimator.start(batch, alpha)
+    mean, variances = estimator.mean, estimator.variances
     reports = [None] * len(batch.models)
     live = list(range(len(batch.models)))
     mu = mean(point)

@@ -22,7 +22,6 @@ from igachan.harness import (
     run_algorithm,
     run_benchmark,
     sigma2_of_snr,
-    validate_suite,
     write_benchmark_csv,
 )
 from igachan.iga import SplitScheme
@@ -36,6 +35,7 @@ from igachan.scenario import (
     synthesize_rx,
     user_slices,
 )
+from igachan.validate import validate_suite
 
 from conftest import random_model
 

@@ -7,7 +7,7 @@ import pytest
 from igachan import bscm
 from igachan.bscm import ScenarioConfig, assemble_dense_A, geometry_from_config
 from igachan.errors import DomainError
-from igachan.estimators import MeasurementModel, ModelBatch, mmse_estimate
+from igachan.estimators import MeasurementModel, mmse_estimate
 from igachan.harness import ALGORITHMS, build_trial, run_algorithm
 from igachan.ic import (
     IcState,
@@ -17,9 +17,17 @@ from igachan.ic import (
     initial_ic_state,
     mproj_belief_oracle,
 )
-from igachan.report import DIVERGENCE_FACTOR, iterate
+from igachan.report import DIVERGENCE_FACTOR, Iterative, run
 
 from conftest import random_model, random_y
+
+
+def probe(step):
+    """A mean-only :class:`Iterative` whose point is its mean, started at 0."""
+    def start(batch, _alpha):
+        return np.zeros((len(batch.models), batch.width), dtype=complex), step
+
+    return Iterative("probe", 1.0, start, mean=lambda mu: mu, variances=lambda mu: None)
 
 
 def random_state(rng, n):
@@ -323,9 +331,7 @@ class TestRunEstimator:
     def test_non_finite_residual_is_divergence(self, rng):
         # the driver's rule, on a step that makes the mean NaN at once
         model = random_model(rng, 6, 4)
-        (rep,) = iterate(ModelBatch([model]), lambda _batch, mu, _gram_mu: mu + np.nan,
-                         lambda mu: mu, np.zeros((1, 4), dtype=complex), 10, 1e-8,
-                         config={}, variances=lambda mu: None)
+        (rep,) = run(probe(lambda _batch, mu, _gram_mu: mu + np.nan), [model], None, 10, 1e-8)
         assert rep.stop == "diverged"
         assert len(rep.residual_trace) == 2 and np.isnan(rep.residual_trace[-1])
 
@@ -334,9 +340,8 @@ class TestRunEstimator:
         # with A^H y nonzero the run goes on to t_max
         model = random_model(rng, 6, 4)
         assert np.abs(model.ahy).max() > 0
-        (rep,) = iterate(ModelBatch([model]), lambda _batch, mu, _gram_mu: np.zeros_like(mu),
-                         lambda mu: mu, np.zeros((1, 4), dtype=complex), 10, 1e-8,
-                         config={}, variances=lambda mu: None)
+        (rep,) = run(probe(lambda _batch, mu, _gram_mu: np.zeros_like(mu)), [model], None, 10,
+                     1e-8)
         assert (rep.stop, rep.converged, rep.iterations) == ("t_max", False, 10)
 
     def test_default_scenario_diverges_undamped(self):

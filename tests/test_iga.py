@@ -3,12 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from igachan import bscm
+from igachan import bscm, iga
 from igachan.bscm import ScenarioConfig, assemble_dense_A, geometry_from_config
 from igachan.errors import DomainError
 from igachan.estimators import MeasurementModel, ModelBatch, mmse_estimate
 from igachan.gaussian import GaussianNatural, m_project_to_diag
-from igachan.harness import _rand_model, _rand_y, build_trial, run_algorithm
+from igachan.harness import build_trial, run_algorithm
 from igachan.iga import (
     IGA,
     AuxiliaryState,
@@ -20,6 +20,7 @@ from igachan.iga import (
 )
 from igachan.report import DIVERGENCE_FACTOR
 from igachan.scenario import synthesize_rx
+from igachan.validate import _rand_model, _rand_y
 
 from conftest import random_model, random_y
 
@@ -423,6 +424,21 @@ class TestRun:
         models = [random_model(rng, 12, 8), random_model(rng, 12, 8)]
         with pytest.raises(DomainError, match="one model at a time"):
             run_algorithm("iga", models)
+
+    @pytest.mark.parametrize("unit_modulus", [False, True], ids=["gaussian", "unit_modulus"])
+    def test_a_dense_run_builds_its_split_once(self, rng, monkeypatch, unit_modulus):
+        # one split gives a dense model's precision row and, where its rows
+        # differ, the reference steps
+        model = random_model(rng, 12, 8)
+        if unit_modulus:
+            phases = np.exp(2j * np.pi * rng.random((12, 8)))
+            model = MeasurementModel(phases, model.d, model.sigma2, model.y)
+        calls = []
+        monkeypatch.setattr(iga, "build_rank1_split",
+                            lambda m: calls.append(m) or build_rank1_split(m))
+        (rep,) = run_algorithm("iga", [model], t_max=3)
+        assert rep.iterations == 3
+        assert len(calls) == 1
 
     def test_t_max_zero_returns_initialization(self, rng):
         (rep,) = run_algorithm("iga", [random_model(rng, 6, 4)], alpha=0.1, t_max=0)
