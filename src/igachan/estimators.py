@@ -21,7 +21,8 @@ y or given as drawn, and owns every product of A^H A the estimators read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -37,6 +38,11 @@ __all__ = [
     "build_modified_form",
     "modified_mmse_estimate",
 ]
+
+
+def is_normal(x: float) -> bool:
+    """Whether ``x`` is a normal float: finite, positive, with a finite 1 / x."""
+    return sys.float_info.min <= x <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -59,12 +65,12 @@ class MeasurementModel:
     only the dense rank-1 IGA reference, which splits y, refuses it.
 
     It owns every product of A^H A the estimators read: :meth:`gram`,
-    ``gram_apply``, ``gram_diag``, ``c`` and ``gram_abs2``, each built at
-    its first use, when ``bscm.DENSE_ENTRY_CAP`` is read, and shared after;
-    ``dataclasses.replace`` starts with none built.  Above the cap on N^2,
-    A^H A is applied through the operator, L is not formed and a dense
-    ``A`` is refused.  :meth:`residual` is the one normal-equation residual
-    of every estimator: the iteration driver and the direct solves read it.
+    ``gram_apply``, ``gram_diag``, ``c`` and ``gram_abs2``, each built at its
+    first use and shared after.  Its regime is settled when it is built, from
+    ``bscm.DENSE_ENTRY_CAP`` on N^2, into ``gram_fits``: above the cap, A^H A
+    is applied through the operator, :meth:`gram` (so L) is refused and a
+    dense ``A`` is refused at once.  ``dataclasses.replace`` builds anew.
+    :meth:`residual` is the one normal-equation residual of every estimator.
     """
 
     A: object
@@ -72,14 +78,16 @@ class MeasurementModel:
     sigma2: float
     y: np.ndarray | None = None
     ahy: np.ndarray | None = None
+    gram_fits: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=np.float64).reshape(-1)
         if d.size == 0 or not np.all(d > 0):
             raise DomainError("all prior variances d must be strictly positive")
         sigma2 = float(self.sigma2)
-        if sigma2 <= 0:
-            raise DomainError("sigma2 must be strictly positive")
+        if not is_normal(sigma2):
+            raise DomainError("sigma2 must be a normal float: finite and positive with a "
+                              f"finite reciprocal, got {sigma2}")
         A = self.A
         if isinstance(A, (np.ndarray, list, tuple)):
             A = np.asarray(A, dtype=np.complex128)
@@ -90,6 +98,9 @@ class MeasurementModel:
             raise DomainError(
                 f"inconsistent dimensions: A is {A.shape}, d has length {d.size}"
             )
+        object.__setattr__(self, "gram_fits", bscm.gram_fits(n))
+        if not self.gram_fits and isinstance(A, np.ndarray):
+            raise DomainError(f"dense A of n = {n} exceeds DENSE_ENTRY_CAP; pass an operator")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "sigma2", sigma2)
@@ -122,7 +133,10 @@ class MeasurementModel:
 
     def gram(self) -> np.ndarray:
         """A^H A as a read-only dense (N, N) matrix, built once per model; an
-        operator builds it in closed form."""
+        operator builds it in closed form.  Above the cap it is refused."""
+        if not self.gram_fits:
+            raise DomainError(f"A^H A is not formed above DENSE_ENTRY_CAP: n = {self.n} and "
+                              "n^2 exceeds it")
         return self._gram
 
     @cached_property
@@ -131,21 +145,11 @@ class MeasurementModel:
         G.flags.writeable = False
         return G
 
-    def _gram_fits(self) -> bool:
-        """Whether N^2 <= ``bscm.DENSE_ENTRY_CAP`` (:func:`igachan.bscm.gram_fits`);
-        above it a dense ``A`` is refused."""
-        if bscm.gram_fits(self.n):
-            return True
-        if self.is_dense:
-            raise DomainError("N^2 exceeds DENSE_ENTRY_CAP: pass a matrix-free operator, "
-                              "not a dense A")
-        return False
-
     @cached_property
     def gram_apply(self):
         """x -> A^H A x: the dense A^H A at or below the cap, the operator's
         ``rmatvec(matvec(x))`` above it."""
-        if self._gram_fits():
+        if self.gram_fits:
             return self.gram().dot
         op = self.A
         return lambda x: op.rmatvec(op.matvec(x))
@@ -153,7 +157,7 @@ class MeasurementModel:
     @cached_property
     def gram_diag(self) -> np.ndarray:
         """diag(A^H A), real."""
-        if self._gram_fits():
+        if self.gram_fits:
             return np.real(np.diag(self.gram())).copy()
         return np.asarray(self.A.gram_diag(), dtype=np.float64)
 
@@ -176,8 +180,6 @@ class MeasurementModel:
     @cached_property
     def gram_abs2(self) -> np.ndarray:
         """L = |A^H A|.^2, formed only at or below the cap."""
-        if not self._gram_fits():
-            raise DomainError("L = |A^H A|.^2 is not formed above DENSE_ENTRY_CAP")
         return np.abs(self.gram()) ** 2
 
     def abs2_apply(self, v: np.ndarray) -> np.ndarray:
@@ -320,8 +322,8 @@ class ModifiedForm:
         return self.terms[0] + np.diag(self.terms[1]) + self.terms[2] + self.terms[3]
 
 
-def _cond_estimate_1norm(B: np.ndarray) -> float:
-    # error-path only: cheap 1-norm condition estimate for the message
+def _cond_1norm(B: np.ndarray) -> float:
+    # error-path only: the exact 1-norm condition number, through an inverse
     try:
         return float(np.linalg.cond(B, 1))
     except np.linalg.LinAlgError:
@@ -340,7 +342,7 @@ def _mmse_mean(model: MeasurementModel) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError:
         raise DomainError(
             "posterior precision is numerically singular "
-            f"(1-norm condition estimate {_cond_estimate_1norm(B):.3e})"
+            f"(1-norm condition number {_cond_1norm(B):.3e})"
         ) from None
     return _cho_solve(L, s * model.ahy), L
 
@@ -394,5 +396,5 @@ def modified_mmse_estimate(model: MeasurementModel) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise DomainError(
             "modified system is numerically singular "
-            f"(1-norm condition estimate {_cond_estimate_1norm(B):.3e})"
+            f"(1-norm condition number {_cond_1norm(B):.3e})"
         ) from None

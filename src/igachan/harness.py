@@ -24,7 +24,6 @@ byte-identical reproducibility).
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass
 
@@ -40,7 +39,7 @@ from .bscm import (
     gram_fits,
 )
 from .errors import ConfigError, DomainError
-from .estimators import MeasurementModel, _mmse_mean, modified_mmse_estimate
+from .estimators import MeasurementModel, _mmse_mean, is_normal, modified_mmse_estimate
 from .report import EstimateReport, Iterative, run
 from .scenario import (
     build_prior,
@@ -246,10 +245,7 @@ class BenchmarkSpec:
 
     def __post_init__(self):
         snrs = tuple(float(s) for s in self.snr_list_db)
-        # a normal float sigma2 is finite and positive with a finite 1 / sigma2;
-        # nan and +-inf fail too
-        if not snrs or not all(sys.float_info.min <= sigma2_of_snr(s) <= sys.float_info.max
-                               for s in snrs):
+        if not snrs or not all(is_normal(sigma2_of_snr(s)) for s in snrs):
             raise ConfigError("SNR list (--snr) must be non-empty, each giving a noise variance "
                               "10^(-SNR/10) that is finite and positive with a finite "
                               f"reciprocal, got {snrs}")

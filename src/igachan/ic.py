@@ -6,7 +6,7 @@ K = sigma2^{-1} A^H A and c_n = K_nn + 1/d_n, one IC-IGA iteration updates
 every coordinate from the residual interference of all the others:
 
     mu_n^new = sigma2^{-1} c_n^{-1} (a_n^H y - [A^H A mu]_n + [A^H A]_nn mu_n)
-    e_n      = sigma2^{-4} c_n^{-1} ([L v]_n - [A^H A]_nn^2 v_n),
+    e_n      = sigma2^{-2} c_n^{-1} ([L v]_n - [A^H A]_nn^2 v_n),
                L = |A^H A|.^2,  v = 1 ./ Lambda
     r_n      = c_n / (1 + e_n)
 
@@ -94,7 +94,7 @@ def ic_beliefs(model: MeasurementModel, state: IcState):
     would produce; the dense oracle :func:`mproj_belief_oracle` recomputes
     them one coordinate at a time.
     """
-    return _beliefs(model, state, model.gram_apply(state.mu))
+    return _beliefs(model, state.mu, state.v, model.gram_apply(state.mu))
 
 
 def _mean_update(model, mu: np.ndarray, gram_mu: np.ndarray) -> np.ndarray:
@@ -102,9 +102,10 @@ def _mean_update(model, mu: np.ndarray, gram_mu: np.ndarray) -> np.ndarray:
     return (model.ahy - gram_mu + model.gram_diag * mu) / (model.sigma2 * model.c)
 
 
-def _beliefs(model, state: IcState, gram_mu: np.ndarray):
-    """:func:`ic_beliefs` from the Gram product A^H A mu of the state's mean."""
-    e = _interference_energy(model, state.v)
+def _beliefs(model, mu: np.ndarray, v: np.ndarray, gram_mu: np.ndarray):
+    """:func:`ic_beliefs` of the mean ``mu`` and variances ``v``, from the Gram
+    product A^H A mu."""
+    e = _interference_energy(model, v)
     corrupted = 1.0 + e <= 0
     if corrupted.any():
         raise DivergenceError(
@@ -112,22 +113,25 @@ def _beliefs(model, state: IcState, gram_mu: np.ndarray):
             "state is numerically corrupted", rows=rows_at_fault(corrupted)
         )
     r = model.c / (1.0 + e)
-    return _mean_update(model, state.mu, gram_mu), r, e
+    return _mean_update(model, mu, gram_mu), r, e
 
 
 def ic_iga_step(model: MeasurementModel, state: IcState, alpha: float) -> IcState:
     """One damped IC-IGA update of the natural parameters."""
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
-    return _ic_iga_update(state, ic_beliefs(model, state), alpha)
+    mu_new, r, _ = ic_beliefs(model, state)
+    return IcState(*_ic_iga_update(state.lam, state.Lam, mu_new, r, alpha))
 
 
-def _ic_iga_update(state: IcState, beliefs, alpha: float) -> IcState:
-    """:func:`ic_iga_step` from the state's beliefs (mu_new, r, e)."""
-    mu_new, r, _ = beliefs
-    lam = alpha * (r * mu_new) + (1 - alpha) * state.lam
-    Lam = alpha * r + (1 - alpha) * state.Lam
-    return IcState(lam=lam, Lam=Lam)
+def _ic_iga_update(lam, Lam, mu_new, r, alpha: float) -> tuple:
+    """:func:`ic_iga_step`'s (lam, Lam) from the beliefs mu_new and r; a Lam
+    that loses positivity raises :class:`DivergenceError` naming its rows."""
+    lam = alpha * (r * mu_new) + (1 - alpha) * lam
+    Lam = alpha * r + (1 - alpha) * Lam
+    if not (Lam > 0).all():  # nan fails too
+        raise DivergenceError("Lam lost positivity", rows=rows_at_fault(~(Lam > 0)))
+    return lam, Lam
 
 
 def ic_siga_step(model: MeasurementModel, mu_t: np.ndarray, alpha: float) -> np.ndarray:
@@ -181,20 +185,22 @@ def mproj_belief_oracle(model: MeasurementModel, state: IcState, n: int):
 
 
 class _IcPoint(NamedTuple):
-    """An IC-IGA iterate: the (B, N) state, and the r of the step that made
-    it (None at the start)."""
+    """An IC-IGA iterate: the (B, N) natural parameters, and the r of the
+    step that made it (None at the start)."""
 
-    state: IcState
+    lam: np.ndarray
+    Lam: np.ndarray
     r: np.ndarray | None
 
 
 def _ic_iga_start(batch, alpha: float):
     def step(b, point, gram_mu):
-        beliefs = _beliefs(b, point.state, gram_mu)
-        return _IcPoint(_ic_iga_update(point.state, beliefs, alpha), beliefs[1])
+        # the mean and variances as IcState derives them
+        mu_new, r, _ = _beliefs(b, point.lam / point.Lam, 1.0 / point.Lam, gram_mu)
+        return _IcPoint(*_ic_iga_update(point.lam, point.Lam, mu_new, r, alpha), r)
 
     shape = (len(batch.models), batch.width)
-    return _IcPoint(IcState(np.zeros(shape, dtype=np.complex128), np.ones(shape)), None), step
+    return _IcPoint(np.zeros(shape, dtype=np.complex128), np.ones(shape), None), step
 
 
 def _ic_siga_start(batch, alpha: float):
@@ -206,7 +212,7 @@ def _ic_siga_start(batch, alpha: float):
 # IC-IGA reports the variances 1/r of its last step and needs each model's
 # L = |A^H A|.^2, which is not formed above DENSE_ENTRY_CAP; IC-SIGA is
 # mean-only and runs at any size
-IC_IGA = Iterative("ic_iga", 0.45, _ic_iga_start, mean=lambda point: point.state.mu,
+IC_IGA = Iterative("ic_iga", 0.45, _ic_iga_start, mean=lambda point: point.lam / point.Lam,
                    variances=lambda point: None if point.r is None else 1.0 / point.r)
 IC_SIGA = Iterative("ic_siga", 0.25, _ic_siga_start, mean=lambda mu: mu,
                     variances=lambda mu: None)

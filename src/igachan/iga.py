@@ -355,29 +355,24 @@ def _shared_row(model: MeasurementModel) -> np.ndarray:
 
 
 class _SplitPoint(NamedTuple):
-    """The reference iterate of one model whose |A|^2 rows differ: its
-    :class:`AuxiliaryState` and lambda_c, read as (1, N) rows as a
-    :class:`_GramPoint` is."""
+    """The reference iterate of one model whose |A|^2 rows differ, which runs
+    alone: its :class:`AuxiliaryState`'s fields and lambda_c, with the
+    target and lambda_c as (1, N) rows as a :class:`_GramPoint`'s are."""
 
-    state: AuxiliaryState
+    lam_q: np.ndarray  # (Q, N) complex
+    Lam_q: np.ndarray  # (Q, N) real
+    lam0: np.ndarray  # (1, N) complex
+    Lam0: np.ndarray  # (1, N) real
     lc: np.ndarray  # (1, N) real
-
-    @property
-    def lam0(self) -> np.ndarray:
-        return self.state.lam0[None]
-
-    @property
-    def Lam0(self) -> np.ndarray:
-        return self.state.Lam0[None]
 
 
 def _iga_start(batch: ModelBatch, alpha: float):
     """(start, step) of IGA on ``batch``: the Gram-domain step when every
     model has a shared (1, N) precision row, else the reference steps on
     (Q, N) precisions, one model at a time.  A dense model's precisions are
-    read from its rank-1 split, built once, on which those steps also run."""
-    if not all(model._gram_fits() for model in batch.models):
-        raise DomainError("IGA runs from A^H A, which is not formed above DENSE_ENTRY_CAP")
+    read from its rank-1 split, built once, on which those steps also run.
+    The Gram-domain step reads each model's :meth:`MeasurementModel.gram`,
+    which refuses a model above DENSE_ENTRY_CAP."""
     schemes = [build_rank1_split(model) if model.is_dense else None for model in batch.models]
     rows = [_shared_row(model) if scheme is None else scheme.abs2
             for model, scheme in zip(batch.models, schemes)]
@@ -388,11 +383,13 @@ def _iga_start(batch: ModelBatch, alpha: float):
     (scheme,) = schemes
 
     def step(_b, point: _SplitPoint, _gram_mu) -> _SplitPoint:
-        xi, Xi = project_all(scheme, point.state)
-        return point._replace(state=update_points(point.state, xi, Xi, alpha,
-                                                  lambda_c=scheme.lambda_c))
+        state = AuxiliaryState(point.lam_q, point.Lam_q, point.lam0[0], point.Lam0[0])
+        new = update_points(state, *project_all(scheme, state), alpha, scheme.lambda_c)
+        return _SplitPoint(new.lam_q, new.Lam_q, new.lam0[None], new.Lam0[None], point.lc)
 
-    return _SplitPoint(initial_state(scheme), scheme.lambda_c[None]), step
+    state = initial_state(scheme)
+    return _SplitPoint(state.lam_q, state.Lam_q, state.lam0[None], state.Lam0[None],
+                       scheme.lambda_c[None]), step
 
 
 # the target mean is mu_0 = lambda_0 / (Lambda_0 + lambda_c) and the reported

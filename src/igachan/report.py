@@ -5,7 +5,7 @@ Every run ends in an :class:`EstimateReport`, a diverged one too."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -81,6 +81,8 @@ class Iterative:
     ``start(batch, alpha) -> (point, step)``, the zero-padded starting point
     of a :class:`ModelBatch` and its step (see :func:`run`), whose
     (B, width) mean and variances (or None) ``mean`` and ``variances`` read.
+    A point is a (B, ...) array, or a named tuple of (B, ...) arrays and
+    Nones, whose rows the driver takes when runs stop.
     """
 
     name: str
@@ -96,14 +98,10 @@ def rows_at_fault(bad) -> list:
 
 
 def _take(point, keep):
-    """Rows ``keep`` of a point: an array, a dataclass built from arrays, or a
-    named tuple of those and Nones."""
+    """Rows ``keep`` of a point: an array, or a named tuple of arrays and Nones."""
     if isinstance(point, np.ndarray):
         return point[keep]
-    if is_dataclass(point):
-        return replace(point, **{f.name: _take(getattr(point, f.name), keep)
-                                 for f in fields(point) if f.init})
-    return type(point)(*(None if x is None else _take(x, keep) for x in point))
+    return type(point)(*(None if x is None else x[keep] for x in point))
 
 
 def run(estimator: Iterative, models, alpha: float | None = None, t_max: int = 100,

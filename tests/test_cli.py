@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from igachan import bscm
 from igachan.bscm import parse_scenario_config
 from igachan.cli import main
 from igachan.harness import ALGORITHMS, BenchmarkSpec, benchmark_csv_text, run_benchmark
@@ -70,6 +71,21 @@ def test_estimate_mean_stuck_at_zero_is_not_converged(tiny_config, capsys):
     summary = json.loads(out.out)
     assert not summary["converged"] and summary["stop"] == "t_max"
     assert "did not converge" in out.err and "final residual" in out.err
+
+
+def test_estimate_above_the_dense_cap(tmp_path, capsys):
+    # at the real cap: the trial synthesizes y by FFT and IC-SIGA runs on the
+    # operators, while every estimator that reads A^H A is refused with one
+    # error line that names the cap
+    path = tmp_path / "big.txt"
+    path.write_text("M_z = 8\nM_x = 8\nK = 300\nP = 14\nseed = 1\n", encoding="utf-8")
+    argv = ["estimate", "--config", str(path), "--max-iter", "5", "--alg"]
+    assert main(argv + ["ic_siga"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] ** 2 > bscm.DENSE_ENTRY_CAP
+    for alg in ("mmse", "modified_mmse", "ic_iga", "iga"):
+        assert main(argv + [alg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "DENSE_ENTRY_CAP" in err[0]
 
 
 @pytest.mark.parametrize("alg", ALGORITHMS)

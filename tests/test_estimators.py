@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from igachan import bscm
 from igachan.bscm import assemble_dense_A
 from igachan.errors import DomainError
 from igachan.estimators import (
@@ -67,6 +68,17 @@ class TestMmse:
             MeasurementModel(np.eye(2), np.ones(2), 0.0, np.zeros(2))
         with pytest.raises(DomainError):
             MeasurementModel(np.eye(2), np.ones(3), 1.0, np.zeros(2))
+
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, 1e-320, 0.0, -1.0])
+    def test_sigma2_must_be_a_normal_float(self, sigma2):
+        with pytest.raises(DomainError, match="sigma2 must be a normal float"):
+            MeasurementModel(np.eye(2), np.ones(2), sigma2, np.ones(2))
+
+    def test_dense_A_above_the_cap_is_refused_when_built(self, rng, monkeypatch):
+        model = random_model(rng, 6, 4)
+        monkeypatch.setattr(bscm, "DENSE_ENTRY_CAP", 15)
+        with pytest.raises(DomainError, match="dense A of n = 4 exceeds DENSE_ENTRY_CAP"):
+            dataclasses.replace(model, y=model.y)
 
     def test_model_from_the_statistic(self, rng):
         # given A^H y alone, a model holds no y and estimates as the model of y

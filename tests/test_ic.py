@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from igachan import bscm
+from igachan import bscm, ic
 from igachan.bscm import ScenarioConfig, assemble_dense_A, geometry_from_config
-from igachan.errors import DomainError
+from igachan.errors import DivergenceError, DomainError
 from igachan.estimators import MeasurementModel, mmse_estimate
 from igachan.harness import ALGORITHMS, build_trial, run_algorithm
 from igachan.ic import (
@@ -66,8 +66,8 @@ class TestPrecompute:
         L = np.abs(G) ** 2
         assert np.abs(model.gram_abs2 - L).max() <= 1e-12 * L.max()
         # above the cap only the FFT operators run: A^H A and L are not
-        # formed.  The cap is read when a product is first built, so this
-        # cap gets a fresh model
+        # formed.  The cap is read when a model is built, so this cap gets a
+        # fresh model, and a dense A is refused there
         monkeypatch.setattr(bscm, "DENSE_ENTRY_CAP", scn.shape[1] ** 2 - 1)
         model = MeasurementModel(scn, d, 1.0, y)
         x = random_y(rng, scn.shape[1])
@@ -77,10 +77,21 @@ class TestPrecompute:
         with pytest.raises(DomainError, match="DENSE_ENTRY_CAP"):
             model.gram_abs2
         assert "_gram" not in vars(model)
-        dense = MeasurementModel(A, d, 1.0, y)
-        for product in ("gram_apply", "gram_diag", "c", "gram_abs2"):
-            with pytest.raises(DomainError, match="DENSE_ENTRY_CAP"):
-                getattr(dense, product)
+        with pytest.raises(DomainError, match="DENSE_ENTRY_CAP"):
+            MeasurementModel(A, d, 1.0, y)
+
+    def test_model_keeps_its_regime(self, tiny_scenario, rng, monkeypatch):
+        # the cap is read once, when the model is built: lowering it after
+        # changes nothing for that model, which still forms A^H A and L
+        scn = tiny_scenario
+        d = rng.uniform(0.5, 2.0, scn.shape[1])
+        model = MeasurementModel(scn, d, 1.0, random_y(rng, scn.shape[0]))
+        monkeypatch.setattr(bscm, "DENSE_ENTRY_CAP", scn.shape[1] ** 2 - 1)
+        x = random_y(rng, scn.shape[1])
+        assert np.array_equal(model.gram_apply(x), model.gram().dot(x))
+        assert np.array_equal(model.gram_abs2, np.abs(scn.gram()) ** 2)
+        assert np.array_equal(model.gram_diag, np.real(np.diag(scn.gram())))
+        assert not MeasurementModel(scn, d, 1.0, model.y).gram_fits
 
 
 class TestIcIgaStep:
@@ -153,6 +164,16 @@ class TestIcIgaStep:
         for Lam in (np.array([1.0, -1.0]), np.array([0.0, 1.0])):
             with pytest.raises(DomainError):
                 IcState(lam=np.zeros(2), Lam=Lam)
+
+    def test_update_that_loses_positivity_names_its_rows(self):
+        # r = 0 at alpha = 1 zeroes Lam, and a nan r makes it nan: the batch
+        # update names those rows, so the driver reports them as diverged
+        r = np.ones((3, 4))
+        r[1, 2], r[2, 0] = 0.0, np.nan
+        with pytest.raises(DivergenceError) as info:
+            ic._ic_iga_update(np.zeros((3, 4), dtype=complex), np.ones((3, 4)), np.ones((3, 4)),
+                              r, 1.0)
+        assert info.value.rows == [1, 2]
 
     def test_state_derives_variances_and_mean(self, rng):
         lam = rng.standard_normal(5) + 1j * rng.standard_normal(5)

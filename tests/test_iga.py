@@ -331,9 +331,9 @@ class TestGramStep:
 
     def test_refused_above_cap(self, tiny_scenario, rng, monkeypatch):
         scn = tiny_scenario
+        monkeypatch.setattr(bscm, "DENSE_ENTRY_CAP", scn.shape[1] ** 2 - 1)
         model = MeasurementModel(scn, rng.uniform(0.5, 2.0, scn.shape[1]), 1.0,
                                  random_y(rng, scn.shape[0]))
-        monkeypatch.setattr(bscm, "DENSE_ENTRY_CAP", scn.shape[1] ** 2 - 1)
         with pytest.raises(DomainError, match="DENSE_ENTRY_CAP"):
             run_algorithm("iga", [model], t_max=5)
 
