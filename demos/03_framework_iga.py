@@ -37,8 +37,9 @@ state = initial_state(scheme)
 print("\n iter   e-condition   fixed-point residual")
 for it in range(1, 6):
     xi, Xi = project_all(scheme, state)
-    state = update_points(state, xi, Xi, alpha=0.3, lambda_c=scheme.lambda_c)
-    mu = state.lam0 / (state.Lam0 + scheme.lambda_c)
+    state = update_points(state, xi, Xi, alpha=0.3)
+    # the target mean, a (1, N) row as in a batch of one
+    mu = (state.lam0 / (state.Lam0 + state.lc))[0]
     res = model.residual(mu, model.gram_apply(mu))
     print(f"  {it:3d}   {state.e_condition_residual():.3e}     {res:.3e}")
 

@@ -9,7 +9,7 @@ equations.  Both share their fixed point with the exact MMSE mean.
 import numpy as np
 
 from igachan import MeasurementModel, mmse_estimate, run_algorithm
-from igachan.ic import IcState, ic_beliefs, mproj_belief_oracle
+from igachan.ic import IcState, ic_beliefs, ic_iga_step, initial_ic_state, mproj_belief_oracle
 
 rng = np.random.default_rng(3)
 
@@ -33,6 +33,14 @@ print("coordinate 0: vectorized mean %.6f%+.6fj vs oracle %.6f%+.6fj"
       % (mu_vec[0].real, mu_vec[0].imag, mu_0.real, mu_0.imag))
 print("belief support (nonzero entries of xi_0):", int(np.sum(np.abs(xi) > 1e-12)))
 print("interference energies e_n are nonnegative:", bool(np.all(e >= 0)))
+
+# the registry runs these same public steps: five hand steps of IC-IGA from
+# its start give the mean of a five-step run bit for bit
+state = initial_ic_state(n)
+for _ in range(5):
+    state = ic_iga_step(model, state, alpha=0.45)
+(rep,) = run_algorithm("ic_iga", [model], alpha=0.45, t_max=5, tol=0.0)
+print("five hand steps equal a five-step run:", bool(np.array_equal(state.mu, rep.mu)))
 
 for kind, alpha in (("ic_iga", 0.45), ("ic_siga", 0.25)):
     (rep,) = run_algorithm(kind, [model], alpha=alpha, t_max=2000, tol=1e-10)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -257,10 +258,10 @@ class BenchmarkSpec:
             if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
         object.__setattr__(self, "algorithms", algs)
-        if self.n_sam < 1:
-            raise ConfigError("n_sam must be >= 1")
-        if self.t_max < 0:
-            raise ConfigError("t_max (--max-iter) must be >= 0")
+        if not (isinstance(self.n_sam, Integral) and self.n_sam >= 1):
+            raise ConfigError(f"n_sam must be an integer >= 1, got {self.n_sam!r}")
+        if not (isinstance(self.t_max, Integral) and self.t_max >= 0):
+            raise ConfigError(f"t_max (--max-iter) must be an integer >= 0, got {self.t_max!r}")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ConfigError(f"tol (--tol) must be finite and >= 0, got {self.tol}")
         if self.alpha is not None and not (0 < self.alpha <= 1):

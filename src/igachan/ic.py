@@ -15,29 +15,32 @@ followed by damped natural-parameter updates lambda <- alpha r mu^new +
 only the mean recursion, which is exactly damped Jacobi on the normal
 equations since diag(sigma2^{-1} A^H A + D^{-1}) = c.  At any fixed point of
 either recursion the mean solves the normal equations, i.e. equals the MMSE
-mean.  Every function takes the trial's :class:`MeasurementModel` and reads
-A^H y, the Gram apply, diag(A^H A), c and L from it; the private kernels
-take a model or a :class:`ModelBatch` alike, whose padded (B, N) rows they
-update in one pass.  :data:`IC_IGA` and :data:`IC_SIGA` describe the two
-recursions as :class:`igachan.report.Iterative` records, which
-:func:`igachan.harness.run_algorithm` runs by the names "ic_iga" and
+mean.
+
+Every function takes a :class:`MeasurementModel` with (N,) arrays, or a
+:class:`ModelBatch` with zero-padded (B, width) arrays whose rows it updates
+in one pass, and reads A^H y, the Gram apply, diag(A^H A), c and L from it.
+Given ``gram_mu`` = A^H A mu, a step applies no Gram matrix itself.
+:data:`IC_IGA` and :data:`IC_SIGA` describe the two recursions as
+:class:`igachan.report.Iterative` records whose steps are
+:func:`ic_iga_step` and :func:`ic_siga_step`;
+:func:`igachan.harness.run_algorithm` runs them by the names "ic_iga" and
 "ic_siga" on a list of models in lockstep.
 
 A dense-inversion oracle (:func:`mproj_belief_oracle`) rebuilds the
 per-coordinate auxiliary Gaussian literally, m-projects it through
 :mod:`igachan.gaussian`, and checks that the belief is nonzero only at the
-owning coordinate; the vectorized kernels are tested against it.
+owning coordinate; the vectorized beliefs are tested against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .estimators import MeasurementModel
+from .estimators import MeasurementModel, ModelBatch
 from .gaussian import GaussianNatural, m_project_to_diag
 from .report import Iterative, rows_at_fault
 
@@ -53,30 +56,43 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IcState:
-    """Diagonal natural parameters of the running estimate.
+class IcState(namedtuple("IcState", "lam Lam r")):
+    """IC-IGA's iterate: the diagonal natural parameters (lam, Lam), and the
+    precisions r of the step that made it (None at the start).
 
-    Built from (lam, Lam) with Lam > 0 element-wise; the variances
-    v = 1 / Lam and the mean mu = lam / Lam are derived from them.  The
-    arrays are (N,) for one model, or (B, N) for a :class:`ModelBatch`.
+    The arrays are (N,) for one model, or (B, width) for a
+    :class:`ModelBatch`; the mean mu = lam / Lam and the variances
+    v = 1 / Lam are derived from them.  A state built by hand must have
+    Lam > 0 element-wise; :func:`ic_iga_step` checks its own update instead.
     """
 
-    lam: np.ndarray
-    Lam: np.ndarray
-    v: np.ndarray = field(init=False)
-    mu: np.ndarray = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not np.all(self.Lam > 0):
+    def __new__(cls, lam, Lam, r=None):
+        lam, Lam = np.asarray(lam), np.asarray(Lam)
+        if not np.all(Lam > 0):
             raise DomainError("Lam entries must be strictly positive")
-        object.__setattr__(self, "v", 1.0 / self.Lam)
-        object.__setattr__(self, "mu", self.lam / self.Lam)
+        return super().__new__(cls, lam, Lam, r)
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.lam / self.Lam
+
+    @property
+    def v(self) -> np.ndarray:
+        return 1.0 / self.Lam
 
 
-def initial_ic_state(n: int) -> IcState:
-    """Start of the recursion: mu = 0, lam = 0, Lam = 1, v = 1."""
-    return IcState(lam=np.zeros(n, dtype=np.complex128), Lam=np.ones(n, dtype=np.float64))
+def initial_ic_state(shape) -> IcState:
+    """Start of the recursion: mu = 0, lam = 0, Lam = 1, v = 1, of ``shape``:
+    N, or (B, width) for a batch."""
+    return IcState(np.zeros(shape, dtype=np.complex128), np.ones(shape, dtype=np.float64))
+
+
+def _check_shape(model, name: str, x: np.ndarray) -> None:
+    """Refuse an array that is not the model's (N,), or the batch's (B, width)."""
+    if x.shape != model.d.shape:
+        raise DomainError(f"{name} has shape {x.shape}, expected {model.d.shape}")
 
 
 def _interference_energy(model, v: np.ndarray) -> np.ndarray:
@@ -87,25 +103,25 @@ def _interference_energy(model, v: np.ndarray) -> np.ndarray:
     return np.ldexp(lv / f2c, shift)
 
 
-def ic_beliefs(model: MeasurementModel, state: IcState):
-    """Per-coordinate projected means and precisions (mu_new, r, e).
-
-    These are the quantities a full m-projection of every auxiliary point
-    would produce; the dense oracle :func:`mproj_belief_oracle` recomputes
-    them one coordinate at a time.
-    """
-    return _beliefs(model, state.mu, state.v, model.gram_apply(state.mu))
-
-
 def _mean_update(model, mu: np.ndarray, gram_mu: np.ndarray) -> np.ndarray:
     """sigma2^{-1} c^{-1} (A^H y - A^H A mu + diag(A^H A) mu), given A^H A mu."""
     return (model.ahy - gram_mu + model.gram_diag * mu) / (model.sigma2 * model.c)
 
 
-def _beliefs(model, mu: np.ndarray, v: np.ndarray, gram_mu: np.ndarray):
-    """:func:`ic_beliefs` of the mean ``mu`` and variances ``v``, from the Gram
-    product A^H A mu."""
-    e = _interference_energy(model, v)
+def ic_beliefs(model: MeasurementModel | ModelBatch, state: IcState,
+               gram_mu: np.ndarray | None = None):
+    """Per-coordinate projected means and precisions (mu_new, r, e) at
+    ``state``, given ``gram_mu`` = A^H A mu (None: the model forms it).
+
+    These are the quantities a full m-projection of every auxiliary point
+    would produce; the dense oracle :func:`mproj_belief_oracle` recomputes
+    them one coordinate at a time.  An interference energy with 1 + e <= 0
+    raises :class:`DivergenceError` naming its rows.
+    """
+    _check_shape(model, "lam", state.lam)
+    _check_shape(model, "Lam", state.Lam)
+    mu = state.mu
+    e = _interference_energy(model, state.v)
     corrupted = 1.0 + e <= 0
     if corrupted.any():
         raise DivergenceError(
@@ -113,39 +129,37 @@ def _beliefs(model, mu: np.ndarray, v: np.ndarray, gram_mu: np.ndarray):
             "state is numerically corrupted", rows=rows_at_fault(corrupted)
         )
     r = model.c / (1.0 + e)
+    if gram_mu is None:
+        gram_mu = model.gram_apply(mu)
     return _mean_update(model, mu, gram_mu), r, e
 
 
-def ic_iga_step(model: MeasurementModel, state: IcState, alpha: float) -> IcState:
-    """One damped IC-IGA update of the natural parameters."""
+def ic_iga_step(model: MeasurementModel | ModelBatch, state: IcState, alpha: float,
+                gram_mu: np.ndarray | None = None) -> IcState:
+    """One damped IC-IGA update of the natural parameters, given ``gram_mu``
+    = A^H A mu (None: the model forms it).  An update that loses the
+    positivity of Lam raises :class:`DivergenceError` naming its rows."""
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
-    mu_new, r, _ = ic_beliefs(model, state)
-    return IcState(*_ic_iga_update(state.lam, state.Lam, mu_new, r, alpha))
-
-
-def _ic_iga_update(lam, Lam, mu_new, r, alpha: float) -> tuple:
-    """:func:`ic_iga_step`'s (lam, Lam) from the beliefs mu_new and r; a Lam
-    that loses positivity raises :class:`DivergenceError` naming its rows."""
-    lam = alpha * (r * mu_new) + (1 - alpha) * lam
-    Lam = alpha * r + (1 - alpha) * Lam
+    mu_new, r, _ = ic_beliefs(model, state, gram_mu)
+    lam = alpha * (r * mu_new) + (1 - alpha) * state.lam
+    Lam = alpha * r + (1 - alpha) * state.Lam
     if not (Lam > 0).all():  # nan fails too
         raise DivergenceError("Lam lost positivity", rows=rows_at_fault(~(Lam > 0)))
-    return lam, Lam
+    # checked above, so built without IcState's own check
+    return IcState._make((lam, Lam, r))
 
 
-def ic_siga_step(model: MeasurementModel, mu_t: np.ndarray, alpha: float) -> np.ndarray:
-    """One damped mean-only update (damped Jacobi on the normal equations)."""
+def ic_siga_step(model: MeasurementModel | ModelBatch, mu: np.ndarray, alpha: float,
+                 gram_mu: np.ndarray | None = None) -> np.ndarray:
+    """One damped mean-only update (damped Jacobi on the normal equations)
+    of ``mu``, given ``gram_mu`` = A^H A mu (None: the model forms it)."""
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
-    mu_t = np.asarray(mu_t, dtype=np.complex128).reshape(-1)
-    if mu_t.size != model.n:
-        raise DomainError(f"mu has length {mu_t.size}, expected {model.n}")
-    return _siga_update(model, mu_t, model.gram_apply(mu_t), alpha)
-
-
-def _siga_update(model, mu: np.ndarray, gram_mu: np.ndarray, alpha: float) -> np.ndarray:
-    """:func:`ic_siga_step` from the Gram product A^H A mu."""
+    mu = np.asarray(mu, dtype=np.complex128)
+    _check_shape(model, "mu", mu)
+    if gram_mu is None:
+        gram_mu = model.gram_apply(mu)
     return alpha * _mean_update(model, mu, gram_mu) + (1 - alpha) * mu
 
 
@@ -160,6 +174,8 @@ def mproj_belief_oracle(model: MeasurementModel, state: IcState, n: int):
     :mod:`igachan.gaussian`.  Returns (mu_n, r_n, xi_n, Xi_n), where the
     belief vectors must vanish at every coordinate except ``n``.
     """
+    _check_shape(model, "lam", state.lam)
+    _check_shape(model, "Lam", state.Lam)
     if not (0 <= n < model.n):
         raise DomainError(f"coordinate {n} out of range")
     s = 1.0 / model.sigma2
@@ -184,36 +200,18 @@ def mproj_belief_oracle(model: MeasurementModel, state: IcState, n: int):
     return proj.mean[n], proj.Lam[n], xi, Xi
 
 
-class _IcPoint(NamedTuple):
-    """An IC-IGA iterate: the (B, N) natural parameters, and the r of the
-    step that made it (None at the start)."""
-
-    lam: np.ndarray
-    Lam: np.ndarray
-    r: np.ndarray | None
-
-
-def _ic_iga_start(batch, alpha: float):
-    def step(b, point, gram_mu):
-        # the mean and variances as IcState derives them
-        mu_new, r, _ = _beliefs(b, point.lam / point.Lam, 1.0 / point.Lam, gram_mu)
-        return _IcPoint(*_ic_iga_update(point.lam, point.Lam, mu_new, r, alpha), r)
-
-    shape = (len(batch.models), batch.width)
-    return _IcPoint(np.zeros(shape, dtype=np.complex128), np.ones(shape), None), step
-
-
-def _ic_siga_start(batch, alpha: float):
-    # the iterate is the mean itself
-    return (np.zeros((len(batch.models), batch.width), dtype=np.complex128),
-            lambda b, mu, gram_mu: _siga_update(b, mu, gram_mu, alpha))
-
-
-# IC-IGA reports the variances 1/r of its last step and needs each model's
-# L = |A^H A|.^2, which is not formed above DENSE_ENTRY_CAP; IC-SIGA is
-# mean-only and runs at any size
-IC_IGA = Iterative("ic_iga", 0.45, _ic_iga_start, mean=lambda point: point.lam / point.Lam,
-                   variances=lambda point: None if point.r is None else 1.0 / point.r)
-IC_SIGA = Iterative("ic_siga", 0.25, _ic_siga_start, mean=lambda mu: mu,
-                    variances=lambda mu: None)
-
+# Each record steps its batch through the public step, looked up here at
+# every step.  IC-IGA reports the variances 1/r of its last step and needs
+# each model's L = |A^H A|.^2, which is not formed above DENSE_ENTRY_CAP;
+# IC-SIGA's point is its mean, and it runs at any size
+IC_IGA = Iterative(
+    "ic_iga", 0.45,
+    lambda batch, alpha: (initial_ic_state((len(batch.models), batch.width)),
+                          lambda b, state, gram_mu: ic_iga_step(b, state, alpha, gram_mu)),
+    mean=lambda state: state.mu,
+    variances=lambda state: None if state.r is None else 1.0 / state.r)
+IC_SIGA = Iterative(
+    "ic_siga", 0.25,
+    lambda batch, alpha: (np.zeros((len(batch.models), batch.width), dtype=np.complex128),
+                          lambda b, mu, gram_mu: ic_siga_step(b, mu, alpha, gram_mu)),
+    mean=lambda mu: mu, variances=lambda mu: None)

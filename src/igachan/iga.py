@@ -39,10 +39,12 @@ so the whole iteration runs from A^H A and A^H y in O(N^2) per step (see
 :data:`IGA` describes the iteration as an :class:`igachan.report.Iterative`
 record, which :func:`igachan.harness.run_algorithm` runs by the name "iga".
 Its start takes the Gram-domain step when every model of the batch has a
-shared precision row, and the reference steps on a lone dense model whose
-|A|^2 rows differ (a Gaussian A), in O(Q N) per step.  The split's (N, N)
-precision is never formed to measure a run: the driver takes every residual
-from the model's one A^H A.
+shared precision row.  A lone dense model whose |A|^2 rows differ (a
+Gaussian A) runs the reference instead, in O(Q N) per step: its point is an
+:class:`AuxiliaryState`, and each step is ``update_points(state,
+*project_all(scheme, state), alpha)``, looked up here at every step.  The
+split's (N, N) precision is never formed to measure a run: the driver takes
+every residual from the model's one A^H A.
 """
 
 from __future__ import annotations
@@ -122,18 +124,21 @@ class SplitScheme:
         return self.factors.T @ self.factors.conj() + np.diag(self.lambda_c)
 
 
-@dataclass(frozen=True)
-class AuxiliaryState:
-    """Diagonal natural parameters of the Q auxiliary points and the target.
+class AuxiliaryState(NamedTuple):
+    """The reference iterate: the diagonal natural parameters of the Q
+    auxiliary points and the target, and the shared diagonal lambda_c.
 
     ``Lam_q`` is (P, N) with P in {1, Q}: one row shared by every point, or
-    one row per point.
+    one row per point.  The target and ``lc`` = lambda_c are (1, N) rows, as
+    a :class:`_GramPoint`'s are, so that :data:`IGA` steps it as the point
+    of a batch of one.
     """
 
     lam_q: np.ndarray  # (Q, N) complex
     Lam_q: np.ndarray  # (P, N) real
-    lam0: np.ndarray  # (N,) complex
-    Lam0: np.ndarray  # (N,) real
+    lam0: np.ndarray  # (1, N) complex
+    Lam0: np.ndarray  # (1, N) real
+    lc: np.ndarray  # (1, N) real
 
     def e_condition_residual(self) -> float:
         """Max absolute violation of sum_q (.) + (1 - Q) (.)_0 = 0."""
@@ -171,8 +176,9 @@ def initial_state(scheme: SplitScheme) -> AuxiliaryState:
     return AuxiliaryState(
         lam_q=np.zeros_like(scheme.factors),
         Lam_q=np.zeros_like(scheme.abs2),
-        lam0=np.zeros(n, dtype=np.complex128),
-        Lam0=np.zeros(n, dtype=np.float64),
+        lam0=np.zeros((1, n), dtype=np.complex128),
+        Lam0=np.zeros((1, n), dtype=np.float64),
+        lc=scheme.lambda_c[None],
     )
 
 
@@ -205,7 +211,7 @@ def project_all(scheme: SplitScheme, state: AuxiliaryState):
 
 
 def update_points(state: AuxiliaryState, xi: np.ndarray, Xi: np.ndarray,
-                  alpha: float, lambda_c: np.ndarray) -> AuxiliaryState:
+                  alpha: float) -> AuxiliaryState:
     """Damped belief exchange.
 
     Undamped: lambda_0 <- sum_q xi_q, Lambda_0 <- sum_q Xi_q, and
@@ -213,7 +219,7 @@ def update_points(state: AuxiliaryState, xi: np.ndarray, Xi: np.ndarray,
     alpha each parameter moves only a fraction alpha of the way; since both
     endpoints satisfy the e-condition, so does the combination.  A shared
     (1, N) ``Xi`` stands for Q equal rows, so its sum is scaled by Q.  A
-    target precision Lambda_0 + ``lambda_c`` that loses positivity raises
+    target precision Lambda_0 + lambda_c that loses positivity raises
     :class:`DivergenceError`.
     """
     if not (0 < alpha <= 1):
@@ -222,19 +228,18 @@ def update_points(state: AuxiliaryState, xi: np.ndarray, Xi: np.ndarray,
     lam0 = alpha * lam0_new + (1 - alpha) * state.lam0
     lam_q = alpha * (lam0_new - xi) + (1 - alpha) * state.lam_q
     Lam0_new = Xi.sum(axis=0) * (xi.shape[0] / Xi.shape[0])
-    Lam0, Lam_q = _damped_precisions(state, Lam0_new, Xi, alpha, lambda_c)
-    return AuxiliaryState(lam_q=lam_q, Lam_q=Lam_q, lam0=lam0, Lam0=Lam0)
+    Lam0, Lam_q = _damped_precisions(state, Lam0_new, Xi, alpha)
+    return state._replace(lam_q=lam_q, Lam_q=Lam_q, lam0=lam0, Lam0=Lam0)
 
 
-def _damped_precisions(state, Lam0_new: np.ndarray, Xi: np.ndarray, alpha: float,
-                       lambda_c: np.ndarray):
+def _damped_precisions(state, Lam0_new: np.ndarray, Xi: np.ndarray, alpha: float):
     """(Lambda_0, Lambda_q) after the damped exchange of the precision beliefs
     ``Xi``, whose sum over the points is ``Lam0_new``; a target precision
-    Lambda_0 + ``lambda_c`` that loses positivity raises
+    Lambda_0 + lambda_c (the point's ``lc``) that loses positivity raises
     :class:`DivergenceError` naming the batch rows at fault."""
     Lam0 = alpha * Lam0_new + (1 - alpha) * state.Lam0
     Lam_q = alpha * (Lam0_new - Xi) + (1 - alpha) * state.Lam_q
-    lost = Lam0 + lambda_c <= 0
+    lost = Lam0 + state.lc <= 0
     if lost.any():
         raise DivergenceError(
             "target precision lost positivity; reduce the damping coefficient alpha",
@@ -338,7 +343,7 @@ def _gram_stepper(batch: ModelBatch, alpha: float, shared: list):
         X = point.X * keep[:, None, :]
         X -= c[:, :, None] * alpha_r[:, None, :]
         Xi = r_over_denom * point.abs2
-        Lam0, Lam_q = _damped_precisions(point, Xi * point.q, Xi, alpha, point.lc)
+        Lam0, Lam_q = _damped_precisions(point, Xi * point.q, Xi, alpha)
         return point._replace(u=keep * point.u + moved, X=X,
                               lam0=moved + (1 - alpha) * point.lam0, Lam0=Lam0, Lam_q=Lam_q)
 
@@ -354,23 +359,12 @@ def _shared_row(model: MeasurementModel) -> np.ndarray:
     return np.full((1, model.n), 1.0 / model.sigma2)
 
 
-class _SplitPoint(NamedTuple):
-    """The reference iterate of one model whose |A|^2 rows differ, which runs
-    alone: its :class:`AuxiliaryState`'s fields and lambda_c, with the
-    target and lambda_c as (1, N) rows as a :class:`_GramPoint`'s are."""
-
-    lam_q: np.ndarray  # (Q, N) complex
-    Lam_q: np.ndarray  # (Q, N) real
-    lam0: np.ndarray  # (1, N) complex
-    Lam0: np.ndarray  # (1, N) real
-    lc: np.ndarray  # (1, N) real
-
-
 def _iga_start(batch: ModelBatch, alpha: float):
     """(start, step) of IGA on ``batch``: the Gram-domain step when every
     model has a shared (1, N) precision row, else the reference steps on
-    (Q, N) precisions, one model at a time.  A dense model's precisions are
-    read from its rank-1 split, built once, on which those steps also run.
+    (Q, N) precisions, one model at a time, from :func:`initial_state`.  A
+    dense model's precisions are read from its rank-1 split, built once, on
+    which those steps also run.
     The Gram-domain step reads each model's :meth:`MeasurementModel.gram`,
     which refuses a model above DENSE_ENTRY_CAP."""
     schemes = [build_rank1_split(model) if model.is_dense else None for model in batch.models]
@@ -381,15 +375,8 @@ def _iga_start(batch: ModelBatch, alpha: float):
     if len(rows) > 1:
         raise DomainError("IGA runs a dense A whose |A|^2 rows differ one model at a time")
     (scheme,) = schemes
-
-    def step(_b, point: _SplitPoint, _gram_mu) -> _SplitPoint:
-        state = AuxiliaryState(point.lam_q, point.Lam_q, point.lam0[0], point.Lam0[0])
-        new = update_points(state, *project_all(scheme, state), alpha, scheme.lambda_c)
-        return _SplitPoint(new.lam_q, new.Lam_q, new.lam0[None], new.Lam0[None], point.lc)
-
-    state = initial_state(scheme)
-    return _SplitPoint(state.lam_q, state.Lam_q, state.lam0[None], state.Lam0[None],
-                       scheme.lambda_c[None]), step
+    return initial_state(scheme), lambda _b, state, _gram_mu: update_points(
+        state, *project_all(scheme, state), alpha)
 
 
 # the target mean is mu_0 = lambda_0 / (Lambda_0 + lambda_c) and the reported

@@ -6,6 +6,7 @@ Every run ends in an :class:`EstimateReport`, a diverged one too."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -101,13 +102,15 @@ def _take(point, keep):
     """Rows ``keep`` of a point: an array, or a named tuple of arrays and Nones."""
     if isinstance(point, np.ndarray):
         return point[keep]
-    return type(point)(*(None if x is None else x[keep] for x in point))
+    return point._make(None if x is None else x[keep] for x in point)
 
 
 def run(estimator: Iterative, models, alpha: float | None = None, t_max: int = 100,
         tol: float = 1e-8) -> list:
     """Run ``estimator`` on every model at damping ``alpha`` (None: its
-    own), in lockstep; returns one :class:`EstimateReport` per model, in order.
+    own), in lockstep; returns one :class:`EstimateReport` per model, in order
+    (none for no models).  ``t_max`` must be a nonnegative integer and ``tol``
+    nonnegative, or a stop rule would never fire.
 
     ``estimator.start`` gives the point, the state of all B runs in
     zero-padded (B, width, ...) arrays as a :class:`ModelBatch` of the models
@@ -135,8 +138,12 @@ def run(estimator: Iterative, models, alpha: float | None = None, t_max: int = 1
         alpha = estimator.alpha
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
-    if t_max < 0:
-        raise DomainError("t_max must be nonnegative")
+    if not (isinstance(t_max, Integral) and t_max >= 0):
+        raise DomainError(f"t_max must be a nonnegative integer, got {t_max!r}")
+    if not tol >= 0:  # nan fails too
+        raise DomainError(f"tol must be nonnegative, got {tol!r}")
+    if not models:
+        return []
     config = {"algorithm": estimator.name, "alpha": alpha, "t_max": t_max, "tol": tol}
     batch = ModelBatch(models)
     point, step = estimator.start(batch, alpha)

@@ -181,7 +181,7 @@ def _check_iga_framework():
         state = _iga.initial_state(scheme)
         for _ in range(3):
             xi_all, Xi_all = _iga.project_all(scheme, state)
-            state = _iga.update_points(state, xi_all, Xi_all, 0.3, scheme.lambda_c)
+            state = _iga.update_points(state, xi_all, Xi_all, 0.3)
         xi_all, Xi_all = _iga.project_all(scheme, state)
         shape = (scheme.q_count, scheme.dim)
         Lam_q, Xi_all = np.broadcast_to(state.Lam_q, shape), np.broadcast_to(Xi_all, shape)

@@ -128,8 +128,7 @@ def test_criterion_4_framework_iga():
         mu = state.lam0 / (state.Lam0 + scheme.lambda_c)
         for _ in range(20000):
             xi, Xi = iga.project_all(scheme, state)
-            state = iga.update_points(state, xi, Xi, alpha=0.05,
-                                      lambda_c=scheme.lambda_c)
+            state = iga.update_points(state, xi, Xi, alpha=0.05)
             worst_econd = max(worst_econd, state.e_condition_residual())
             mu_new = state.lam0 / (state.Lam0 + scheme.lambda_c)
             change = np.abs(mu_new - mu).max() / max(np.abs(mu_new).max(), 1e-300)

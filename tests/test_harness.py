@@ -158,6 +158,13 @@ class TestBenchmark:
             BenchmarkSpec(snr_list_db=(0.0,), algorithms=("amp",), n_sam=1,
                           scenario=small_spec.scenario, seed=1)
 
+    @pytest.mark.parametrize("field", ["n_sam", "t_max"])
+    def test_a_count_must_be_an_integer(self, small_spec, field):
+        # n_sam = 2.5 died in range() with a TypeError, and t_max = 2.5 was
+        # never met by the iteration count, so it ran on without a cap
+        with pytest.raises(ConfigError, match=field):
+            dataclasses.replace(small_spec, **{field: 2.5})
+
     def test_wall_time_zero_without_timing(self, small_spec):
         rows = run_benchmark(small_spec)
         assert all(r["wall_time_ms"] == 0.0 for r in rows)
@@ -295,6 +302,20 @@ def test_every_record_resolves_and_checks_its_damping(desk_config, desk_geometry
     for alpha in (0.0, 1.5, float("nan")):
         with pytest.raises(DomainError, match="alpha"):
             run_algorithm(name, [model], alpha, 3, 1e-8)
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_no_models_give_no_reports(name):
+    assert run_algorithm(name, []) == []
+
+
+@pytest.mark.parametrize("t_max, tol", [(2.5, 1e-8), (np.float64(3.0), 1e-8), (-1, 1e-8),
+                                        (3, float("nan")), (3, -1e-8)])
+def test_run_settings_that_disable_a_stop_rule_are_refused(rng, t_max, tol):
+    # the iteration count never equals a non-integer t_max, and no relative
+    # change is below a nan or negative tol: either would run on unannounced
+    with pytest.raises(DomainError, match="t_max" if tol == 1e-8 else "tol"):
+        run_algorithm("ic_siga", [random_model(rng, 6, 4)], None, t_max, tol)
 
 
 @pytest.mark.parametrize("algorithms, builds", [

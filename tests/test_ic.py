@@ -1,13 +1,14 @@
+import dataclasses
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from igachan import bscm, ic
+from igachan import bscm
 from igachan.bscm import ScenarioConfig, assemble_dense_A, geometry_from_config
 from igachan.errors import DivergenceError, DomainError
-from igachan.estimators import MeasurementModel, mmse_estimate
+from igachan.estimators import MeasurementModel, ModelBatch, mmse_estimate
 from igachan.harness import ALGORITHMS, build_trial, run_algorithm
 from igachan.ic import (
     IcState,
@@ -165,15 +166,30 @@ class TestIcIgaStep:
             with pytest.raises(DomainError):
                 IcState(lam=np.zeros(2), Lam=Lam)
 
-    def test_update_that_loses_positivity_names_its_rows(self):
-        # r = 0 at alpha = 1 zeroes Lam, and a nan r makes it nan: the batch
-        # update names those rows, so the driver reports them as diverged
-        r = np.ones((3, 4))
-        r[1, 2], r[2, 0] = 0.0, np.nan
+    def test_update_that_loses_positivity_names_its_rows(self, rng):
+        # an infinite L makes e infinite and r = 0, which at alpha = 1 zeroes
+        # Lam, and a nan L makes r and Lam nan: the batch step names those
+        # rows, so the driver reports them as diverged
+        models = [random_model(rng, 6, 4) for _ in range(3)]
+        for j, bad in ((1, np.inf), (2, np.nan)):
+            models[j] = dataclasses.replace(models[j])
+            object.__setattr__(models[j], "gram_abs2", np.full((4, 4), bad))
         with pytest.raises(DivergenceError) as info:
-            ic._ic_iga_update(np.zeros((3, 4), dtype=complex), np.ones((3, 4)), np.ones((3, 4)),
-                              r, 1.0)
+            ic_iga_step(ModelBatch(models), initial_ic_state((3, 4)), 1.0)
         assert info.value.rows == [1, 2]
+
+    @pytest.mark.parametrize("call", [
+        lambda model, x: ic_beliefs(model, IcState(x, np.ones(x.size))),
+        lambda model, x: ic_iga_step(model, IcState(x, np.ones(x.size)), 0.5),
+        lambda model, x: ic_siga_step(model, x, 0.5),
+        lambda model, x: mproj_belief_oracle(model, IcState(x, np.ones(x.size)), 0),
+    ], ids=["ic_beliefs", "ic_iga_step", "ic_siga_step", "mproj_belief_oracle"])
+    def test_an_input_of_the_wrong_length_is_refused(self, rng, call):
+        # every public IC function names the shape it expected, where numpy
+        # would raise its own ValueError or broadcast
+        model = random_model(rng, 6, 4)
+        with pytest.raises(DomainError, match=r"shape \(3,\), expected \(4,\)"):
+            call(model, np.zeros(3, dtype=complex))
 
     def test_state_derives_variances_and_mean(self, rng):
         lam = rng.standard_normal(5) + 1j * rng.standard_normal(5)

@@ -154,7 +154,7 @@ class TestProjection:
         state = AuxiliaryState(
             lam_q=(rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))),
             Lam_q=rng.uniform(0.5, 2.0, (1, n)),
-            lam0=np.zeros(n), Lam0=np.zeros(n))
+            lam0=np.zeros((1, n)), Lam0=np.zeros((1, n)), lc=scheme.lambda_c[None])
         xi, Xi = project_all(scheme, state)
         assert np.abs(xi).max() <= 1e-13
         assert np.abs(Xi).max() <= 1e-13
@@ -166,7 +166,7 @@ class TestProjection:
         state = AuxiliaryState(
             lam_q=0.1 * (rng.standard_normal((q_count, n)) + 1j * rng.standard_normal((q_count, n))),
             Lam_q=rng.uniform(0.1, 1.0, scheme.abs2.shape),
-            lam0=np.zeros(n), Lam0=np.zeros(n))
+            lam0=np.zeros((1, n)), Lam0=np.zeros((1, n)), lc=scheme.lambda_c[None])
         xi_all, Xi_all = project_all(scheme, state)
         assert Xi_all.shape == scheme.abs2.shape
         Lam_q = np.broadcast_to(state.Lam_q, (q_count, n))
@@ -200,10 +200,11 @@ class TestUpdate:
     def test_undamped_sums(self):
         state = AuxiliaryState(lam_q=np.zeros((2, 1), dtype=complex),
                                Lam_q=np.zeros((2, 1)),
-                               lam0=np.zeros(1, dtype=complex), Lam0=np.zeros(1))
+                               lam0=np.zeros(1, dtype=complex), Lam0=np.zeros(1),
+                               lc=np.ones(1))
         xi = np.array([[1.0], [2.0]], dtype=complex)
         Xi = np.array([[1.0], [1.0]])
-        new = update_points(state, xi, Xi, alpha=1.0, lambda_c=np.ones(1))
+        new = update_points(state, xi, Xi, alpha=1.0)
         assert new.lam0[0] == 3.0 and new.Lam0[0] == 2.0
         assert new.lam_q[0, 0] == 2.0 and new.lam_q[1, 0] == 1.0
 
@@ -221,17 +222,17 @@ class TestUpdate:
         state = initial_state(scheme)
         for _ in range(5):
             xi, Xi = project_all(scheme, state)
-            state = update_points(state, xi, Xi, alpha, lambda_c=scheme.lambda_c)
+            state = update_points(state, xi, Xi, alpha)
             assert state.Lam_q.shape == scheme.abs2.shape
             assert state.e_condition_residual() <= tol
 
     def test_alpha_out_of_range(self):
         state = AuxiliaryState(lam_q=np.zeros((1, 1), dtype=complex),
                                Lam_q=np.zeros((1, 1)),
-                               lam0=np.zeros(1, dtype=complex), Lam0=np.zeros(1))
+                               lam0=np.zeros(1, dtype=complex), Lam0=np.zeros(1),
+                               lc=np.ones(1))
         with pytest.raises(DomainError):
-            update_points(state, np.zeros((1, 1)), np.zeros((1, 1)), alpha=0.0,
-                          lambda_c=np.ones(1))
+            update_points(state, np.zeros((1, 1)), np.zeros((1, 1)), alpha=0.0)
 
 
 class TestGramStep:
@@ -257,13 +258,14 @@ class TestGramStep:
         ref = initial_state(scheme)
         for _ in range(5):
             xi, Xi = project_all(scheme, ref)
-            ref = update_points(ref, xi, Xi, alpha, lambda_c=scheme.lambda_c)
+            ref = update_points(ref, xi, Xi, alpha)
             point = step(batch, point, None)
             assert point.X.shape == (1, scheme.dim + 1, scheme.dim)
             lam_q = point.u[0] + scheme.factors * (psi @ point.X[0])
-            for got, want in ((lam_q, ref.lam_q), (point.lam0[0], ref.lam0)):
+            # the reference target is a (1, N) row, as the point's is
+            for got, want in ((lam_q, ref.lam_q), (point.lam0, ref.lam0)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            for got, want in ((point.Lam_q, ref.Lam_q), (point.Lam0[0], ref.Lam0)):
+            for got, want in ((point.Lam_q, ref.Lam_q), (point.Lam0, ref.Lam0)):
                 if exact:
                     assert np.array_equal(got, want)
                 else:
@@ -373,7 +375,7 @@ class TestRun:
         alpha, tol = 0.05, 1e-11
         for _ in range(30000):
             xi, Xi = project_all(scheme, state)
-            new = update_points(state, xi, Xi, alpha, lambda_c=scheme.lambda_c)
+            new = update_points(state, xi, Xi, alpha)
             mu_old = state.lam0 / (state.Lam0 + scheme.lambda_c)
             mu_new = new.lam0 / (new.Lam0 + scheme.lambda_c)
             state = new
@@ -409,7 +411,7 @@ class TestRun:
         state, mu = initial_state(scheme), np.zeros(scheme.dim, dtype=complex)
         for t in range(1, t_max + 1):
             xi, Xi = project_all(scheme, state)
-            state = update_points(state, xi, Xi, alpha, lambda_c=scheme.lambda_c)
+            state = update_points(state, xi, Xi, alpha)
             mu_new = state.lam0 / (state.Lam0 + scheme.lambda_c)
             change = np.abs(mu_new - mu).max() / np.abs(mu_new).max()
             mu = mu_new
