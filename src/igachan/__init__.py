@@ -57,7 +57,6 @@ from .bscm import (
 from .scenario import (
     BeamChannel,
     PowerMatrix,
-    build_prior,
     extraction_from_powers,
     gen_power_matrices,
     sample_channels,

@@ -29,9 +29,7 @@ def _parse_seed(text: str) -> int:
         seed = int(text)
     except ValueError:
         raise ConfigError(f"seed must be an integer, got {text!r}") from None
-    if not (0 <= seed < 2**64):
-        raise ConfigError("seed must fit in an unsigned 64-bit integer")
-    return seed
+    return scenario.check_seed(seed)
 
 
 def _run_spec(args, cfg: ScenarioConfig, n_sam: int,
@@ -68,11 +66,11 @@ def _cmd_generate(args) -> int:
     c_path = os.path.join(args.out, "channels.bin")
     scenario.save_power_matrices(p_path, powers)
     scenario.save_channels(c_path, channels)
-    extraction = scenario.extraction_from_powers(powers, array, ofdm, plan)
+    extraction, _ = scenario.extraction_from_powers(powers, array, ofdm, plan)
     print(f"wrote {p_path} and {c_path}")
     print(
         f"users={plan.K} roots={plan.Q} grid={array.N_r}x{ofdm.N_f} "
-        f"extracted={extraction.n}/{plan.Q * ofdm.N_p * array.N_r} "
+        f"extracted={extraction.n}/{extraction.n_tilde} "
         f"rng={scenario.RNG_FAMILY} seed={cfg.seed}"
     )
     return EXIT_OK

@@ -43,7 +43,7 @@ from .errors import ConfigError, DomainError
 from .estimators import MeasurementModel, _mmse_mean, is_normal, modified_mmse_estimate
 from .report import EstimateReport, Iterative, run
 from .scenario import (
-    build_prior,
+    check_seed,
     extraction_from_powers,
     gen_power_matrices,
     sample_extracted,
@@ -161,8 +161,7 @@ def build_trial(geometry, cfg: ScenarioConfig, seed: int, snr_db: float,
     array, ofdm, plan = geometry
     sigma2 = sigma2_of_snr(snr_db)
     powers = gen_power_matrices(cfg, seed, stream=stream)
-    extraction = extraction_from_powers(powers, array, ofdm, plan)
-    d = build_prior(powers, extraction, array, ofdm, plan)
+    extraction, d = extraction_from_powers(powers, array, ofdm, plan)
     scn = BscmScenario(array, ofdm, plan, extraction)
     slices = user_slices(extraction, array, plan)
     h = sample_extracted(d, slices, seed, stream=stream)
@@ -258,6 +257,7 @@ class BenchmarkSpec:
             if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
         object.__setattr__(self, "algorithms", algs)
+        check_seed(self.seed)
         if not (isinstance(self.n_sam, Integral) and self.n_sam >= 1):
             raise ConfigError(f"n_sam must be an integer >= 1, got {self.n_sam!r}")
         if not (isinstance(self.t_max, Integral) and self.t_max >= 0):

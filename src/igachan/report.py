@@ -140,8 +140,8 @@ def run(estimator: Iterative, models, alpha: float | None = None, t_max: int = 1
         raise DomainError("alpha must lie in (0, 1]")
     if not (isinstance(t_max, Integral) and t_max >= 0):
         raise DomainError(f"t_max must be a nonnegative integer, got {t_max!r}")
-    if not tol >= 0:  # nan fails too
-        raise DomainError(f"tol must be nonnegative, got {tol!r}")
+    if not 0 <= tol < np.inf:  # nan fails too
+        raise DomainError(f"tol must be finite and nonnegative, got {tol!r}")
     if not models:
         return []
     config = {"algorithm": estimator.name, "alpha": alpha, "t_max": t_max, "tol": tol}

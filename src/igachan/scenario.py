@@ -4,14 +4,17 @@ draws, and received pilot signals or their sufficient statistic.
 Power maps are built from a few rectangular clusters on the N_r x N_f beam
 grid with lognormal relative powers, normalized so every user's variances
 sum to one; beam coefficients are then independent zero-mean complex
-Gaussians with those variances.  :func:`sample_channels` draws a user's
-whole grid; :func:`sample_extracted` draws only the coefficients on the
-extraction, which is all a trial reads.  :func:`synthesize_rx` forms
-y = A h + z by FFT; :func:`synthesize_ahy` draws A^H y = A^H A h + A^H z
-from A^H A alone, with the same distribution, which is all an estimator
-reads of y.  Everything is drawn from named substreams
-of a counter-based Philox generator, so any (config, seed) pair reproduces
-bit-identical data and trials can be generated independently in any order.
+Gaussians with those variances.  :func:`extraction_from_powers` returns
+the extraction, the coefficients of nonzero variance, with those
+variances, its prior.  :func:`sample_channels` draws a user's whole grid;
+:func:`sample_extracted` draws only the coefficients on the extraction,
+which is all a trial reads.  :func:`synthesize_rx` forms y = A h + z by
+FFT; :func:`synthesize_ahy` draws A^H y = A^H A h + A^H z from A^H A
+alone, with the same distribution, which is all an estimator reads of y.
+Everything is drawn from named substreams of a counter-based Philox
+generator, whose seed :func:`check_seed` checks, so any (config, seed)
+pair reproduces bit-identical data and trials can be generated
+independently in any order.
 """
 
 from __future__ import annotations
@@ -41,10 +44,8 @@ __all__ = [
     "sample_channels",
     "user_slices",
     "sample_extracted",
-    "stack_powers",
-    "stack_channels",
+    "stack_grid",
     "extraction_from_powers",
-    "build_prior",
     "synthesize_rx",
     "gram_factor",
     "synthesize_ahy",
@@ -62,6 +63,16 @@ DEFAULT_CLUSTERS = 3
 ZERO_VARIANCE_REL_THRESHOLD = 1e-12
 
 
+# check_seed stays out of __all__: outside-in tracers would time it inside
+# every substream call
+def check_seed(value, what: str = "seed") -> int:
+    """``value`` as an int if it is a seed, an integer in [0, 2^64); else
+    ConfigError.  Substream indices obey the same rule."""
+    if not (isinstance(value, (int, np.integer)) and 0 <= value < 2**64):
+        raise ConfigError(f"{what} must be an integer in [0, 2^64), got {value!r}")
+    return int(value)
+
+
 def substream(seed: int, purpose: str, *indices: int) -> np.random.Generator:
     """Philox generator on the named substream.
 
@@ -71,10 +82,8 @@ def substream(seed: int, purpose: str, *indices: int) -> np.random.Generator:
     """
     if purpose not in _PURPOSES:
         raise ConfigError(f"unknown substream purpose {purpose!r}")
-    seed = int(seed)
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    entropy = (seed, _PURPOSES[purpose], *(int(i) for i in indices))
+    entropy = (check_seed(seed), _PURPOSES[purpose],
+               *(check_seed(i, "substream index") for i in indices))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -198,53 +207,34 @@ def sample_extracted(d: np.ndarray, slices: list[slice], seed: int,
     return h
 
 
-def stack_powers(powers: list[PowerMatrix], array: ArrayConfig, ofdm: OfdmConfig,
-                 plan: PilotPlan) -> np.ndarray:
-    """Variances of the stacked beam vector, in stacking order (length Q N_p N_r)."""
-    if len(powers) != plan.K:
-        raise DomainError(f"expected {plan.K} power maps, got {len(powers)}")
+def stack_grid(grids: list[np.ndarray], array: ArrayConfig, ofdm: OfdmConfig,
+               plan: PilotPlan) -> np.ndarray:
+    """Stacked beam vector of the users' (N_r, N_f) grids (power maps or
+    channels): user k lands in its root/shift column block of the
+    (N_r, Q N_p) grid, read column-major (length Q N_p N_r)."""
+    if len(grids) != plan.K:
+        raise DomainError(f"expected {plan.K} user grids, got {len(grids)}")
     # column-major, so the stacking reshape below is a view, not a copy
-    grid = np.zeros((array.N_r, plan.Q * ofdm.N_p), dtype=np.float64, order="F")
+    grid = np.zeros((array.N_r, plan.Q * ofdm.N_p), dtype=np.result_type(*grids), order="F")
     for k in range(1, plan.K + 1):
-        grid[:, plan.user_columns(k)] = powers[k - 1].omega
+        grid[:, plan.user_columns(k)] = grids[k - 1]
     return grid.reshape(-1, order="F")
 
 
-def stack_channels(channels: list[BeamChannel], array: ArrayConfig,
-                   ofdm: OfdmConfig, plan: PilotPlan) -> np.ndarray:
-    """Stacked beam vector: users land in their root/shift column blocks."""
-    if len(channels) != plan.K:
-        raise DomainError(f"expected {plan.K} channels, got {len(channels)}")
-    # column-major, so the stacking reshape below is a view, not a copy
-    grid = np.zeros((array.N_r, plan.Q * ofdm.N_p), dtype=np.complex128, order="F")
-    for k in range(1, plan.K + 1):
-        grid[:, plan.user_columns(k)] = channels[k - 1].H
-    return grid.reshape(-1, order="F")
+def extraction_from_powers(powers: list[PowerMatrix], array: ArrayConfig, ofdm: OfdmConfig,
+                           plan: PilotPlan) -> tuple[ExtractionMap, np.ndarray]:
+    """The extraction and its prior: the stacked indices whose variance
+    exceeds ZERO_VARIANCE_REL_THRESHOLD * max, and the variances d there,
+    in extraction order.
 
-
-def extraction_from_powers(powers: list[PowerMatrix], array: ArrayConfig,
-                           ofdm: OfdmConfig, plan: PilotPlan) -> ExtractionMap:
-    """Keep stacked indices whose prior variance exceeds
-    ZERO_VARIANCE_REL_THRESHOLD * max.
-
-    The threshold (rather than an exact-zero test) guards serialization
-    round-trips of the power maps.
+    Every map sums to one, so the maximum is positive and so is every kept
+    variance.  The threshold (rather than an exact-zero test) guards
+    serialization round-trips of the power maps.
     """
-    om = stack_powers(powers, array, ofdm, plan)
-    keep = np.flatnonzero(om > ZERO_VARIANCE_REL_THRESHOLD * om.max())
-    return ExtractionMap(indices=keep, n_tilde=om.size)
-
-
-def build_prior(powers: list[PowerMatrix], extraction: ExtractionMap,
-                array: ArrayConfig, ofdm: OfdmConfig, plan: PilotPlan) -> np.ndarray:
-    """Prior variances d of the extracted coefficients, in extraction order."""
-    om = stack_powers(powers, array, ofdm, plan)
-    if om.size != extraction.n_tilde:
-        raise DomainError("extraction map does not match the stacked grid size")
-    d = om[extraction.indices]
-    if np.any(d <= 0):
-        raise DomainError("extraction kept a zero-variance index")
-    return d
+    om = stack_grid([pm.omega for pm in powers], array, ofdm, plan)
+    extraction = ExtractionMap(
+        indices=np.flatnonzero(om > ZERO_VARIANCE_REL_THRESHOLD * om.max()), n_tilde=om.size)
+    return extraction, om[extraction.indices]
 
 
 def synthesize_rx(scenario: BscmScenario, h: np.ndarray, sigma2: float, seed: int,
@@ -252,8 +242,8 @@ def synthesize_rx(scenario: BscmScenario, h: np.ndarray, sigma2: float, seed: in
     """y = A h + z through the fast operator, with circular complex noise.
 
     ``h`` holds the beam coefficients on ``scenario.extraction``, in
-    extraction order (``stack_channels(...)[extraction.indices]`` of a
-    channel draw).  Noise draws come from the "noise" substream; real and
+    extraction order (``stack_grid(...)[extraction.indices]`` of a
+    channel draw's grids).  Noise draws come from the "noise" substream; real and
     imaginary parts each have variance sigma2 / 2.  ``sigma2 = 0`` gives a
     noise-free y.
     """
@@ -309,13 +299,21 @@ _KIND_POWERS = 1
 _KIND_CHANNELS = 2
 
 
-def _write_header(fh, kind: int, count: int, rows: int, cols: int) -> None:
-    fh.write(_MAGIC)
-    fh.write(struct.pack("<IIII", kind, count, rows, cols))
+def _write_arrays(path, kind: int, dtype: str, what: str, arrays: list) -> None:
+    """Header (magic, kind, count, rows, cols), then each (rows, cols) array
+    row-major as ``dtype``; the file ``_read_arrays`` reads."""
+    rows, cols = arrays[0].shape
+    if any(a.shape != (rows, cols) for a in arrays):
+        raise DomainError(f"all {what} must share one shape")
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<IIII", kind, len(arrays), rows, cols))
+        for a in arrays:
+            fh.write(np.asarray(a, dtype=dtype).tobytes())
 
 
 def _read_arrays(path, kind: int, dtype: str, what: str) -> np.ndarray:
-    """(count, rows, cols) array of a file written with ``_write_header``.
+    """(count, rows, cols) array of a file written with ``_write_arrays``.
 
     A file cut inside the header or the payload is a ConfigError naming the
     file and the byte count its header promises.
@@ -340,14 +338,8 @@ def _read_arrays(path, kind: int, dtype: str, what: str) -> np.ndarray:
 
 
 def save_power_matrices(path, powers: list[PowerMatrix]) -> None:
-    """Header (magic, kind, user count, dims) then row-major float64 values."""
-    rows, cols = powers[0].omega.shape
-    with open(path, "wb") as fh:
-        _write_header(fh, _KIND_POWERS, len(powers), rows, cols)
-        for pm in powers:
-            if pm.omega.shape != (rows, cols):
-                raise DomainError("all power maps must share one shape")
-            fh.write(np.ascontiguousarray(pm.omega).astype("<f8").tobytes())
+    """Row-major float64 values per user (kind 1)."""
+    _write_arrays(path, _KIND_POWERS, "<f8", "power maps", [pm.omega for pm in powers])
 
 
 def load_power_matrices(path) -> list[PowerMatrix]:
@@ -356,14 +348,8 @@ def load_power_matrices(path) -> list[PowerMatrix]:
 
 
 def save_channels(path, channels: list[BeamChannel]) -> None:
-    """Same header; values are interleaved re/im float64 pairs, row-major."""
-    rows, cols = channels[0].H.shape
-    with open(path, "wb") as fh:
-        _write_header(fh, _KIND_CHANNELS, len(channels), rows, cols)
-        for ch in channels:
-            if ch.H.shape != (rows, cols):
-                raise DomainError("all channels must share one shape")
-            fh.write(np.ascontiguousarray(ch.H).astype("<c16").tobytes())
+    """Interleaved re/im float64 pairs per user, row-major (kind 2)."""
+    _write_arrays(path, _KIND_CHANNELS, "<c16", "beam channels", [ch.H for ch in channels])
 
 
 def load_channels(path) -> list[BeamChannel]:

@@ -356,7 +356,8 @@ def _check_statistic_noise():
     rng = np.random.default_rng(111)
     worst_sigmas, worst_rel, factors = 0.0, 0.0, []
     for power_seed in (18, 10):
-        extraction = extraction_from_powers(gen_power_matrices(cfg, seed=power_seed), array, ofdm, plan)
+        extraction, _ = extraction_from_powers(gen_power_matrices(cfg, seed=power_seed), array,
+                                               ofdm, plan)
         G = BscmScenario(array, ofdm, plan, extraction).gram()
         try:
             np.linalg.cholesky(G)

@@ -272,6 +272,15 @@ def test_bad_seed_exits_2(tiny_config):
                  "--snr", "0", "--alg", "mmse"]) == 2
 
 
+@pytest.mark.parametrize("command", ["generate", "estimate", "benchmark"])
+def test_config_file_seed_beyond_64_bits_exits_2(tmp_path, capsys, command):
+    # a seed read from the file meets the rule --seed meets
+    path = tmp_path / "big-seed.txt"
+    path.write_text(TINY.replace("seed = 9", f"seed = {2**64}"), encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "seed must be an integer in [0, 2^64)" in capsys.readouterr().err
+
+
 def test_estimate_rejects_snr_list(tiny_config):
     assert main(["estimate", "--config", str(tiny_config), "--snr", "0,10",
                  "--alg", "mmse"]) == 2

@@ -27,11 +27,10 @@ from igachan.harness import (
 from igachan.iga import SplitScheme
 from igachan.report import DIVERGENCE_FACTOR, Iterative
 from igachan.scenario import (
-    build_prior,
     extraction_from_powers,
     gen_power_matrices,
     sample_channels,
-    stack_channels,
+    stack_grid,
     synthesize_rx,
     user_slices,
 )
@@ -86,7 +85,7 @@ class TestReconstruct:
                              M_p=8, M_g=8, F_p=2, K=4, P=2, seed=3)
         powers = gen_power_matrices(cfg, seed=3)
         channels = sample_channels(powers, seed=3)
-        ht = stack_channels(channels, scn.array, scn.ofdm, scn.plan)
+        ht = stack_grid([ch.H for ch in channels], scn.array, scn.ofdm, scn.plan)
         h = ht[scn.extraction.indices]
         rec = reconstruct_G(h, scn)
         truth = [scn.beam_to_space_freq(ch.H) for ch in channels]
@@ -158,12 +157,18 @@ class TestBenchmark:
             BenchmarkSpec(snr_list_db=(0.0,), algorithms=("amp",), n_sam=1,
                           scenario=small_spec.scenario, seed=1)
 
-    @pytest.mark.parametrize("field", ["n_sam", "t_max"])
+    @pytest.mark.parametrize("field", ["n_sam", "t_max", "seed"])
     def test_a_count_must_be_an_integer(self, small_spec, field):
-        # n_sam = 2.5 died in range() with a TypeError, and t_max = 2.5 was
-        # never met by the iteration count, so it ran on without a cap
+        # n_sam = 2.5 died in range() with a TypeError, t_max = 2.5 was
+        # never met by the iteration count, so it ran on without a cap, and
+        # seed = 2.5 drew seed 2's trials
         with pytest.raises(ConfigError, match=field):
             dataclasses.replace(small_spec, **{field: 2.5})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", "2^64"])
+    def test_a_seed_must_fit_in_64_bits(self, small_spec, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            dataclasses.replace(small_spec, seed=seed)
 
     def test_wall_time_zero_without_timing(self, small_spec):
         rows = run_benchmark(small_spec)
@@ -232,10 +237,12 @@ def _counted(monkeypatch, owner, method):
 CELL = 2
 
 
-def _count_default_trial_calls(monkeypatch, method, algorithms=("mmse", "ic_iga", "ic_siga")):
-    """Calls of a BscmScenario method per trial in one default _run_cell of
-    ``algorithms`` over CELL trials, capped at 5 iterations."""
-    calls = _counted(monkeypatch, BscmScenario, method)
+def _count_default_trial_calls(monkeypatch, method, algorithms=("mmse", "ic_iga", "ic_siga"),
+                               owner=BscmScenario):
+    """Calls of ``owner.method``, a BscmScenario method unless told
+    otherwise, per trial in one default _run_cell of ``algorithms`` over
+    CELL trials, capped at 5 iterations."""
+    calls = _counted(monkeypatch, owner, method)
     spec = BenchmarkSpec(snr_list_db=(10.0,), algorithms=algorithms, n_sam=CELL,
                          scenario=ScenarioConfig(), seed=0, t_max=5)
     rows = _run_cell(spec, geometry_from_config(spec.scenario), 0)
@@ -259,6 +266,13 @@ def test_one_gram_per_default_trial(monkeypatch):
     model = build_trial(geometry_from_config(cfg), cfg, 0, 10.0, stream=(0, 0)).model
     assert model.gram() is model.gram()
     assert not model.gram().flags.writeable
+
+
+def test_one_stacking_per_default_trial(monkeypatch):
+    # the extraction and its prior come from one stacking of the power maps
+    from igachan import scenario
+
+    assert _count_default_trial_calls(monkeypatch, "stack_grid", ("mmse",), scenario) == 1
 
 
 def test_one_model_and_one_gram_per_default_iga_trial(monkeypatch):
@@ -310,10 +324,12 @@ def test_no_models_give_no_reports(name):
 
 
 @pytest.mark.parametrize("t_max, tol", [(2.5, 1e-8), (np.float64(3.0), 1e-8), (-1, 1e-8),
-                                        (3, float("nan")), (3, -1e-8)])
+                                        (3, float("nan")), (3, -1e-8), (3, float("inf"))])
 def test_run_settings_that_disable_a_stop_rule_are_refused(rng, t_max, tol):
     # the iteration count never equals a non-integer t_max, and no relative
-    # change is below a nan or negative tol: either would run on unannounced
+    # change is below a nan or negative tol: either would run on unannounced;
+    # every change is below an infinite tol, which reports a first step
+    # "converged"
     with pytest.raises(DomainError, match="t_max" if tol == 1e-8 else "tol"):
         run_algorithm("ic_siga", [random_model(rng, 6, 4)], None, t_max, tol)
 
@@ -384,11 +400,10 @@ def _y_domain_trial(geometry, cfg, seed, snr_db, stream) -> Trial:
     array, ofdm, plan = geometry
     sigma2 = sigma2_of_snr(snr_db)
     powers = gen_power_matrices(cfg, seed, stream=stream)
-    extraction = extraction_from_powers(powers, array, ofdm, plan)
-    d = build_prior(powers, extraction, array, ofdm, plan)
+    extraction, d = extraction_from_powers(powers, array, ofdm, plan)
     scn = BscmScenario(array, ofdm, plan, extraction)
     channels = sample_channels(powers, seed, stream=stream)
-    h = stack_channels(channels, array, ofdm, plan)[extraction.indices]
+    h = stack_grid([ch.H for ch in channels], array, ofdm, plan)[extraction.indices]
     model = MeasurementModel(scn, d, sigma2, synthesize_rx(scn, h, sigma2, seed, stream=stream))
     return Trial(model, h, _truth_blocks(scn, h, user_slices(extraction, array, plan), None))
 

@@ -282,15 +282,14 @@ class TestRunEstimator:
         # sparse power-based extraction keeps the system Jacobi-friendly
         from igachan.bscm import BscmScenario, ScenarioConfig, geometry_from_config
         from igachan.scenario import (
-            build_prior, extraction_from_powers, gen_power_matrices,
+            extraction_from_powers, gen_power_matrices,
         )
 
         cfg = ScenarioConfig(M_z=2, M_x=2, F_z=2, F_x=2, N_c=64, delta_f_hz=30e3,
                              M_p=8, M_g=8, F_p=2, K=4, P=2, seed=21)
         array, ofdm, plan = geometry_from_config(cfg)
         powers = gen_power_matrices(cfg, seed=21)
-        extraction = extraction_from_powers(powers, array, ofdm, plan)
-        d = build_prior(powers, extraction, array, ofdm, plan)
+        extraction, d = extraction_from_powers(powers, array, ofdm, plan)
         scn = BscmScenario(array, ofdm, plan, extraction)
         y = random_y(rng, scn.shape[0])
         model = MeasurementModel(scn, d, 1.0, y)

@@ -1,7 +1,8 @@
 """Property tests of the beam-domain model over random small geometries:
 the closed-form Gram matrix, the adjoint identity of the FFT operators, the
-stack/reconstruct round trip of the users' channels, and the Gram-block
-score of a trial against its space-frequency reference."""
+stack/reconstruct round trip of the users' channels, the Gram-block score
+of a trial against its space-frequency reference, and the prior that comes
+with an extraction."""
 
 import numpy as np
 import pytest
@@ -19,7 +20,17 @@ from igachan.bscm import (  # noqa: E402
     largest_prime_below,
 )
 from igachan.harness import build_trial, nmse, reconstruct_G  # noqa: E402
-from igachan.scenario import gen_power_matrices, sample_channels, stack_channels  # noqa: E402
+from igachan.scenario import (  # noqa: E402
+    ZERO_VARIANCE_REL_THRESHOLD,
+    PowerMatrix,
+    extraction_from_powers,
+    gen_power_matrices,
+    sample_channels,
+    stack_grid,
+)
+
+TINY = ScenarioConfig(M_z=2, M_x=2, F_z=2, F_x=2, N_c=64, delta_f_hz=30e3,
+                      M_p=8, M_g=8, F_p=2, K=4, P=2)
 
 
 @st.composite
@@ -49,6 +60,22 @@ def scenarios(draw):
         keep = np.array([int(rng.integers(n_tilde))])
     scn = BscmScenario(array, ofdm, plan, ExtractionMap(keep, n_tilde))
     return scn, rng
+
+
+@st.composite
+def tiny_power_maps(draw):
+    """K valid power maps of the tiny geometry, with exact zeros and entries
+    over 16 decades below each map's largest, so the threshold meets both."""
+    array, ofdm, plan = geometry_from_config(TINY)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    maps = []
+    for _ in range(plan.K):
+        shape = (array.N_r, ofdm.N_f)
+        omega = 10.0 ** rng.uniform(-16.0, 0.0, shape) * (rng.random(shape) < density)
+        omega.flat[rng.integers(omega.size)] = 1.0
+        maps.append(PowerMatrix(omega / omega.sum()))
+    return maps
 
 
 def _dense(scn):
@@ -82,7 +109,7 @@ def test_stack_reconstruct_round_trip(cfg, seed):
     geometry = geometry_from_config(cfg)
     scn = BscmScenario(*geometry, full_extraction(*geometry))
     channels = sample_channels(gen_power_matrices(cfg, seed), seed)
-    stacked = stack_channels(channels, *geometry)
+    stacked = stack_grid([ch.H for ch in channels], *geometry)
     rebuilt = reconstruct_G(stacked[scn.extraction.indices], scn)
     assert len(rebuilt) == len(channels)
     for G, ch in zip(rebuilt, channels):
@@ -114,3 +141,15 @@ def test_user_blocks_are_diagonal_blocks_of_the_gram(cfg, seed):
     G = trial.model.A.gram()
     for s, W, _ in trial.users:
         assert W.shape == G[s, s].shape and W.tobytes() == G[s, s].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(tiny_power_maps())
+def test_the_prior_is_the_stacked_maps_at_the_extraction(powers):
+    geometry = geometry_from_config(TINY)
+    extraction, d = extraction_from_powers(powers, *geometry)
+    stacked = stack_grid([pm.omega for pm in powers], *geometry)
+    assert np.array_equal(d, stacked[extraction.indices])
+    assert np.all(d > 0)
+    dropped = np.delete(stacked, extraction.indices)
+    assert np.all(dropped <= ZERO_VARIANCE_REL_THRESHOLD * stacked.max())

@@ -6,7 +6,6 @@ from igachan.errors import ConfigError, DomainError
 from igachan.scenario import (
     BeamChannel,
     PowerMatrix,
-    build_prior,
     extraction_from_powers,
     gen_power_matrices,
     gram_factor,
@@ -16,8 +15,7 @@ from igachan.scenario import (
     sample_extracted,
     save_channels,
     save_power_matrices,
-    stack_channels,
-    stack_powers,
+    stack_grid,
     substream,
     synthesize_ahy,
     synthesize_rx,
@@ -87,7 +85,7 @@ class TestChannels:
 
     def test_frobenius_energy_matches_power_normalization(self, cfg, parts):
         array, ofdm, plan = parts
-        extraction_all = extraction_from_powers(
+        extraction_all, _ = extraction_from_powers(
             gen_power_matrices(cfg, seed=5), array, ofdm, plan)
         scn = BscmScenario(array, ofdm, plan, extraction_all)
         powers = gen_power_matrices(cfg, seed=5)[:1]
@@ -104,7 +102,7 @@ class TestChannels:
 class TestExtractedChannels:
     def test_user_slices_match_the_stacked_layout(self, cfg, parts):
         array, ofdm, plan = parts
-        extraction = extraction_from_powers(gen_power_matrices(cfg, seed=6), array, ofdm, plan)
+        extraction, _ = extraction_from_powers(gen_power_matrices(cfg, seed=6), array, ofdm, plan)
         slices = user_slices(extraction, array, plan)
         assert slices[0].start == 0 and slices[-1].stop == extraction.n
         for k, s in enumerate(slices, start=1):
@@ -117,8 +115,7 @@ class TestExtractedChannels:
         # mean over R draws has standard error 1 / sqrt(R)
         array, ofdm, plan = parts
         powers = gen_power_matrices(cfg, seed=6)
-        extraction = extraction_from_powers(powers, array, ofdm, plan)
-        d = build_prior(powers, extraction, array, ofdm, plan)
+        extraction, d = extraction_from_powers(powers, array, ofdm, plan)
         slices = user_slices(extraction, array, plan)
         draws = 400
         h = np.array([sample_extracted(d, slices, seed=21, stream=(t,)) for t in range(draws)])
@@ -161,8 +158,7 @@ class TestStackingAndPrior:
     def test_prior_layout_round_trip(self, cfg, parts):
         array, ofdm, plan = parts
         powers = gen_power_matrices(cfg, seed=6)
-        extraction = extraction_from_powers(powers, array, ofdm, plan)
-        d = build_prior(powers, extraction, array, ofdm, plan)
+        extraction, d = extraction_from_powers(powers, array, ofdm, plan)
         assert np.all(d > 0)
         # scatter back and compare against each user's power map layout
         flat = np.zeros(extraction.n_tilde)
@@ -178,15 +174,14 @@ class TestStackingAndPrior:
         array, ofdm, plan = parts
         flat = np.full((array.N_r, ofdm.N_f), 1.0 / (array.N_r * ofdm.N_f))
         powers = [PowerMatrix(flat) for _ in range(plan.K)]
-        extraction = extraction_from_powers(powers, array, ofdm, plan)
-        d = build_prior(powers, extraction, array, ofdm, plan)
+        extraction, d = extraction_from_powers(powers, array, ofdm, plan)
         assert np.ptp(d) == 0
 
     def test_extraction_excludes_zero_variance(self, cfg, parts):
         array, ofdm, plan = parts
         powers = gen_power_matrices(cfg, seed=7)
-        extraction = extraction_from_powers(powers, array, ofdm, plan)
-        om = stack_powers(powers, array, ofdm, plan)
+        extraction, _ = extraction_from_powers(powers, array, ofdm, plan)
+        om = stack_grid([pm.omega for pm in powers], array, ofdm, plan)
         assert np.all(om[extraction.indices] > 0)
         dropped = np.setdiff1d(np.arange(om.size), extraction.indices)
         assert np.all(om[dropped] <= 1e-12 * om.max())
@@ -206,7 +201,7 @@ class TestSynthesis:
         H1 = channels[2].H.copy()
         H1[5, 1] = value
         channels[2] = BeamChannel(H1)
-        ht = stack_channels(channels, array, ofdm, plan)
+        ht = stack_grid([ch.H for ch in channels], array, ofdm, plan)
         idx = int(np.flatnonzero(ht)[0])
         y = synthesize_rx(scn, ht, sigma2=0.0, seed=0)
         assert np.abs(y - A[:, idx] * value).max() <= 1e-12
@@ -227,7 +222,7 @@ class TestSynthesis:
             G_k = V @ channels[k - 1].H @ U.T
             Y += G_k @ np.diag(zc_pilot(plan, ofdm, k))
         y_ref = Y.reshape(-1, order="F")
-        y = synthesize_rx(scn, stack_channels(channels, array, ofdm, plan), sigma2=0.0, seed=0)
+        y = synthesize_rx(scn, stack_grid([ch.H for ch in channels], array, ofdm, plan), sigma2=0.0, seed=0)
         assert np.linalg.norm(y - y_ref) <= 1e-10 * np.linalg.norm(y_ref)
 
     def test_uneven_root_occupancy(self, rng):
@@ -251,7 +246,7 @@ class TestSynthesis:
         for k in range(1, plan.K + 1):
             Y += (V @ channels[k - 1].H @ U.T) @ np.diag(zc_pilot(plan, ofdm, k))
         y_ref = Y.reshape(-1, order="F")
-        y = synthesize_rx(scn, stack_channels(channels, array, ofdm, plan), sigma2=0.0, seed=0)
+        y = synthesize_rx(scn, stack_grid([ch.H for ch in channels], array, ofdm, plan), sigma2=0.0, seed=0)
         assert np.linalg.norm(y - y_ref) <= 1e-10 * np.linalg.norm(y_ref)
 
     def test_noise_statistics(self, cfg, parts):
@@ -293,6 +288,14 @@ class TestSubstreams:
     def test_unknown_purpose(self):
         with pytest.raises(ConfigError):
             substream(1, "weights")
+
+    @pytest.mark.parametrize("seed, indices", [(2.5, ()), (2**64, ()), (-1, ()),
+                                               (1, (2.5,)), (1, (0, -1))],
+                             ids=["2.5", "2^64", "-1", "index-2.5", "index--1"])
+    def test_a_seed_or_index_that_is_no_u64_is_refused(self, seed, indices):
+        # 2.5 drew seed 2's stream
+        with pytest.raises(ConfigError, match=r"in \[0, 2\^64\)"):
+            substream(seed, "noise", *indices)
 
 
 class TestSerialization:
